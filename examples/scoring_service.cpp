@@ -139,9 +139,7 @@ int main(int argc, char** argv) {
       std::cout << "      admin server listening on 127.0.0.1:"
                 << service.admin_server()->port() << std::endl;
     else
-      std::cout << "      admin server unavailable (obs disabled or bind "
-                   "failed)"
-                << std::endl;
+      std::cout << "      admin server unavailable (bind failed)" << std::endl;
   }
   std::unique_ptr<net::ScoringFrontend> frontend;
   if (http_enabled) {

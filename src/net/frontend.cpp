@@ -52,6 +52,14 @@ std::size_t reject_index(serve::RejectReason reason) noexcept {
   }
 }
 
+/// A frontend without a registry of its own registers into the service's,
+/// so the service's admin /metrics carries the mev_net_* series too.
+FrontendConfig with_service_registry(FrontendConfig config,
+                                     serve::ScoringService& service) {
+  if (config.metrics == nullptr) config.metrics = &service.metrics();
+  return config;
+}
+
 }  // namespace
 
 /// Callback context for one in-flight scored request: owns the response
@@ -66,15 +74,15 @@ struct ScoringFrontend::PendingScore {
 ScoringFrontend::ScoringFrontend(serve::ScoringService& service,
                                  FrontendConfig config)
     : service_(service),
-      config_(std::move(config)),
+      config_(with_service_registry(std::move(config), service)),
       clock_(config_.clock != nullptr ? config_.clock : &service.clock()),
       logger_(config_.logger != nullptr ? config_.logger
                                         : &obs::default_logger()),
       tracer_(obs::resolve(config_.tracer)),
       limiter_(config_.api_keys, clock_),
       recorder_(config_.flight),
-      clients_(config_.client_stats, obs::resolve(config_.metrics)) {
-  obs::MetricsRegistry* registry = obs::resolve(config_.metrics);
+      clients_(config_.client_stats, config_.metrics) {
+  obs::MetricsRegistry* registry = config_.metrics;
   rows_counter_ = registry->counter("mev.net.rows_total",
                                     "rows received on /v1/score");
   for (std::size_t i = 0; i < obs::kFlightStages; ++i)
@@ -118,7 +126,7 @@ ScoringFrontend::~ScoringFrontend() {
 
 bool ScoringFrontend::start() {
   if (server_ != nullptr && server_->running()) return true;
-  obs::MetricsRegistry* registry = obs::resolve(config_.metrics);
+  obs::MetricsRegistry* registry = config_.metrics;
 
   obs::http::SocketServerConfig socket_cfg;
   socket_cfg.port = config_.port;

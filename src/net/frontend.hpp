@@ -27,10 +27,6 @@
 //   400 malformed body / bad columns   413 body over cap   415 bad type
 //   503 queue_full / overloaded / shutting_down (+ Retry-After)
 //   504 deadline                        500 internal_error
-//
-// Compiles and serves identically with MEV_ENABLE_OBS=OFF — it depends on
-// the parser/socket layer and stub-safe metric handles, not on telemetry
-// being enabled.
 #pragma once
 
 #include <array>
@@ -77,8 +73,10 @@ struct FrontendConfig {
   std::uint64_t default_deadline_ms = 0;
   /// Timing source; nullptr = the service's clock (shared deadlines).
   runtime::Clock* clock = nullptr;
-  /// Telemetry sinks; nullptr = ambient. All stub-safe when obs is off.
+  /// Log sink; nullptr = obs::default_logger().
   obs::Logger* logger = nullptr;
+  /// Registry for the mev.net.* series; nullptr = the service's
+  /// (ScoringService::metrics()), so its admin /metrics exports them.
   obs::MetricsRegistry* metrics = nullptr;
   /// Trace-id source and span sink; nullptr = ambient tracer. Correlation
   /// headers (X-Trace-Id, Server-Timing) are stamped on every score-path
@@ -95,8 +93,7 @@ struct FrontendConfig {
   obs::AdminServer* admin = nullptr;
 };
 
-/// Plain-counter mirror of the frontend's activity, live in every build
-/// mode (the Prometheus families need MEV_ENABLE_OBS=ON).
+/// Plain-counter mirror of the frontend's activity.
 struct FrontendStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_shed = 0;

@@ -1,7 +1,5 @@
 #include "obs/admin_server.hpp"
 
-#if MEV_OBS_ENABLED
-
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
@@ -485,5 +483,3 @@ std::string AdminServer::handle(const http::Request& request) {
 }
 
 }  // namespace mev::obs
-
-#endif  // MEV_OBS_ENABLED

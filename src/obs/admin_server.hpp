@@ -32,9 +32,6 @@
 // pin a worker. stop() is idempotent and joins every thread; routing
 // (handle()) is a pure function of the parsed request, unit-testable
 // without sockets.
-//
-// With MEV_ENABLE_OBS=OFF the server is a same-shape stub whose start()
-// reports failure (port() stays 0) — call sites compile unchanged.
 #pragma once
 
 #include <atomic>
@@ -54,10 +51,6 @@
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "runtime/clock.hpp"
-
-#ifndef MEV_OBS_ENABLED
-#define MEV_OBS_ENABLED 1
-#endif
 
 namespace mev::obs {
 
@@ -96,8 +89,6 @@ struct AdminServerConfig {
   /// clock. Must outlive the server.
   runtime::Clock* clock = nullptr;
 };
-
-#if MEV_OBS_ENABLED
 
 class AdminServer {
  public:
@@ -195,39 +186,5 @@ class AdminServer {
 
   std::unique_ptr<http::SocketServer> server_;
 };
-
-#else  // MEV_OBS_ENABLED == 0: inline no-op stub, same shape.
-
-class AdminServer {
- public:
-  using ReadinessProbe = std::function<Readiness()>;
-
-  explicit AdminServer(AdminServerConfig config = {}) : config_(config) {}
-
-  AdminServer(const AdminServer&) = delete;
-  AdminServer& operator=(const AdminServer&) = delete;
-
-  using EndpointHandler = std::function<std::string(const http::Request&)>;
-
-  void set_readiness_probe(ReadinessProbe) {}
-  void set_flight_recorder(const FlightRecorder*) noexcept {}
-  void set_slo_tracker(SloTracker*) noexcept {}
-  void add_endpoint(std::string, std::string, EndpointHandler) {}
-  void remove_endpoint(std::string_view) {}
-  bool start() { return false; }
-  void stop() {}
-  bool running() const noexcept { return false; }
-  std::uint16_t port() const noexcept { return 0; }
-  std::string handle(const http::Request&) {
-    return http::format_response(404, "text/plain; charset=utf-8",
-                                 "not found\n");
-  }
-  const AdminServerConfig& config() const noexcept { return config_; }
-
- private:
-  AdminServerConfig config_;
-};
-
-#endif  // MEV_OBS_ENABLED
 
 }  // namespace mev::obs

@@ -1,7 +1,6 @@
 // Build + process provenance shared by the admin plane (/statusz, /varz)
 // and the bench meta blocks: which commit and build flags produced this
-// binary, on how many cores, since when. Always compiled — provenance is
-// not telemetry and must survive MEV_ENABLE_OBS=OFF.
+// binary, on how many cores, since when.
 //
 // MEV_GIT_SHA / MEV_BUILD_FLAGS are configure-time compile definitions
 // from the top-level CMakeLists.txt (hoisted out of bench/ so every

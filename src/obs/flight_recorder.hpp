@@ -12,10 +12,6 @@
 // (diagnostics must not become backpressure — same contract as the
 // Tracer rings). Readers skip busy slots the same way, so the structure
 // is clean under TSan with concurrent writers and /requestz scrapes.
-//
-// Compiled in every build mode: with MEV_ENABLE_OBS=OFF the frontend
-// still records (the structure is cheap POD copying), /requestz just has
-// no admin server to serve it.
 #pragma once
 
 #include <array>

@@ -13,9 +13,6 @@
 //     // unconsumed bytes (n - consumed) belong to the NEXT pipelined
 //     // request: feed them again after reset().
 //   }
-//
-// This file is compiled regardless of MEV_ENABLE_OBS — it is pure string
-// processing; only the servers that use it are stubbed out.
 #pragma once
 
 #include <cstddef>

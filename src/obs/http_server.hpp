@@ -20,10 +20,6 @@
 //     connection-per-request model). At most `max_pipeline` requests per
 //     connection are in flight before the loop stops reading — the
 //     socket's own backpressure then reaches the client.
-//
-// Compiled regardless of MEV_ENABLE_OBS: it depends only on the pure
-// http parser plus the stub-safe Logger/Counter facades, which is what
-// lets the scoring endpoint serve traffic in an obs-disabled build.
 #pragma once
 
 #include <atomic>

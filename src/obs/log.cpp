@@ -11,8 +11,6 @@
 
 namespace mev::obs {
 
-#if MEV_OBS_ENABLED
-
 namespace {
 
 void append_json_escaped(std::string& out, std::string_view s) {
@@ -186,8 +184,6 @@ void runtime_log_bridge(runtime::LogLevel level, const char* component,
 }();
 
 }  // namespace
-
-#endif  // MEV_OBS_ENABLED
 
 Logger& default_logger() {
   static Logger logger([] {

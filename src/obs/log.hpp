@@ -24,10 +24,6 @@
 //    registry counter, so suppression is itself observable on /metrics.
 //  * Layers below obs/ (runtime/) emit through runtime::log_hook.hpp; this
 //    file installs a bridge into default_logger() at static-init time.
-//
-// With MEV_ENABLE_OBS=OFF the logger collapses to same-shape no-op stubs
-// (and the runtime hook is never installed), so call sites compile
-// unchanged and emit nothing.
 #pragma once
 
 #include <atomic>
@@ -41,10 +37,6 @@
 #include "obs/metrics.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/log_hook.hpp"
-
-#ifndef MEV_OBS_ENABLED
-#define MEV_OBS_ENABLED 1
-#endif
 
 namespace mev::obs {
 
@@ -81,8 +73,6 @@ struct LogSite {
   std::uint64_t last_refill_us = 0;
   bool initialized = false;
 };
-
-#if MEV_OBS_ENABLED
 
 class Logger {
  public:
@@ -142,35 +132,6 @@ class Logger {
   Counter dropped_counter_;
   std::mutex mutex_;  // guards sink writes and LogSite bucket state
 };
-
-#else  // MEV_OBS_ENABLED == 0: inline no-op stubs, same shape.
-
-class Logger {
- public:
-  explicit Logger(LoggerConfig config = {})
-      : clock_(config.clock != nullptr ? config.clock
-                                       : &runtime::SystemClock::instance()) {}
-  Logger(const Logger&) = delete;
-  Logger& operator=(const Logger&) = delete;
-
-  bool enabled(LogLevel) const noexcept { return false; }
-  void set_min_level(LogLevel) noexcept {}
-  LogLevel min_level() const noexcept { return LogLevel::kOff; }
-  void log(LogLevel, const char*, std::string_view,
-           std::initializer_list<LogField> = {}) {}
-  void log(LogLevel, const char*, std::string_view, const LogField*,
-           std::size_t) {}
-  void log_site(LogSite&, LogLevel, const char*, std::string_view,
-                std::initializer_list<LogField> = {}) {}
-  std::uint64_t dropped() const noexcept { return 0; }
-  std::uint64_t lines() const noexcept { return 0; }
-  runtime::Clock& clock() const noexcept { return *clock_; }
-
- private:
-  runtime::Clock* clock_;
-};
-
-#endif  // MEV_OBS_ENABLED
 
 /// Process-wide default logger: JSON lines on stderr, min level kWarn
 /// (quiet by default) unless the MEV_LOG_LEVEL environment variable names

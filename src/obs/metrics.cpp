@@ -66,8 +66,6 @@ std::string prometheus_number(double v) {
   return format_number(v);
 }
 
-#if MEV_OBS_ENABLED
-
 namespace {
 
 /// JSON has no NaN/Infinity literals; non-finite gauge values snapshot as
@@ -427,15 +425,5 @@ std::string MetricsRegistry::json() const {
   write_json(os);
   return os.str();
 }
-
-#else  // MEV_OBS_ENABLED == 0
-
-void MetricsRegistry::write_prometheus(std::ostream&) const {}
-
-void MetricsRegistry::write_json(std::ostream& os) const {
-  os << "{\"counters\":{},\"gauges\":{},\"histograms\":{}}\n";
-}
-
-#endif  // MEV_OBS_ENABLED
 
 }  // namespace mev::obs

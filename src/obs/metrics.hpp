@@ -22,9 +22,6 @@
 // Prometheus allows one TYPE per name), and the exposition renders
 // `name{key="value"} v` with HELP/TYPE emitted once per name. The serving
 // layer uses this for per-reason rejection counters.
-//
-// With MEV_ENABLE_OBS=OFF the whole registry collapses to inline no-op
-// stubs (exports produce empty documents) — call sites compile unchanged.
 #pragma once
 
 #include <atomic>
@@ -40,10 +37,6 @@
 #include "obs/histogram.hpp"
 #include "obs/window.hpp"
 
-#ifndef MEV_OBS_ENABLED
-#define MEV_OBS_ENABLED 1
-#endif
-
 namespace mev::runtime {
 class Clock;
 }
@@ -54,16 +47,14 @@ namespace mev::obs {
 /// is part of the cell's identity — register with a consistent order.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Prometheus text-exposition escaping, available in both build modes
-/// (pure string helpers; tests/obs pins them). HELP text escapes
+/// Prometheus text-exposition escaping (pure string helpers; tests/obs
+/// pins them). HELP text escapes
 /// backslash and newline; label values additionally escape double quotes.
 std::string prometheus_escape_help(std::string_view text);
 std::string prometheus_escape_label_value(std::string_view value);
 /// Renders a sample value the way Prometheus expects: NaN, +Inf, -Inf for
 /// non-finite doubles, shortest round-trip decimal otherwise.
 std::string prometheus_number(double v);
-
-#if MEV_OBS_ENABLED
 
 namespace detail {
 
@@ -225,68 +216,5 @@ class MetricsRegistry {
   mutable std::mutex mutex_;  // guards metrics_ (registration + export)
   std::vector<std::unique_ptr<detail::Metric>> metrics_;  // insertion order
 };
-
-#else  // MEV_OBS_ENABLED == 0: inline no-op stubs, same shape.
-
-class Counter {
- public:
-  Counter() = default;
-  void inc(std::uint64_t = 1) noexcept {}
-  std::uint64_t value() const noexcept { return 0; }
-};
-
-class Gauge {
- public:
-  Gauge() = default;
-  void set(double) noexcept {}
-  double value() const noexcept { return 0.0; }
-};
-
-class Histogram {
- public:
-  Histogram() = default;
-  void record(std::uint64_t) noexcept {}
-  Log2Histogram snapshot() const { return Log2Histogram{}; }
-};
-
-class WindowedHistogram {
- public:
-  WindowedHistogram() = default;
-  void record(std::uint64_t) noexcept {}
-  Log2Histogram lifetime() const { return Log2Histogram{}; }
-  Log2Histogram windowed(std::uint64_t) const { return Log2Histogram{}; }
-};
-
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  Counter counter(std::string_view, std::string_view = "", Labels = {}) {
-    return {};
-  }
-  Gauge gauge(std::string_view, std::string_view = "", Labels = {}) {
-    return {};
-  }
-  Histogram histogram(std::string_view, std::string_view = "", Labels = {}) {
-    return {};
-  }
-  WindowedHistogram windowed_histogram(std::string_view,
-                                       std::string_view = "",
-                                       runtime::Clock* = nullptr,
-                                       WindowConfig = {}, Labels = {}) {
-    return {};
-  }
-  std::size_t size() const { return 0; }
-  void write_prometheus(std::ostream& os) const;
-  std::string prometheus() const { return ""; }
-  void write_json(std::ostream& os) const;
-  std::string json() const {
-    return "{\"counters\":{},\"gauges\":{},\"histograms\":{}}\n";
-  }
-};
-
-#endif  // MEV_OBS_ENABLED
 
 }  // namespace mev::obs

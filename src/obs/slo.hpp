@@ -1,6 +1,5 @@
 // SloTracker: multi-window burn-rate tracking for the serving layer's two
-// objectives, built on obs/window.hpp and always compiled (the SLO math
-// works with MEV_ENABLE_OBS=OFF; only the gauge mirrors go inert).
+// objectives, built on obs/window.hpp.
 //
 //   availability  fraction of requests resolved without a rejection
 //   latency       fraction of *completed* requests under the threshold
@@ -86,10 +85,10 @@ class SloTracker {
   std::string to_json(std::uint64_t now_us) const;
 
   /// Registers the mev.slo.* gauge mirrors (fast/slow burn and budget
-  /// remaining per objective, labeled {objective=...}); inert OBS-off.
+  /// remaining per objective, labeled {objective=...}).
   void register_gauges(MetricsRegistry* registry);
   /// Pushes the current snapshot into the registered gauges (no-op when
-  /// register_gauges was never called, or OBS-off).
+  /// register_gauges was never called).
   void refresh_gauges(std::uint64_t now_us) noexcept;
 
   const SloConfig& config() const noexcept { return config_; }

@@ -8,8 +8,6 @@
 
 namespace mev::obs {
 
-#if MEV_OBS_ENABLED
-
 namespace {
 
 std::uint64_t next_tracer_id() {
@@ -259,13 +257,5 @@ std::string Tracer::chrome_trace() const {
   write_chrome_trace(os);
   return os.str();
 }
-
-#else  // MEV_OBS_ENABLED == 0
-
-void Tracer::write_chrome_trace(std::ostream& os) const {
-  os << "{\"traceEvents\":[]}\n";
-}
-
-#endif  // MEV_OBS_ENABLED
 
 }  // namespace mev::obs

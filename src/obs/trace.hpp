@@ -22,12 +22,6 @@
 //  * A disabled tracer (set_enabled(false)) skips the clock reads and the
 //    buffer write entirely; the process-wide obs::default_tracer() starts
 //    disabled so un-instrumented runs pay one atomic load per span site.
-//
-// Compile-out: building with MEV_ENABLE_OBS=OFF (-DMEV_OBS_ENABLED=0)
-// replaces Tracer/Span with inline no-op stubs of identical shape, so
-// instrumented call sites compile unchanged and vanish entirely. Only the
-// injectable clock survives in the stub (phase-duration accounting in
-// BlackBoxRoundStats keeps working without the tracing machinery).
 #pragma once
 
 #include <array>
@@ -44,10 +38,6 @@
 #include "obs/trace_context.hpp"
 #include "runtime/clock.hpp"
 
-#ifndef MEV_OBS_ENABLED
-#define MEV_OBS_ENABLED 1
-#endif
-
 namespace mev::obs {
 
 struct TracerConfig {
@@ -59,8 +49,6 @@ struct TracerConfig {
   /// Record events from construction (set_enabled toggles later).
   bool enabled = true;
 };
-
-#if MEV_OBS_ENABLED
 
 /// One numeric span/instant annotation ("loss" = 0.031, ...).
 struct TraceArg {
@@ -263,65 +251,6 @@ class Tracer {
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
   std::uint32_t next_tid_ = 1;
 };
-
-#else  // MEV_OBS_ENABLED == 0: inline no-op stubs, same shape.
-
-struct TraceArg {};
-struct TraceEvent {};
-
-class Span {
- public:
-  Span() = default;
-  void arg(const char*, double) noexcept {}
-  void finish() noexcept {}
-  TraceContext context() const noexcept { return {}; }
-};
-
-class Tracer {
- public:
-  explicit Tracer(TracerConfig config = {})
-      : clock_(config.clock != nullptr ? config.clock
-                                       : &runtime::SystemClock::instance()),
-        ids_(clock_->now_us()) {}
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  Span span(const char*) noexcept { return Span(); }
-  Span span(const char*, TraceContext) noexcept { return Span(); }
-  void instant(const char*) noexcept {}
-  // Id allocation survives the compile-out: the net layer's correlation
-  // headers (X-Trace-Id, traceparent echo) still work with tracing off.
-  TraceContext make_context(TraceContext parent = {}) noexcept {
-    TraceContext ctx;
-    if (parent.valid()) {
-      ctx.trace_id = parent.trace_id;
-      ctx.trace_hi = parent.trace_hi;
-    } else {
-      ctx.trace_id = ids_.next();
-    }
-    ctx.span_id = ids_.next();
-    return ctx;
-  }
-  void complete_span(const char*, TraceContext, std::uint64_t,
-                     std::uint64_t) noexcept {}
-  void complete_span(const char*, TraceContext, std::uint64_t, std::uint64_t,
-                     std::uint64_t) noexcept {}
-  void set_enabled(bool) noexcept {}
-  bool enabled() const noexcept { return false; }
-  runtime::Clock& clock() const noexcept { return *clock_; }
-  std::size_t event_count() const { return 0; }
-  std::uint64_t dropped() const { return 0; }
-  std::vector<TraceEvent> recent(std::size_t) const { return {}; }
-  void clear() {}
-  void write_chrome_trace(std::ostream& os) const;  // empty trace
-  std::string chrome_trace() const { return "{\"traceEvents\":[]}\n"; }
-
- private:
-  runtime::Clock* clock_;
-  TraceIdGenerator ids_;
-};
-
-#endif  // MEV_OBS_ENABLED
 
 /// Null-safe helpers so call sites never branch on the tracer pointer.
 inline Span span(Tracer* tracer, const char* name) noexcept {

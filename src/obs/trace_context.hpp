@@ -20,10 +20,9 @@
 // request is still served, it just starts a fresh trace. A malformed
 // header is never an error: correlation is a diagnostic, not a contract.
 //
-// This file is compiled in every build mode (it is pure data + string
-// processing with no tracing machinery): serve::Request embeds a
-// TraceContext and the net layer stamps correlation headers even when
-// MEV_ENABLE_OBS=OFF stubs out the Tracer itself.
+// Pure data + string processing with no tracing machinery: serve::Request
+// embeds a TraceContext and the net layer stamps correlation headers
+// even when the Tracer is disabled at runtime.
 #pragma once
 
 #include <atomic>

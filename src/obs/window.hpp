@@ -1,7 +1,6 @@
 // Sliding-window aggregation: the lock-free time-bucketed primitive under
 // the SLO tracker, the windowed /metrics percentiles, and the score-drift
-// layer. Always compiled (like TraceContext) — SLO math and drift
-// detection must work with MEV_ENABLE_OBS=OFF.
+// layer.
 //
 // Model: a ring of N time buckets, each `bucket_us` wide. A timestamp's
 // epoch is now_us / bucket_us; it lands in slot epoch % N. Writers rotate

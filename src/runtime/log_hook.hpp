@@ -7,8 +7,7 @@
 //
 // With no hook installed the call is a relaxed atomic load and a branch —
 // effectively free. obs/log.cpp installs a bridge into the structured
-// logger at static-init time (when built with MEV_ENABLE_OBS=ON), so
-// breaker trips and retry storms surface in the same JSON-lines stream as
+// logger at static-init time, so breaker trips and retry storms surface in the same JSON-lines stream as
 // the rest of the system without runtime/ ever depending on obs/.
 //
 // LogLevel and LogField are defined here (the lowest layer that logs) and

@@ -12,8 +12,7 @@
 // per-client PSI (net/client_stats.hpp keys one ScoreDrift per API key)
 // surfaces which caller's mix moved.
 //
-// Built on the always-compiled window primitives, so drift math works
-// identically with MEV_ENABLE_OBS=OFF. Thread-safety is telemetry-grade:
+// Built on the obs/window.hpp primitives. Thread-safety is telemetry-grade:
 // record() is lock-free; a record racing reset_reference() may land in
 // the discarded baseline (bounded loss, never corruption).
 #pragma once

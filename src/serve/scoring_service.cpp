@@ -32,10 +32,15 @@ ScoringService::ScoringService(features::FeaturePipeline pipeline,
                                      : &runtime::SystemClock::instance()),
       tracer_(obs::resolve(config.tracer)),
       logger_(obs::resolve(config.logger)),
+      owned_metrics_(config.metrics == nullptr
+                         ? std::make_unique<obs::MetricsRegistry>()
+                         : nullptr),
+      metrics_(config.metrics != nullptr ? config.metrics
+                                         : owned_metrics_.get()),
       overload_(config.overload),
       slo_(config.slo),
       drift_(config.drift) {
-  obs::MetricsRegistry* registry = obs::resolve(config.metrics);
+  obs::MetricsRegistry* registry = metrics_;
   slo_.register_gauges(registry);
   obs_.accepted_requests = registry->counter(
       "mev.serve.accepted_requests", "submissions admitted to the queue");
@@ -250,8 +255,6 @@ void ScoringService::submit_request(Request request, std::size_t rows,
     // Nothing to score: complete immediately with the current version.
     ScoreResult result;
     result.model_version = published_version_.load(std::memory_order_acquire);
-    counters_.accepted_requests.fetch_add(1, std::memory_order_relaxed);
-    counters_.completed_requests.fetch_add(1, std::memory_order_relaxed);
     obs_.accepted_requests.inc();
     obs_.completed_requests.inc();
     resolve(request, std::move(result));
@@ -265,7 +268,6 @@ void ScoringService::submit_request(Request request, std::size_t rows,
   const State state = state_.load(std::memory_order_seq_cst);
   if (state != State::kRunning) {
     inflight_submits_.fetch_sub(1, std::memory_order_seq_cst);
-    counters_.rejected_shutting_down.fetch_add(1, std::memory_order_relaxed);
     obs_.rejected_shutting_down.inc();
     MEV_LOG_EVERY(*logger_, obs::LogLevel::kWarn, /*rate_per_s=*/1.0,
                   /*burst=*/5.0, "serve.service", "submission rejected",
@@ -294,7 +296,6 @@ void ScoringService::submit_request(Request request, std::size_t rows,
                                          options.deadline_at_ms);
   if (request.expired(request.enqueue_ms)) {
     inflight_submits_.fetch_sub(1, std::memory_order_seq_cst);
-    counters_.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
     obs_.rejected_deadline.inc();
     count_deadline_stage(DeadlineStage::kAdmission, 1);
     ScoreResult result;
@@ -309,7 +310,6 @@ void ScoringService::submit_request(Request request, std::size_t rows,
   overload_.tick(request.enqueue_ms);
   if (overload_.should_shed()) {
     inflight_submits_.fetch_sub(1, std::memory_order_seq_cst);
-    counters_.rejected_overloaded.fetch_add(1, std::memory_order_relaxed);
     obs_.rejected_overloaded.inc();
     MEV_LOG_EVERY(*logger_, obs::LogLevel::kWarn, /*rate_per_s=*/1.0,
                   /*burst=*/5.0, "serve.service", "submission rejected",
@@ -339,11 +339,7 @@ void ScoringService::submit_request(Request request, std::size_t rows,
       shard_index = (home + i) % shard_count;
       if (shards_[shard_index]->ring.try_push(std::move(request))) {
         admitted = true;
-        if (i > 0) {
-          counters_.spilled_submissions.fetch_add(1,
-                                                  std::memory_order_relaxed);
-          obs_.spilled_submissions.inc();
-        }
+        if (i > 0) obs_.spilled_submissions.inc();
         break;
       }
     }
@@ -352,7 +348,6 @@ void ScoringService::submit_request(Request request, std::size_t rows,
   if (!admitted) {
     queued_rows_.fetch_sub(rows, std::memory_order_acq_rel);
     inflight_submits_.fetch_sub(1, std::memory_order_seq_cst);
-    counters_.rejected_queue_full.fetch_add(1, std::memory_order_relaxed);
     obs_.rejected_queue_full.inc();
     MEV_LOG_EVERY(*logger_, obs::LogLevel::kWarn, /*rate_per_s=*/1.0,
                   /*burst=*/5.0, "serve.service", "submission rejected",
@@ -369,8 +364,6 @@ void ScoringService::submit_request(Request request, std::size_t rows,
       shard.rows.fetch_add(rows, std::memory_order_relaxed) + rows;
   shard.depth_gauge.set(static_cast<double>(shard_rows));
   obs_.queued_rows.set(static_cast<double>(prev + rows));
-  counters_.accepted_requests.fetch_add(1, std::memory_order_relaxed);
-  counters_.accepted_rows.fetch_add(rows, std::memory_order_relaxed);
   obs_.accepted_requests.inc();
   obs_.accepted_rows.inc(rows);
   // Wake the shard's *owner*, not an arbitrary worker: a submitter's
@@ -416,7 +409,6 @@ void ScoringService::resolve(Request& request, ScoreResult&& result) {
     try {
       request.callback(request.callback_ctx, std::move(result));
     } catch (...) {
-      counters_.callback_errors.fetch_add(1, std::memory_order_relaxed);
       obs_.callback_errors.inc();
       MEV_LOG_EVERY(*logger_, obs::LogLevel::kWarn, /*rate_per_s=*/1.0,
                     /*burst=*/5.0, "serve.service",
@@ -442,15 +434,12 @@ void ScoringService::count_deadline_stage(DeadlineStage stage,
   if (n == 0) return;
   switch (stage) {
     case DeadlineStage::kAdmission:
-      counters_.expired_at_admission.fetch_add(n, std::memory_order_relaxed);
       obs_.expired_at_admission.inc(n);
       break;
     case DeadlineStage::kQueue:
-      counters_.expired_in_queue.fetch_add(n, std::memory_order_relaxed);
       obs_.expired_in_queue.inc(n);
       break;
     case DeadlineStage::kPostDequeue:
-      counters_.expired_post_dequeue.fetch_add(n, std::memory_order_relaxed);
       obs_.expired_post_dequeue.inc(n);
       break;
   }
@@ -522,7 +511,6 @@ std::uint64_t ScoringService::swap_model(features::FeaturePipeline pipeline,
     // that pins this (or a newer) snapshot.
     published_version_.store(version, std::memory_order_release);
   }
-  counters_.model_swaps.fetch_add(1, std::memory_order_relaxed);
   obs_.model_swaps.inc();
   // The old model's score distribution is not a baseline for the new one:
   // re-capture the drift reference from the new model's own verdicts.
@@ -650,8 +638,6 @@ std::size_t ScoringService::gather(std::size_t worker_index,
       if (s % workers == worker_index % workers) continue;
       const std::size_t stolen = drain_shard(*shards_[s], worker);
       if (stolen > 0) {
-        counters_.stolen_requests.fetch_add(stolen,
-                                            std::memory_order_relaxed);
         obs_.stolen_requests.inc(stolen);
         moved += stolen;
       }
@@ -834,10 +820,7 @@ void ScoringService::score_batch(WorkerState& worker, Batch batch) {
     // The whole batch gets a typed kInternalError — a mis-sized verdict
     // vector must never be attributed row-by-row — and the worker thread
     // survives to take the next batch.
-    counters_.batch_failures.fetch_add(1, std::memory_order_relaxed);
     obs_.batch_failures.inc();
-    counters_.rejected_internal.fetch_add(batch.requests.size(),
-                                          std::memory_order_relaxed);
     obs_.rejected_internal.inc(batch.requests.size());
     MEV_LOG_EVERY(*logger_, obs::LogLevel::kWarn, /*rate_per_s=*/1.0,
                   /*burst=*/5.0, "serve.service", "batch failed",
@@ -895,8 +878,16 @@ void ScoringService::score_batch(WorkerState& worker, Batch batch) {
   batch_span.arg("requests", static_cast<double>(batch.requests.size()));
   batch_span.arg("model_version", static_cast<double>(snapshot->version));
 
+  // Counted before any request resolves: a completion callback (the HTTP
+  // frontend writing its 200) must already see its request in stats().
+  obs_.batches.inc();
+  obs_.batch_rows.record(batch.rows);
+  obs_.completed_requests.inc(batch.requests.size());
+  obs_.completed_rows.inc(batch.rows);
   std::size_t offset = 0;
   for (auto& request : batch.requests) {
+    obs_.queue_delay_us.record(formed_us - request.enqueue_us);
+    obs_.e2e_latency_us.record(done_us - request.enqueue_us);
     ScoreResult result;
     result.model_version = snapshot->version;
     const std::size_t n = request.counts.rows();
@@ -923,26 +914,6 @@ void ScoringService::score_batch(WorkerState& worker, Batch batch) {
   // (and, until frozen, the reference population).
   for (const auto& verdict : verdicts)
     drift_.record(done_us, verdict.malware_confidence);
-
-  obs_.batches.inc();
-  obs_.batch_rows.record(batch.rows);
-  obs_.completed_requests.inc(batch.requests.size());
-  obs_.completed_rows.inc(batch.rows);
-  counters_.batches.fetch_add(1, std::memory_order_relaxed);
-  counters_.completed_requests.fetch_add(batch.requests.size(),
-                                         std::memory_order_relaxed);
-  counters_.completed_rows.fetch_add(batch.rows, std::memory_order_relaxed);
-  for (const auto& request : batch.requests) {
-    obs_.queue_delay_us.record(formed_us - request.enqueue_us);
-    obs_.e2e_latency_us.record(done_us - request.enqueue_us);
-  }
-
-  std::lock_guard<std::mutex> lock(histogram_mutex_);
-  batch_rows_hist_.record(batch.rows);
-  for (const auto& request : batch.requests) {
-    queue_delay_hist_.record(formed_us - request.enqueue_us);
-    e2e_latency_hist_.record(done_us - request.enqueue_us);
-  }
 }
 
 void ScoringService::reject_all(std::vector<Request> requests,
@@ -954,40 +925,31 @@ void ScoringService::reject_all(std::vector<Request> requests,
     obs_.queued_rows.set(
         static_cast<double>(queued_rows_.load(std::memory_order_relaxed)));
   }
+  // Counted before resolving, like every other path (see score_batch).
+  switch (reason) {
+    case RejectReason::kQueueFull:
+      obs_.rejected_queue_full.inc(requests.size());
+      break;
+    case RejectReason::kShuttingDown:
+      obs_.rejected_shutting_down.inc(requests.size());
+      break;
+    case RejectReason::kDeadline:
+      obs_.rejected_deadline.inc(requests.size());
+      break;
+    case RejectReason::kOverloaded:
+      obs_.rejected_overloaded.inc(requests.size());
+      break;
+    case RejectReason::kInternalError:
+      obs_.rejected_internal.inc(requests.size());
+      break;
+    case RejectReason::kNone:
+      break;
+  }
   for (auto& request : requests) {
     ScoreResult result;
     result.rejected = reason;
     result.stages.admitted_us = request.enqueue_us;
     resolve(request, std::move(result));
-  }
-  switch (reason) {
-    case RejectReason::kQueueFull:
-      counters_.rejected_queue_full.fetch_add(requests.size(),
-                                              std::memory_order_relaxed);
-      obs_.rejected_queue_full.inc(requests.size());
-      break;
-    case RejectReason::kShuttingDown:
-      counters_.rejected_shutting_down.fetch_add(requests.size(),
-                                                 std::memory_order_relaxed);
-      obs_.rejected_shutting_down.inc(requests.size());
-      break;
-    case RejectReason::kDeadline:
-      counters_.rejected_deadline.fetch_add(requests.size(),
-                                            std::memory_order_relaxed);
-      obs_.rejected_deadline.inc(requests.size());
-      break;
-    case RejectReason::kOverloaded:
-      counters_.rejected_overloaded.fetch_add(requests.size(),
-                                              std::memory_order_relaxed);
-      obs_.rejected_overloaded.inc(requests.size());
-      break;
-    case RejectReason::kInternalError:
-      counters_.rejected_internal.fetch_add(requests.size(),
-                                            std::memory_order_relaxed);
-      obs_.rejected_internal.inc(requests.size());
-      break;
-    case RejectReason::kNone:
-      break;
   }
 }
 
@@ -1050,40 +1012,24 @@ std::size_t ScoringService::pump(bool force) {
 
 ServiceStats ScoringService::stats() const {
   ServiceStats stats;
-  stats.accepted_requests =
-      counters_.accepted_requests.load(std::memory_order_relaxed);
-  stats.accepted_rows =
-      counters_.accepted_rows.load(std::memory_order_relaxed);
-  stats.rejected_queue_full =
-      counters_.rejected_queue_full.load(std::memory_order_relaxed);
-  stats.rejected_shutting_down =
-      counters_.rejected_shutting_down.load(std::memory_order_relaxed);
-  stats.rejected_deadline =
-      counters_.rejected_deadline.load(std::memory_order_relaxed);
-  stats.rejected_overloaded =
-      counters_.rejected_overloaded.load(std::memory_order_relaxed);
-  stats.rejected_internal =
-      counters_.rejected_internal.load(std::memory_order_relaxed);
-  stats.expired_at_admission =
-      counters_.expired_at_admission.load(std::memory_order_relaxed);
-  stats.expired_in_queue =
-      counters_.expired_in_queue.load(std::memory_order_relaxed);
-  stats.expired_post_dequeue =
-      counters_.expired_post_dequeue.load(std::memory_order_relaxed);
-  stats.completed_requests =
-      counters_.completed_requests.load(std::memory_order_relaxed);
-  stats.completed_rows =
-      counters_.completed_rows.load(std::memory_order_relaxed);
-  stats.batches = counters_.batches.load(std::memory_order_relaxed);
-  stats.model_swaps = counters_.model_swaps.load(std::memory_order_relaxed);
-  stats.stolen_requests =
-      counters_.stolen_requests.load(std::memory_order_relaxed);
-  stats.spilled_submissions =
-      counters_.spilled_submissions.load(std::memory_order_relaxed);
-  stats.callback_errors =
-      counters_.callback_errors.load(std::memory_order_relaxed);
-  stats.batch_failures =
-      counters_.batch_failures.load(std::memory_order_relaxed);
+  stats.accepted_requests = obs_.accepted_requests.value();
+  stats.accepted_rows = obs_.accepted_rows.value();
+  stats.rejected_queue_full = obs_.rejected_queue_full.value();
+  stats.rejected_shutting_down = obs_.rejected_shutting_down.value();
+  stats.rejected_deadline = obs_.rejected_deadline.value();
+  stats.rejected_overloaded = obs_.rejected_overloaded.value();
+  stats.rejected_internal = obs_.rejected_internal.value();
+  stats.expired_at_admission = obs_.expired_at_admission.value();
+  stats.expired_in_queue = obs_.expired_in_queue.value();
+  stats.expired_post_dequeue = obs_.expired_post_dequeue.value();
+  stats.completed_requests = obs_.completed_requests.value();
+  stats.completed_rows = obs_.completed_rows.value();
+  stats.batches = obs_.batches.value();
+  stats.model_swaps = obs_.model_swaps.value();
+  stats.stolen_requests = obs_.stolen_requests.value();
+  stats.spilled_submissions = obs_.spilled_submissions.value();
+  stats.callback_errors = obs_.callback_errors.value();
+  stats.batch_failures = obs_.batch_failures.value();
   stats.worker_stalls = watchdog_->stall_events();
   stats.worker_recoveries = watchdog_->recoveries();
   stats.stalled_workers = watchdog_->stalled_count();
@@ -1096,10 +1042,9 @@ ServiceStats ScoringService::stats() const {
   stats.slo_fast_burn = slo.availability.fast_burn;
   stats.slo_slow_burn = slo.availability.slow_burn;
   stats.slo_budget_remaining = slo.availability.budget_remaining;
-  std::lock_guard<std::mutex> lock(histogram_mutex_);
-  stats.batch_rows = batch_rows_hist_;
-  stats.queue_delay_us = queue_delay_hist_;
-  stats.e2e_latency_us = e2e_latency_hist_;
+  stats.batch_rows = obs_.batch_rows.snapshot();
+  stats.queue_delay_us = obs_.queue_delay_us.lifetime();
+  stats.e2e_latency_us = obs_.e2e_latency_us.lifetime();
   return stats;
 }
 

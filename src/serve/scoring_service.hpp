@@ -118,15 +118,17 @@ struct ServiceConfig {
   /// Timing source; nullptr = runtime::SystemClock::instance(). Must
   /// outlive the service.
   runtime::Clock* clock = nullptr;
-  /// Observability sinks; nullptr = the ambient
-  /// obs::current_tracer()/current_registry() at construction time
-  /// (resolved once, on the constructing thread — worker threads inherit
-  /// them). Every ServiceStats counter/histogram is mirrored into the
-  /// registry under mev.serve.* (including a per-shard
-  /// mev.serve.shard<i>.queue_rows depth gauge), and each scored batch
-  /// emits mev.serve.assemble + mev.serve.batch spans. Must outlive the
-  /// service.
+  /// Span sink; nullptr = the ambient obs::current_tracer() at
+  /// construction time (resolved once, on the constructing thread —
+  /// worker threads inherit it). Each scored batch emits
+  /// mev.serve.assemble + mev.serve.batch spans. Must outlive the service.
   obs::Tracer* tracer = nullptr;
+  /// Home of every ServiceStats counter/histogram, under mev.serve.*
+  /// (plus a per-shard mev.serve.shard<i>.queue_rows depth gauge);
+  /// stats() reads these cells back. nullptr = a registry private to
+  /// this service (see ScoringService::metrics()). Services sharing one
+  /// registry share its cells, so each one's stats() reports their
+  /// combined counts. Must outlive the service.
   obs::MetricsRegistry* metrics = nullptr;
   /// Structured log destination; nullptr = obs::default_logger(). Must
   /// outlive the service.
@@ -220,8 +222,14 @@ class ScoringService {
   /// rows scored.
   std::size_t pump(bool force = false);
 
-  /// Point-in-time copy of counters and histograms.
+  /// Point-in-time copy of counters and histograms, read from the
+  /// registry cells in metrics().
   ServiceStats stats() const;
+
+  /// The registry this service writes to: config.metrics, or the private
+  /// one it owns when none was wired. The admin plane and an HTTP
+  /// frontend without a registry of their own export it.
+  obs::MetricsRegistry& metrics() const noexcept { return *metrics_; }
 
   /// The verdict served on /readyz: ready while running and below the
   /// queue high-water mark (90% of max_queue_rows); not ready (with a
@@ -230,7 +238,7 @@ class ScoringService {
   obs::Readiness readiness() const;
 
   /// The embedded admin server, or nullptr when config.admin.enabled was
-  /// false (or the OBS-off build stubbed it out and start() failed).
+  /// false (or start() failed).
   obs::AdminServer* admin_server() noexcept { return admin_.get(); }
 
   /// Installs a chaos-harness fault injector into the scoring path
@@ -348,9 +356,9 @@ class ScoringService {
   /// even for submissions that raced the running→stopping transition.
   void final_sweep(bool drain);
 
-  /// Registry mirrors of the ServiceStats fields (handles, so hot-path
-  /// updates are a relaxed atomic op; inert when no registry is wired).
-  /// Rejections share one labeled family,
+  /// The registry cells behind ServiceStats: each serve event is one
+  /// write here (a relaxed atomic op for counters), and stats() reads
+  /// them back. Rejections share one labeled family,
   /// mev.serve.rejected_total{reason=…}, and deadline expiries one
   /// mev.serve.deadline_expired_total{stage=…}.
   struct ObsHandles {
@@ -370,25 +378,13 @@ class ScoringService {
     obs::Gauge queued_rows, overload_state, shed_fraction, stalled_workers;
   };
 
-  /// Lock-free mirrors of the counter half of ServiceStats (the submit
-  /// path must not take a stats mutex).
-  struct Counters {
-    std::atomic<std::uint64_t> accepted_requests{0}, accepted_rows{0};
-    std::atomic<std::uint64_t> rejected_queue_full{0},
-        rejected_shutting_down{0}, rejected_deadline{0},
-        rejected_overloaded{0}, rejected_internal{0};
-    std::atomic<std::uint64_t> expired_at_admission{0}, expired_in_queue{0},
-        expired_post_dequeue{0};
-    std::atomic<std::uint64_t> completed_requests{0}, completed_rows{0};
-    std::atomic<std::uint64_t> batches{0}, model_swaps{0};
-    std::atomic<std::uint64_t> stolen_requests{0}, spilled_submissions{0};
-    std::atomic<std::uint64_t> callback_errors{0}, batch_failures{0};
-  };
-
   ServiceConfig config_;
   runtime::Clock* clock_;
   obs::Tracer* tracer_;
   obs::Logger* logger_;
+  /// Set only when config.metrics was null; metrics_ points at it then.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::MetricsRegistry* metrics_;
   ObsHandles obs_;
   std::size_t count_cols_ = 0;  // invariant across swaps (validated)
 
@@ -425,12 +421,6 @@ class ScoringService {
   /// Heap-held so worker threads can touch it during construction races
   /// without the member moving; sized to the worker count.
   std::unique_ptr<Watchdog> watchdog_;
-
-  Counters counters_;
-  /// Histograms are recorded per scored batch (worker-side only), so one
-  /// mutex here never touches the submit path.
-  mutable std::mutex histogram_mutex_;
-  Log2Histogram batch_rows_hist_, queue_delay_hist_, e2e_latency_hist_;
 
   std::vector<std::unique_ptr<WorkerState>> worker_states_;
   std::vector<std::thread> threads_;

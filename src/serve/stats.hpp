@@ -24,9 +24,9 @@ using obs::summarize;
 
 /// Point-in-time copy of a service's counters and histograms, returned by
 /// ScoringService::stats(). Requests are counted once each; rows follow
-/// the request they belong to. When the service is built with a
-/// MetricsRegistry, the same quantities are mirrored there under
-/// mev.serve.* for Prometheus export.
+/// the request they belong to. The counters and histograms are read from
+/// the service's registry cells (mev.serve.*, see
+/// ScoringService::metrics()), so Prometheus exports the same values.
 struct ServiceStats {
   std::uint64_t accepted_requests = 0;
   std::uint64_t accepted_rows = 0;

@@ -91,7 +91,6 @@ TEST(ClientStatsTracker, RatesUseTheSlidingWindowNotLifetime) {
   EXPECT_EQ(alpha->lifetime_requests.load(), 8u);
 }
 
-#if MEV_OBS_ENABLED
 TEST(ClientStatsTracker, PsiGaugesAreMirroredPerClient) {
   obs::MetricsRegistry registry;
   ClientStatsTracker tracker(small_config(), &registry);
@@ -106,7 +105,6 @@ TEST(ClientStatsTracker, PsiGaugesAreMirroredPerClient) {
   // The sample value is the PSI itself — well past the 0.25 threshold.
   EXPECT_GT(alpha->drift.psi(10 * kSecond + 1), 0.25);
 }
-#endif  // MEV_OBS_ENABLED
 
 // ---------------------------------------------------------------------------
 // End-to-end: per-key drift through POST /v1/score.
@@ -224,9 +222,7 @@ TEST(ScoringFrontend, ProbingKeyDriftsWhileSteadyKeyStaysFlat) {
   cfg.admin.enabled = true;
   cfg.admin.port = 0;
   serve::ScoringService service(make_pipeline(7), make_network(11), cfg);
-#if MEV_OBS_ENABLED
   ASSERT_NE(service.admin_server(), nullptr);
-#endif
 
   FrontendConfig config;
   config.port = 0;
@@ -274,7 +270,6 @@ TEST(ScoringFrontend, ProbingKeyDriftsWhileSteadyKeyStaysFlat) {
     EXPECT_GT(probe_psi, 0.25) << "probe mix shifted but PSI is flat";
     EXPECT_LT(steady_psi, 0.1) << "steady mix must not read as drift";
 
-#if MEV_OBS_ENABLED
     // /clientz (registered by the frontend on the service's admin plane)
     // reports both keys; the index page lists the extra endpoint.
     // The admin plane is connection-per-request: fresh socket each time.
@@ -292,16 +287,13 @@ TEST(ScoringFrontend, ProbingKeyDriftsWhileSteadyKeyStaysFlat) {
     const std::string index = admin_index.read_response();
     EXPECT_EQ(status_of(index), 200);
     EXPECT_NE(index.find("/clientz"), std::string::npos);
-#endif  // MEV_OBS_ENABLED
   }
-#if MEV_OBS_ENABLED
   // The frontend deregistered /clientz on destruction; the admin plane
   // (which outlives it) answers 404 instead of calling a dead handler.
   Client admin(service.admin_server()->port());
   ASSERT_TRUE(admin.ok());
   admin.send_raw("GET /clientz HTTP/1.1\r\n\r\n");
   EXPECT_EQ(status_of(admin.read_response()), 404);
-#endif  // MEV_OBS_ENABLED
 }
 
 }  // namespace

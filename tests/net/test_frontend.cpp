@@ -527,7 +527,6 @@ TEST(ScoringFrontend, StartStopIsIdempotent) {
   frontend.stop();
 }
 
-#if MEV_OBS_ENABLED
 TEST(ScoringFrontend, ExportsLabeledPrometheusCounters) {
   Fixture f;
   obs::MetricsRegistry registry;
@@ -573,8 +572,25 @@ TEST(ScoringFrontend, ExportsLabeledPrometheusCounters) {
   EXPECT_NE(exposition.find("mev_net_stage_us_count{stage=\"parse\"} 2"),
             std::string::npos)
       << exposition;
+
+  // Without a registry of its own, the frontend registers into the
+  // service's, so the service's admin /metrics carries the net series.
+  FrontendConfig unwired = base_config();
+  unwired.api_keys = config.api_keys;
+  ScoringFrontend second(service, unwired);
+  ASSERT_TRUE(second.start());
+  Client second_client(second.port());
+  ASSERT_TRUE(second_client.ok());
+  second_client.send_raw(post_score(encode_binary_rows(random_counts(2, 14)),
+                                    kBinaryContentType, {{"X-Api-Key", "k"}}));
+  EXPECT_EQ(status_of(second_client.read_response()), 200);
+  const std::string service_exposition = service.metrics().prometheus();
+  EXPECT_NE(service_exposition.find("mev_net_rows_total 2"), std::string::npos)
+      << service_exposition;
+  EXPECT_NE(service_exposition.find(
+                "mev_net_http_responses_total{status=\"200\"} 1"),
+            std::string::npos);
 }
-#endif  // MEV_OBS_ENABLED
 
 }  // namespace
 }  // namespace mev::net

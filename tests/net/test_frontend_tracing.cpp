@@ -358,8 +358,6 @@ TEST(FrontendTracing, StageBreakdownSumsExactlyToEndToEndUnderFakeClock) {
   EXPECT_EQ(record_sum, records[0].duration_us);
 }
 
-#if MEV_OBS_ENABLED
-
 TEST(FrontendTracing, RequestzServesTheCrossThreadSpanTree) {
   Fixture f;
   runtime::FakeClock clock;
@@ -442,8 +440,6 @@ TEST(FrontendTracing, RequestzServesTheCrossThreadSpanTree) {
         << stage;
   admin.set_flight_recorder(nullptr);
 }
-
-#endif  // MEV_OBS_ENABLED
 
 }  // namespace
 }  // namespace mev::net

@@ -15,14 +15,12 @@
 #include "obs/trace_context.hpp"
 #include "runtime/clock.hpp"
 
-#if MEV_OBS_ENABLED
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstring>
-#endif
 
 namespace {
 
@@ -41,8 +39,6 @@ mev::obs::http::Request make_request(const std::string& method,
   request.version = "HTTP/1.1";
   return request;
 }
-
-#if MEV_OBS_ENABLED
 
 struct AdminFixture {
   mev::runtime::FakeClock clock;
@@ -524,8 +520,6 @@ TEST(AdminServer, ExtraEndpointsRegisterServeAndDeregister) {
             std::string::npos);
   server.remove_endpoint("/customz");  // removing twice is a no-op
 }
-
-#endif  // MEV_OBS_ENABLED
 
 TEST(AdminServer, ApiIsCallableInEveryBuildConfiguration) {
   // In stub builds start() reports failure and handle() answers 404; call

@@ -1,8 +1,7 @@
 // FlightRecorder retention policy: N-slowest-per-window competition,
 // error-ring capture, two-bank window rotation (the previous window stays
 // readable), counter semantics (dropped = contention only), and a
-// concurrent writers + snapshot stress that CI runs under TSan. Compiled
-// in every build mode — the recorder has no MEV_ENABLE_OBS surface.
+// concurrent writers + snapshot stress that CI runs under TSan.
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>

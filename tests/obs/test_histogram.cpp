@@ -1,8 +1,7 @@
 // Regression tests pinning obs::Log2Histogram's documented accuracy
 // contract: power-of-two buckets, one-octave percentile error bound, and
-// the exact p50/p95/p99 values for a known distribution. These run in
-// every build configuration — the histogram is never compiled out (the
-// serving layer's stats depend on it unconditionally).
+// the exact p50/p95/p99 values for a known distribution (the serving
+// layer's stats depend on it).
 #include <cstdint>
 #include <type_traits>
 

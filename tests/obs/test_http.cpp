@@ -1,8 +1,6 @@
 // RequestParser edge cases: torn reads at every byte boundary, pipelined
 // requests, limit enforcement (431 for lines/count/total header bytes,
 // 413 over-cap bodies, 411 unframed POSTs), and malformed input (400).
-// The parser is pure string code compiled in every build mode, so these
-// tests run with and without MEV_ENABLE_OBS.
 #include <string>
 
 #include <gtest/gtest.h>

@@ -2,9 +2,7 @@
 // arrival-order response writes under out-of-order async completion,
 // Connection: close semantics (client-requested and server-policy),
 // inline parse-error answers, idle timeouts, and the dropped-ticket 500
-// backstop. The server is compiled in every build mode (it only needs the
-// parser + stub-safe obs facades), so these tests run with and without
-// MEV_ENABLE_OBS.
+// backstop.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>

@@ -23,8 +23,6 @@ using mev::obs::LogLevel;
 using mev::obs::MetricsRegistry;
 using mev::runtime::FakeClock;
 
-#if MEV_OBS_ENABLED
-
 struct LogFixture {
   std::ostringstream out;
   FakeClock clock{5};  // 5 ms -> 5000 us timestamps
@@ -183,8 +181,6 @@ TEST(Logger, ConcurrentWritersProduceWholeLines) {
   }
   EXPECT_EQ(count, static_cast<std::size_t>(kThreads) * kLines);
 }
-
-#endif  // MEV_OBS_ENABLED
 
 TEST(Logger, ApiIsCallableInEveryBuildConfiguration) {
   // In stub builds the logger is inert; either way this must compile and

@@ -17,8 +17,7 @@ namespace {
 using mev::obs::Counter;
 using mev::obs::MetricsRegistry;
 
-// The exposition escaping helpers are pure string code, compiled in every
-// build mode.
+// The exposition escaping helpers are pure string code.
 TEST(PrometheusEscaping, HelpTextEscapesBackslashAndNewline) {
   EXPECT_EQ(mev::obs::prometheus_escape_help("plain help"), "plain help");
   EXPECT_EQ(mev::obs::prometheus_escape_help("a\\b"), "a\\\\b");
@@ -50,8 +49,6 @@ TEST(PrometheusEscaping, NumbersRenderNanAndInfinities) {
   EXPECT_EQ(mev::obs::prometheus_number(2.0), "2");
   EXPECT_EQ(mev::obs::prometheus_number(0.5), "0.5");
 }
-
-#if MEV_OBS_ENABLED
 
 TEST(MetricsRegistry, EmptyRegistryExportsEmptyExposition) {
   MetricsRegistry registry;
@@ -342,8 +339,6 @@ TEST(MetricsRegistry, WindowedHistogramHandleExposesBothViews) {
   EXPECT_THROW((void)registry.histogram("mev.test.win_handle"),
                std::invalid_argument);
 }
-
-#endif  // MEV_OBS_ENABLED
 
 TEST(MetricsRegistry, ApiIsCallableInEveryBuildConfiguration) {
   // In stub builds every call is an inert no-op; in full builds this is

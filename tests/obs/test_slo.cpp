@@ -132,7 +132,6 @@ TEST(SloTrackerTest, JsonCarriesBurnRatesAndBudget) {
   EXPECT_NE(json.find("\"slow_window_s\":20"), std::string::npos);
 }
 
-#if MEV_OBS_ENABLED
 // The gauge mirror needs a real registry; in stub builds register_gauges
 // is a no-op and prometheus() serves nothing.
 TEST(SloTrackerTest, GaugesMirrorTheSnapshot) {
@@ -151,7 +150,6 @@ TEST(SloTrackerTest, GaugesMirrorTheSnapshot) {
   EXPECT_NE(prom.find(expected), std::string::npos) << prom;
   EXPECT_NE(prom.find("mev_slo_error_budget_remaining"), std::string::npos);
 }
-#endif  // MEV_OBS_ENABLED
 
 }  // namespace
 }  // namespace mev::obs

@@ -19,8 +19,6 @@ using mev::obs::Tracer;
 using mev::obs::TracerConfig;
 using mev::runtime::FakeClock;
 
-#if MEV_OBS_ENABLED
-
 TEST(Tracer, RingOverflowDropsAndCounts) {
   FakeClock clock;
   Tracer tracer(TracerConfig{.ring_capacity = 4, .clock = &clock});
@@ -285,8 +283,6 @@ TEST(Tracer, CorrelatedTracesAreByteIdenticalUnderFakeClock) {
   EXPECT_NE(first.find("trace_id"), std::string::npos);
   EXPECT_EQ(first, second);
 }
-
-#endif  // MEV_OBS_ENABLED
 
 TEST(Tracer, ContextPlumbingIsCallableInEveryBuildConfiguration) {
   // The correlation surface (make_context, correlated span, both

@@ -1,8 +1,6 @@
 // W3C traceparent parsing: the malformed-header matrix (every bad input
 // yields an invalid context, never an error), the exact-length rules per
-// version, round-trip formatting, and TraceIdGenerator determinism. This
-// file exercises code compiled in EVERY build mode — no MEV_OBS_ENABLED
-// guards.
+// version, round-trip formatting, and TraceIdGenerator determinism.
 #include "obs/trace_context.hpp"
 
 #include <set>

@@ -1,7 +1,8 @@
 // ScoringService behavior: parity with sequential scanning (bit-identical
 // verdicts for any worker count / batch window), deterministic batching
 // and deadline policy under FakeClock (manual-pump mode), backpressure,
-// shutdown semantics, and hot-swap under concurrency.
+// shutdown semantics, hot-swap under concurrency, and stats() as a view
+// of the service's own registry cells.
 #include "serve/scoring_service.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +10,10 @@
 #include <atomic>
 #include <future>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/api_vocab.hpp"
@@ -546,6 +550,154 @@ TEST(ScoringService, StatsHistogramsTrackBatchesAndLatency) {
   EXPECT_EQ(stats.e2e_latency_us.count(), 2u);
   const LatencySummary s = summarize(stats.e2e_latency_us);
   EXPECT_LE(s.p50, s.p99);
+}
+
+/// The sample value of `series` (sanitized name plus any {labels}) in a
+/// Prometheus text exposition; fails the test when it is missing.
+std::uint64_t scraped(const std::string& exposition,
+                      const std::string& series) {
+  std::istringstream lines(exposition);
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind(series + " ", 0) == 0)
+      return std::stoull(line.substr(series.size() + 1));
+  ADD_FAILURE() << "no series " << series << " in\n" << exposition;
+  return 0;
+}
+
+/// Every ServiceStats counter must equal its registry cell: stats() is a
+/// view of metrics(), not a second store.
+void expect_stats_match_registry(const ScoringService& service) {
+  const ServiceStats stats = service.stats();
+  const std::string text = service.metrics().prometheus();
+  const std::string rejected = "mev_serve_rejected_total{reason=\"";
+  const std::string expired = "mev_serve_deadline_expired_total{stage=\"";
+  const std::pair<std::uint64_t, std::string> expected[] = {
+      {stats.accepted_requests, "mev_serve_accepted_requests"},
+      {stats.accepted_rows, "mev_serve_accepted_rows"},
+      {stats.rejected_queue_full, rejected + "queue_full\"}"},
+      {stats.rejected_shutting_down, rejected + "shutting_down\"}"},
+      {stats.rejected_deadline, rejected + "deadline\"}"},
+      {stats.rejected_overloaded, rejected + "overloaded\"}"},
+      {stats.rejected_internal, rejected + "internal_error\"}"},
+      {stats.expired_at_admission, expired + "admission\"}"},
+      {stats.expired_in_queue, expired + "queue\"}"},
+      {stats.expired_post_dequeue, expired + "post_dequeue\"}"},
+      {stats.completed_requests, "mev_serve_completed_requests"},
+      {stats.completed_rows, "mev_serve_completed_rows"},
+      {stats.batches, "mev_serve_batches"},
+      {stats.model_swaps, "mev_serve_model_swaps"},
+      {stats.stolen_requests, "mev_serve_stolen_requests"},
+      {stats.spilled_submissions, "mev_serve_spilled_submissions"},
+      {stats.callback_errors, "mev_serve_callback_errors_total"},
+      {stats.batch_failures, "mev_serve_batch_failures_total"},
+      {stats.batch_rows.count(), "mev_serve_batch_rows_count"},
+      {stats.queue_delay_us.count(), "mev_serve_queue_delay_us_count"},
+      {stats.e2e_latency_us.count(), "mev_serve_e2e_latency_us_count"},
+  };
+  for (const auto& [value, series] : expected)
+    EXPECT_EQ(value, scraped(text, series)) << series;
+}
+
+TEST(ScoringService, ServicesWithoutRegistryKeepIndependentStats) {
+  Fixture f;
+  runtime::FakeClock clock(1000);
+  ServiceConfig cfg;
+  cfg.workers = 0;
+  cfg.max_queue_rows = 8;
+  cfg.max_queue_delay_ms = 100;
+  cfg.clock = &clock;
+  auto a = f.make_service(cfg);
+  auto b = f.make_service(cfg);
+  ASSERT_NE(&a.metrics(), &b.metrics());
+
+  // A: two scored, one queue-full, one expired at admission, one expired
+  // in the queue. B: one scored, two queue-full.
+  SubmitOptions past;
+  past.deadline_at_ms = 1;
+  SubmitOptions short_deadline;
+  short_deadline.deadline_ms = 5;
+  auto a_scored1 = a.submit(random_counts(3, 31));
+  auto a_scored2 = a.submit(random_counts(2, 32));
+  auto a_full = a.submit(random_counts(9, 33));
+  auto a_late = a.submit(random_counts(1, 34), past);
+  auto a_doomed = a.submit(random_counts(1, 35), short_deadline);
+  auto b_scored = b.submit(random_counts(4, 36));
+  auto b_full1 = b.submit(random_counts(5, 37));
+  auto b_full2 = b.submit(random_counts(9, 38));
+  clock.advance(10);
+  while (a.pump(/*force=*/true) > 0) {
+  }
+  while (b.pump(/*force=*/true) > 0) {
+  }
+  EXPECT_TRUE(a_scored1.get().ok());
+  EXPECT_TRUE(a_scored2.get().ok());
+  EXPECT_EQ(a_full.get().rejected, RejectReason::kQueueFull);
+  EXPECT_EQ(a_late.get().rejected, RejectReason::kDeadline);
+  EXPECT_EQ(a_doomed.get().rejected, RejectReason::kDeadline);
+  EXPECT_TRUE(b_scored.get().ok());
+  EXPECT_EQ(b_full1.get().rejected, RejectReason::kQueueFull);
+  EXPECT_EQ(b_full2.get().rejected, RejectReason::kQueueFull);
+
+  const ServiceStats sa = a.stats();
+  EXPECT_EQ(sa.completed_requests, 2u);
+  EXPECT_EQ(sa.completed_rows, 5u);
+  EXPECT_EQ(sa.rejected_queue_full, 1u);
+  EXPECT_EQ(sa.rejected_deadline, 2u);
+  EXPECT_EQ(sa.expired_at_admission, 1u);
+  EXPECT_EQ(sa.expired_in_queue, 1u);
+  const ServiceStats sb = b.stats();
+  EXPECT_EQ(sb.completed_requests, 1u);
+  EXPECT_EQ(sb.completed_rows, 4u);
+  EXPECT_EQ(sb.rejected_queue_full, 2u);
+  EXPECT_EQ(sb.rejected_deadline, 0u);
+  expect_stats_match_registry(a);
+  expect_stats_match_registry(b);
+}
+
+/// Callback context: the service to read and the stats() it saw while
+/// its own request resolved.
+struct StatsProbe {
+  ScoringService* service = nullptr;
+  std::promise<ServiceStats> seen;
+};
+
+void probe_stats(void* ctx, ScoreResult&&) {
+  auto* probe = static_cast<StatsProbe*>(ctx);
+  probe->seen.set_value(probe->service->stats());
+}
+
+// A completion callback (the HTTP frontend writing its response) must
+// already find its own request in stats(): every path counts before it
+// resolves, worker threads included.
+TEST(ScoringService, CallbackSeesItsOwnRequestInStats) {
+  Fixture f;
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.max_batch_rows = 4;
+  cfg.max_queue_rows = 8;
+  cfg.max_queue_delay_ms = 60'000;  // only a full batch flushes
+  auto service = f.make_service(cfg);
+
+  StatsProbe scored{&service, {}};
+  service.submit_with_callback(random_counts(4, 41), {}, probe_stats,
+                               &scored);
+  const ServiceStats at_scored = scored.seen.get_future().get();
+  EXPECT_EQ(at_scored.completed_requests, 1u);
+  EXPECT_EQ(at_scored.completed_rows, 4u);
+  EXPECT_EQ(at_scored.batches, 1u);
+  EXPECT_EQ(at_scored.e2e_latency_us.count(), 1u);
+
+  StatsProbe full{&service, {}};
+  service.submit_with_callback(random_counts(9, 42), {}, probe_stats, &full);
+  EXPECT_EQ(full.seen.get_future().get().rejected_queue_full, 1u);
+
+  // A partial batch waits out its window in a worker's batcher; the
+  // immediate shutdown sweeps it through reject_all.
+  StatsProbe swept{&service, {}};
+  service.submit_with_callback(random_counts(1, 43), {}, probe_stats,
+                               &swept);
+  service.shutdown(/*drain=*/false);
+  EXPECT_EQ(swept.seen.get_future().get().rejected_shutting_down, 1u);
 }
 
 }  // namespace

@@ -116,19 +116,14 @@ TEST(ServiceAdmin, DisabledByDefault) {
   EXPECT_EQ(service.admin_server(), nullptr);
 }
 
-#if MEV_OBS_ENABLED
-
 TEST(ServiceAdmin, ServesReadyzAndMetricsForTheService) {
   Fixture f;
-  // A private registry: the process-wide default is shared across tests
-  // in this binary, so counter values would not be exact there.
-  obs::MetricsRegistry registry;
+  // No registry wired: the service owns a private one, so counter values
+  // are exact, and the admin plane serves it.
   ServiceConfig cfg;
-  // Manual-pump mode: scoring happens on this thread, so the counters are
-  // settled before the scrape (workers fulfill futures before bumping
-  // counters, which would race a scrape right after score()).
-  cfg.workers = 0;
-  cfg.metrics = &registry;
+  // A worker thread scores: counters are bumped before a future resolves,
+  // so a scrape right after score() already sees them.
+  cfg.workers = 1;
   cfg.admin.enabled = true;  // port 0: kernel-assigned
   auto service = f.make_service(cfg);
   ASSERT_NE(service.admin_server(), nullptr);
@@ -145,10 +140,7 @@ TEST(ServiceAdmin, ServesReadyzAndMetricsForTheService) {
   EXPECT_NE(service.admin_server()->handle(request).find("HTTP/1.1 200 OK"),
             std::string::npos);
 
-  auto scored = service.submit(random_counts(4, 5));
-  while (service.pump(/*force=*/true) > 0) {
-  }
-  EXPECT_TRUE(scored.get().ok());
+  EXPECT_TRUE(service.score(random_counts(4, 5)).ok());
   request.target = "/metrics";
   const std::string metrics = service.admin_server()->handle(request);
   EXPECT_NE(metrics.find("mev_serve_completed_rows 4\n"), std::string::npos)
@@ -205,8 +197,6 @@ TEST(ServiceAdmin, ReadyzAnswers503DuringDrain) {
             std::string::npos);
   EXPECT_TRUE(future.get().ok());
 }
-
-#endif  // MEV_OBS_ENABLED
 
 }  // namespace
 }  // namespace mev::serve

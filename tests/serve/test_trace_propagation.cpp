@@ -88,8 +88,6 @@ TEST(TracePropagation, StageStampsAreMonotoneAndPopulated) {
   EXPECT_EQ(result.stages.formed_us, 13'000u);
 }
 
-#if MEV_OBS_ENABLED
-
 TEST(TracePropagation, WorkerThreadsEmitSpansUnderTheSubmittersTrace) {
   Fixture f;
   runtime::FakeClock clock;
@@ -196,8 +194,6 @@ TEST(TracePropagation, EveryRequestInABatchKeepsItsOwnTrace) {
     EXPECT_EQ(queue_spans, 1) << "trace " << ctx.trace_id;
   }
 }
-
-#endif  // MEV_OBS_ENABLED
 
 TEST(TracePropagation, RejectedRequestsStillReportAdmissionStamps) {
   Fixture f;
