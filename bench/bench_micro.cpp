@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks for the library's hot paths: matmul,
-// network forward/backward (legacy API and InferenceSession), JSMA
+// network forward (convenience API and InferenceSession) and backward, JSMA
 // crafting throughput, feature transforms, PCA fitting and
 // synthetic-corpus generation — plus the add-only vs unconstrained-JSMA
 // ablation cost (DESIGN.md §5).
@@ -143,26 +143,6 @@ void BM_SessionInputGradientsAll(benchmark::State& state) {
                           batch);
 }
 BENCHMARK(BM_SessionInputGradientsAll)->Arg(32);
-
-void BM_NetworkTrainStep(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  nn::MlpConfig cfg;
-  cfg.dims = {491, 192, 240, 208, 2};
-  cfg.seed = 3;
-  nn::Network net = nn::make_mlp(cfg);
-  const math::Matrix x = random_matrix(batch, 491, 4);
-  std::vector<int> labels(batch);
-  for (std::size_t i = 0; i < batch; ++i) labels[i] = i % 2;
-  for (auto _ : state) {
-    net.zero_grad();
-    const math::Matrix logits = net.forward(x, true);
-    const auto loss = nn::softmax_cross_entropy(logits, labels);
-    benchmark::DoNotOptimize(net.backward(loss.grad_logits));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          batch);
-}
-BENCHMARK(BM_NetworkTrainStep)->Arg(64)->Arg(256);
 
 void BM_JsmaCraft(benchmark::State& state) {
   const bool allow_repeat = state.range(0) != 0;

@@ -49,11 +49,13 @@ import json
 import sys
 
 # Micro benchmarks gating the check (prefix match on "name/arg" keys):
-# session-based inference is the hot path of every attack loop, and the
-# span/counter costs are the observability overhead contract. Everything
-# else in BENCH_micro.json is informational.
+# session-based inference and input gradients (forward plus the packed-W^T
+# backward) are the hot path of every attack loop, and the span/counter
+# costs are the observability overhead contract. Everything else in
+# BENCH_micro.json is informational.
 PINNED_MICRO_PREFIXES = (
     "BM_SessionForward",
+    "BM_SessionInputGradient",
     "BM_ObsSpanEnabled",
     "BM_ObsCounterInc",
     "BM_ObsHistogramRecord",

@@ -114,9 +114,8 @@ void Matrix::reserve(std::size_t rows, std::size_t cols) {
 }
 
 Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
+  Matrix t;
+  transpose_into(*this, t);
   return t;
 }
 
@@ -262,6 +261,23 @@ void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c) {
       float s = 0.0f;
       for (std::size_t kk = 0; kk < k; ++kk) s += ai[kk] * bj[kk];
       ci[j] = s;
+    }
+  }
+}
+
+void transpose_into(const Matrix& a, Matrix& t) {
+  require(&a != &t, "transpose_into: output aliases input");
+  const std::size_t rows = a.rows(), cols = a.cols();
+  t.resize(cols, rows);
+  // Square tiles keep the rows being read and the rows being written
+  // cache-resident together.
+  constexpr std::size_t kTile = 16;
+  for (std::size_t r0 = 0; r0 < rows; r0 += kTile) {
+    const std::size_t r1 = std::min(r0 + kTile, rows);
+    for (std::size_t c0 = 0; c0 < cols; c0 += kTile) {
+      const std::size_t c1 = std::min(c0 + kTile, cols);
+      for (std::size_t r = r0; r < r1; ++r)
+        for (std::size_t c = c0; c < c1; ++c) t(c, r) = a(r, c);
     }
   }
 }

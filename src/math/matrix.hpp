@@ -165,8 +165,13 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& c);
 void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c,
                       bool accumulate = false);
 
-/// C = A * B^T.
+/// C = A * B^T. Sums each element in k order from +0 like matmul_into,
+/// so for finite B it equals matmul_into(a, Bᵀ, c) byte for byte; it is
+/// the reference for that identity and PCA's kernel.
 void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c);
+
+/// T = Aᵀ, written tile by tile (a.cols() x a.rows()).
+void transpose_into(const Matrix& a, Matrix& t);
 
 /// Gathers the given rows of `src` into `out` (resized, overwritten).
 /// `out` must not alias `src`.

@@ -51,7 +51,10 @@ void DenseLayer::backward(math::Matrix& grad_output, const math::Matrix& input,
     math::add_column_sums(grad_output, ws.param_grads[1]);
   }
 
-  math::matmul_a_bt_into(grad_output, weights_, ws.grad_input);
+  // dLoss/dInput = grad_output * Wᵀ against the packed Wᵀ: the same
+  // k-ordered sum from +0 as the dot-product form, so the same bits.
+  if (ws.weights_t.empty()) math::transpose_into(weights_, ws.weights_t);
+  math::matmul_into(grad_output, ws.weights_t, ws.grad_input);
 }
 
 void DenseLayer::init_workspace(LayerWorkspace& ws) const {

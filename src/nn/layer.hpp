@@ -34,6 +34,13 @@ struct LayerWorkspace {
   math::Matrix output;          // layer output (batch x out)
   math::Matrix mask;            // dropout keep mask (training only)
   math::Matrix grad_input;      // backward result dLoss/dInput (batch x in)
+  /// Dense: packed Wᵀ (out x in), so dLoss/dInput runs the vectorized
+  /// matmul_into instead of a dot product per element. Built from the
+  /// layer's weights by the first backward that finds it empty; forward-
+  /// only sessions never build it. A session whose parameters are bound
+  /// for writing empties it after every forward (capacity kept), so no
+  /// pack outlives an optimizer step.
+  math::Matrix weights_t;
   /// Parameter-gradient accumulators, one per parameter tensor in the
   /// order of Layer::param_values(). Sized by Layer::init_workspace.
   std::vector<math::Matrix> param_grads;

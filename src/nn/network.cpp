@@ -5,8 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "math/linalg.hpp"
-#include "nn/loss.hpp"
 #include "nn/session.hpp"
 
 namespace mev::nn {
@@ -127,32 +125,6 @@ std::vector<int> Network::predict(const math::Matrix& x) {
   if (layers_.empty()) throw std::logic_error("Network::predict: empty");
   const auto labels = scratch().predict(x);
   return {labels.begin(), labels.end()};
-}
-
-math::Matrix Network::backward(const math::Matrix& grad_logits) {
-  if (layers_.empty()) throw std::logic_error("Network::backward: empty");
-  return scratch().backward(grad_logits, /*accumulate_param_grads=*/true);
-}
-
-math::Matrix Network::input_gradient(const math::Matrix& x, int target_class) {
-  if (layers_.empty()) throw std::logic_error("Network::input_gradient: empty");
-  return scratch().input_gradient(x, target_class);
-}
-
-std::vector<math::Matrix> Network::input_gradients_all(const math::Matrix& x) {
-  if (layers_.empty())
-    throw std::logic_error("Network::input_gradients_all: empty");
-  const auto grads = scratch().input_gradients_all(x);
-  return {grads.begin(), grads.end()};
-}
-
-std::vector<ParamRef> Network::params() {
-  return scratch().bind_params(*this);
-}
-
-void Network::zero_grad() {
-  if (layers_.empty()) return;
-  scratch().zero_param_grads();
 }
 
 std::string Network::architecture_string() const {

@@ -5,12 +5,12 @@
 // A Network is logically CONST during evaluation: all forward caches and
 // gradient accumulators live in InferenceSession workspaces
 // (nn/session.hpp), so one network can be shared across threads with one
-// session per thread. Besides training, the network exposes input
-// gradients dF_i(X)/dX_j (Eq. 1 of the paper), which is what the JSMA
-// saliency map consumes.
+// session per thread. Gradients — for training, and the input gradients
+// dF_i(X)/dX_j (Eq. 1 of the paper) the JSMA saliency map consumes — are
+// computed only through explicit sessions.
 //
-// The member evaluation methods below (forward, predict, ...) are a
-// convenience API over an internal scratch session; they are NOT
+// The member evaluation methods below (forward, predict_proba, predict)
+// are a convenience API over an internal scratch session; they are NOT
 // thread-safe on a shared instance — use explicit sessions for that.
 #pragma once
 
@@ -61,26 +61,6 @@ class Network {
   /// Argmax class per row.
   std::vector<int> predict(const math::Matrix& x);
 
-  /// Backward pass from dLoss/dLogits; accumulates parameter gradients
-  /// (into the scratch session's accumulators — see params()) and returns
-  /// dLoss/dInput. Must follow a forward() on the same batch. May be
-  /// called multiple times per forward (e.g. one per output class).
-  math::Matrix backward(const math::Matrix& grad_logits);
-
-  /// Gradient of the softmax probability of `target_class` with respect to
-  /// the input, per sample (batch x input_dim). Runs its own forward pass
-  /// in inference mode; parameter gradients are untouched.
-  math::Matrix input_gradient(const math::Matrix& x, int target_class);
-
-  /// Gradients of ALL class probabilities: result[c] is batch x input_dim.
-  /// Cheaper than calling input_gradient per class (single forward).
-  std::vector<math::Matrix> input_gradients_all(const math::Matrix& x);
-
-  /// Parameter/gradient pairs for an optimizer; gradients live in the
-  /// internal scratch session.
-  std::vector<ParamRef> params();
-  void zero_grad();
-
   /// Layer widths, e.g. "491-1200-1500-1300-2" (dense layers only).
   std::string architecture_string() const;
 
@@ -88,7 +68,7 @@ class Network {
   InferenceSession& scratch();
 
   std::vector<std::unique_ptr<Layer>> layers_;
-  // Lazily created workspace backing the legacy evaluation methods; never
+  // Lazily created workspace backing the forward-only conveniences; never
   // copied or moved with the network.
   std::unique_ptr<InferenceSession> scratch_;
 };

@@ -41,6 +41,8 @@ const math::Matrix& InferenceSession::forward(const math::Matrix& x,
   input_ = x;  // capacity-reusing copy; backward may need it for param grads
   for (std::size_t i = 0; i < ws_.size(); ++i)
     net_->layer(i).forward(layer_input(i), ws_[i], training);
+  if (params_bound_)
+    for (auto& ws : ws_) ws.weights_t.resize(0, 0);  // stale after a step
   return ws_.back().output;
 }
 
@@ -121,6 +123,7 @@ std::vector<ParamRef> InferenceSession::bind_params(Network& net) {
   if (&net != net_)
     throw std::invalid_argument(
         "InferenceSession::bind_params: different network");
+  params_bound_ = true;
   std::vector<ParamRef> all;
   for (std::size_t i = 0; i < ws_.size(); ++i) {
     auto values = net.mutable_layer(i).param_values();

@@ -2,7 +2,8 @@
 //
 // The session owns every buffer a forward/backward sweep needs — layer
 // activations, pre-activations, dropout masks, the backward gradient
-// chain, and parameter-gradient accumulators — sized once per
+// chain, the packed weight transposes backward multiplies by, and
+// parameter-gradient accumulators — sized once per
 // (network, max_batch) and reused across calls. After warm-up the steady
 // state performs ZERO heap allocations: all buffers are resized
 // capacity-preservingly per batch.
@@ -15,6 +16,15 @@
 //
 // Returned references/spans point into session-owned buffers and stay
 // valid until the next call on the same session.
+//
+// Parameter reads: forward reads the network's parameters on every call.
+// Backward reads the dense weights through a packed transpose that the
+// session builds at its first backward and, once bind_params() has handed
+// out writable parameters, rebuilds at the first backward after each
+// forward. So parameter writes must go through a bound session (the
+// optimizer step between a backward and the next forward); a session that
+// is not bound must not run backward after someone else rewrote the
+// weights — make a fresh one instead.
 #pragma once
 
 #include <cstddef>
@@ -72,6 +82,8 @@ class InferenceSession {
 
   /// Pairs `net`'s parameter tensors with this session's gradient
   /// accumulators for an optimizer. `net` must be the bound network.
+  /// From then on every forward drops the backward weight packs, so the
+  /// next backward sees the optimizer's writes.
   std::vector<ParamRef> bind_params(Network& net);
 
   /// Zeroes all parameter-gradient accumulators.
@@ -90,6 +102,7 @@ class InferenceSession {
   math::Matrix grad_logits_;         // backward seed (clobbered per pass)
   std::vector<math::Matrix> class_grads_;  // input_gradients_all results
   std::vector<int> labels_;          // predict buffer
+  bool params_bound_ = false;        // bind_params handed out writable params
 };
 
 }  // namespace mev::nn

@@ -4,6 +4,7 @@
 
 #include "attack/fgsm.hpp"
 #include "attack/random_attack.hpp"
+#include "nn/session.hpp"
 #include "nn/trainer.hpp"
 
 namespace mev::attack {
@@ -97,7 +98,8 @@ TEST(FgsmAddOnly, OnlyMovesTowardTargetAndUp) {
   FgsmConfig cfg;
   cfg.theta = 0.1f;
   const AttackResult r = FgsmAddOnly(cfg).craft(net, x);
-  const math::Matrix grad = net.input_gradient(x, cfg.target_class);
+  nn::InferenceSession session(net);
+  const math::Matrix grad = session.input_gradient(x, cfg.target_class);
   for (std::size_t i = 0; i < x.rows(); ++i) {
     for (std::size_t j = 0; j < 6; ++j) {
       const float delta = r.adversarial(i, j) - x(i, j);

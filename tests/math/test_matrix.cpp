@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -131,6 +132,20 @@ TEST(Matrix, Transposed) {
   EXPECT_EQ(t.rows(), 3u);
   EXPECT_EQ(t.cols(), 2u);
   EXPECT_EQ(t(2, 1), 6.0f);
+
+  // transpose_into: a shape that does not fit the tile evenly, written
+  // into a larger buffer that must be reshaped and fully rewritten.
+  Rng rng(80);
+  Matrix a(17, 33);
+  for (std::size_t i = 0; i < a.size(); ++i)
+    a.data()[i] = static_cast<float>(rng.normal());
+  Matrix at(40, 40);
+  transpose_into(a, at);
+  ASSERT_EQ(at.rows(), 33u);
+  ASSERT_EQ(at.cols(), 17u);
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    for (std::size_t c = 0; c < a.cols(); ++c) EXPECT_EQ(at(c, r), a(r, c));
+  EXPECT_THROW(transpose_into(a, a), std::invalid_argument);
 }
 
 TEST(Matrix, SliceRows) {
@@ -212,17 +227,42 @@ TEST(Matrix, MatmulAtBMatchesExplicitTranspose) {
 }
 
 TEST(Matrix, MatmulABtMatchesExplicitTranspose) {
+  // matmul_into against a packed B^T must reproduce matmul_a_bt_into byte
+  // for byte: both sum k = 0..K-1 in order from +0, and the zero skip in
+  // matmul_into only drops +-0 products, which never change such a sum.
+  // Shapes: the 491-128-64-2 detector's weights (B) at batch 1/13/96, plus
+  // one that does not fit the transpose tile evenly.
+  struct Shape {
+    std::size_t m, n, k;  // A is m x k, B is n x k
+  };
+  const Shape shapes[] = {{1, 491, 128},  {13, 491, 128}, {96, 491, 128},
+                          {1, 128, 64},   {13, 128, 64},  {96, 128, 64},
+                          {1, 64, 2},     {13, 64, 2},    {96, 64, 2},
+                          {5, 17, 33}};
   Rng rng(79);
-  Matrix a(5, 8), b(7, 8);
-  for (std::size_t i = 0; i < a.size(); ++i)
-    a.data()[i] = static_cast<float>(rng.normal());
-  for (std::size_t i = 0; i < b.size(); ++i)
-    b.data()[i] = static_cast<float>(rng.normal());
-  const Matrix expected = matmul(a, b.transposed());
-  const Matrix got = matmul_a_bt(a, b);
-  ASSERT_TRUE(got.same_shape(expected));
-  for (std::size_t i = 0; i < got.size(); ++i)
-    EXPECT_NEAR(got.data()[i], expected.data()[i], 1e-4);
+  for (const Shape& s : shapes) {
+    for (const bool sparse : {false, true}) {
+      Matrix a(s.m, s.k), b(s.n, s.k);
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        a.data()[i] = static_cast<float>(rng.normal());
+        // About half exact zeros, a quarter of those negative zeros.
+        if (sparse && rng.uniform() < 0.5)
+          a.data()[i] = rng.uniform() < 0.25 ? -0.0f : 0.0f;
+      }
+      for (std::size_t i = 0; i < b.size(); ++i)
+        b.data()[i] = static_cast<float>(rng.normal());
+      Matrix want, bt, got;
+      matmul_a_bt_into(a, b, want);
+      transpose_into(b, bt);
+      matmul_into(a, bt, got);
+      ASSERT_TRUE(got.same_shape(want));
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(float)),
+                0)
+          << s.m << "x" << s.k << " * (" << s.n << "x" << s.k
+          << ")^T, sparse=" << sparse;
+    }
+  }
 }
 
 TEST(Matrix, Matvec) {

@@ -164,6 +164,25 @@ TEST(DenseLayer, SkippingParamGradsLeavesAccumulatorsZero) {
   EXPECT_EQ(ws.grad_input.cols(), 3u);
 }
 
+TEST(DenseLayer, BackwardPacksTransposedWeightsLazily) {
+  math::Rng rng(9);
+  DenseLayer layer(5, 3, Activation::kRelu, rng);
+  const math::Matrix x{{1, 2, 3, 4, 5}};
+  LayerWorkspace ws;
+  layer.init_workspace(ws);
+  layer.forward(x, ws, false);
+  EXPECT_TRUE(ws.weights_t.empty()) << "forward must not build the pack";
+  math::Matrix upstream(1, 3, 1.0f);
+  layer.backward(upstream, x, ws, /*accumulate_param_grads=*/false);
+  EXPECT_EQ(ws.weights_t, layer.weights().transposed());
+  // An emptied pack is rebuilt from the current weights.
+  layer.mutable_weights()(0, 0) += 1.0f;
+  ws.weights_t.resize(0, 0);
+  upstream = math::Matrix(1, 3, 1.0f);
+  layer.backward(upstream, x, ws, /*accumulate_param_grads=*/false);
+  EXPECT_EQ(ws.weights_t, layer.weights().transposed());
+}
+
 TEST(DenseLayer, CloneIsDeepCopy) {
   math::Rng rng(6);
   DenseLayer layer(2, 2, Activation::kRelu, rng);

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "math/linalg.hpp"
+#include "nn/session.hpp"
 
 namespace mev::nn {
 namespace {
@@ -95,7 +96,8 @@ TEST(Network, EmptyNetworkThrows) {
 TEST(Network, InputGradientMatchesFiniteDifference) {
   Network net = small_net(21);
   const math::Matrix x = random_input(2, 4, 22);
-  const math::Matrix grad = net.input_gradient(x, 0);
+  InferenceSession session(net);
+  const math::Matrix grad = session.input_gradient(x, 0);
   const float eps = 1e-3f;
   for (std::size_t i = 0; i < 2; ++i) {
     for (std::size_t j = 0; j < 4; ++j) {
@@ -114,7 +116,8 @@ TEST(Network, InputGradientsAllSumToZeroAcrossClasses) {
   // Softmax probabilities sum to 1, so their input gradients sum to 0.
   Network net = small_net(31);
   const math::Matrix x = random_input(3, 4, 32);
-  const auto grads = net.input_gradients_all(x);
+  InferenceSession session(net);
+  const auto grads = session.input_gradients_all(x);
   ASSERT_EQ(grads.size(), 2u);
   for (std::size_t i = 0; i < 3; ++i)
     for (std::size_t j = 0; j < 4; ++j)
@@ -123,16 +126,18 @@ TEST(Network, InputGradientsAllSumToZeroAcrossClasses) {
 
 TEST(Network, InputGradientClassOutOfRangeThrows) {
   Network net = small_net();
-  EXPECT_THROW(net.input_gradient(random_input(1, 4, 1), 2),
+  InferenceSession session(net);
+  EXPECT_THROW(session.input_gradient(random_input(1, 4, 1), 2),
                std::invalid_argument);
-  EXPECT_THROW(net.input_gradient(random_input(1, 4, 1), -1),
+  EXPECT_THROW(session.input_gradient(random_input(1, 4, 1), -1),
                std::invalid_argument);
 }
 
 TEST(Network, InputGradientLeavesParamGradsZero) {
   Network net = small_net();
-  net.input_gradient(random_input(2, 4, 33), 0);
-  for (const auto& p : net.params())
+  InferenceSession session(net);
+  session.input_gradient(random_input(2, 4, 33), 0);
+  for (const auto& p : session.bind_params(net))
     for (std::size_t i = 0; i < p.grad->size(); ++i)
       EXPECT_EQ(p.grad->data()[i], 0.0f);
 }
@@ -149,7 +154,8 @@ TEST(Network, CopyIsDeep) {
   const math::Matrix x = random_input(1, 4, 41);
   EXPECT_EQ(net.forward(x), copy.forward(x));
   // Mutate the copy's first layer weight.
-  auto params = copy.params();
+  InferenceSession session(copy);
+  auto params = session.bind_params(copy);
   params[0].value->data()[0] += 1.0f;
   EXPECT_NE(net.forward(x), copy.forward(x));
 }

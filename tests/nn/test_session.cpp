@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <stdexcept>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "attack/jsma.hpp"
 #include "math/rng.hpp"
 #include "nn/network.hpp"
+#include "nn/optimizer.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation counting hook: replaces global operator new/delete for this
@@ -208,6 +210,56 @@ TEST(InferenceSession, SteadyStateForwardAllocatesNothing) {
   }
   EXPECT_EQ(g_allocations.load() - before_grad, 0u)
       << "predict/input_gradient allocated in steady state";
+
+  // A bound session drops its W^T packs after every forward and repacks
+  // at the next backward; the repack must reuse the packs' capacity.
+  InferenceSession trainer(net, 8);
+  trainer.bind_params(net);
+  const math::Matrix grad_logits(8, 2, 0.5f);
+  for (int i = 0; i < 3; ++i) {
+    trainer.forward(x, /*training=*/true);
+    trainer.backward(grad_logits, /*accumulate_param_grads=*/true);
+  }
+  const std::size_t before_train = g_allocations.load();
+  for (int i = 0; i < 50; ++i) {
+    trainer.forward(x, /*training=*/true);
+    trainer.backward(grad_logits, /*accumulate_param_grads=*/true);
+  }
+  EXPECT_EQ(g_allocations.load() - before_train, 0u)
+      << "bound training step allocated in steady state";
+}
+
+TEST(InferenceSession, BoundSessionBackwardSeesEveryOptimizerStep) {
+  // Each Sgd::step rewrites the weights between a backward and the next
+  // forward. The bound session's next backward must read the new weights
+  // (its W^T packs are dropped by the forward), byte for byte like a
+  // fresh session on the updated network.
+  MlpConfig cfg;
+  cfg.dims = {16, 32, 8, 2};
+  cfg.seed = 7;
+  Network net = make_mlp(cfg);
+  InferenceSession session(net, 8);
+  const std::vector<ParamRef> params = session.bind_params(net);
+  SgdConfig sgd_cfg;
+  sgd_cfg.learning_rate = 0.5f;
+  Sgd sgd(sgd_cfg);
+  const math::Matrix x = random_input(8, 16, 11);
+  const math::Matrix grad_logits = random_input(8, 2, 12);
+  for (int step = 0; step < 3; ++step) {
+    session.zero_param_grads();
+    session.forward(x, /*training=*/true);
+    const math::Matrix& got =
+        session.backward(grad_logits, /*accumulate_param_grads=*/true);
+    InferenceSession fresh(net, 8);
+    fresh.forward(x, /*training=*/true);
+    const math::Matrix& want =
+        fresh.backward(grad_logits, /*accumulate_param_grads=*/false);
+    ASSERT_TRUE(got.same_shape(want));
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0)
+        << "grad_input differs from a fresh session at step " << step;
+    sgd.step(params);
+  }
 }
 
 TEST(InferenceSession, SmallerBatchAfterLargerStaysAllocationFree) {
