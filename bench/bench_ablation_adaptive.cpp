@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   const auto eval_defense = [&](defense::Classifier& clf,
-                                nn::Network& gradient_source) {
+                                const nn::Network& gradient_source) {
     std::cerr << "# adaptive attack vs " << clf.name() << "...\n";
     const auto adaptive_crafted =
         adaptive.craft(gradient_source, env.malware_features);

@@ -22,7 +22,9 @@ struct Environment {
   core::DetectorTrainingResult trained;
 
   core::MalwareDetector& detector() { return *trained.detector; }
-  nn::Network& target_network() { return trained.detector->network(); }
+  const nn::Network& target_network() const {
+    return trained.detector->network();
+  }
 
   /// Raw counts of attacked malware test rows (capped by the scale).
   math::Matrix malware_counts;
@@ -68,8 +70,9 @@ inline Environment make_environment(const core::ExperimentConfig& config) {
 
 /// Baseline detection metrics, for the "no attack" anchor row.
 inline eval::ConfusionMatrix baseline_confusion(Environment& env) {
-  const auto preds = env.target_network().predict(env.trained.test_features);
-  return eval::confusion(env.bundle.test.labels, preds);
+  nn::InferenceSession session = env.detector().make_session();
+  const auto preds = session.predict(env.trained.test_features);
+  return eval::confusion(env.bundle.test.labels, {preds.begin(), preds.end()});
 }
 
 /// The attacker's own dataset (same distribution, independent draw) for

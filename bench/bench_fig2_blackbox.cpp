@@ -76,7 +76,8 @@ BlackBoxOutcome attack_with_architecture(bench::Environment& env,
       result.attacker_transform, attacker_features, crafted.adversarial);
   math::Matrix adv_counts = env.malware_counts;
   adv_counts += additions;
-  const auto verdicts = env.detector().scan_counts(adv_counts);
+  nn::InferenceSession session = env.detector().make_session();
+  const auto verdicts = env.detector().scan_counts(session, adv_counts);
   std::size_t detected = 0;
   for (const auto& v : verdicts) detected += v.is_malware() ? 1 : 0;
 

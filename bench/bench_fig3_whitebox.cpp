@@ -25,6 +25,7 @@ eval::SecurityCurve random_baseline_curve(bench::Environment& env,
   curve.name = "random addition (control)";
   curve.parameter =
       sweep.parameter == core::SweepParameter::kGamma ? "gamma" : "theta";
+  nn::InferenceSession session = env.detector().make_session();
   for (double value : sweep.grid) {
     attack::RandomAdditionConfig cfg;
     cfg.seed = env.config.seed + 17;
@@ -38,10 +39,10 @@ eval::SecurityCurve random_baseline_curve(bench::Environment& env,
     const attack::RandomAddition random_attack(cfg);
     const auto crafted =
         random_attack.craft(env.target_network(), env.malware_features);
-    const auto preds = env.target_network().predict(crafted.adversarial);
+    const auto preds = session.predict(crafted.adversarial);
     eval::CurvePoint point;
     point.attack_strength = value;
-    point.detection_rate = eval::detection_rate(preds);
+    point.detection_rate = eval::detection_rate({preds.begin(), preds.end()});
     point.mean_l2 = crafted.mean_l2();
     point.mean_features = crafted.mean_features_changed();
     curve.points.push_back(point);

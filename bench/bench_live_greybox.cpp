@@ -32,13 +32,14 @@ int main(int argc, char** argv) {
                "k times,\nre-run the full log->features->DNN pipeline "
                "(paper: 98.43% -> 88.88% at k=1 -> 0% at k=8)\n";
 
+  nn::InferenceSession session = env.detector().make_session();
   std::size_t shown = 0;
   double best_confidence = 0.0;
   for (int attempt = 0; attempt < 600 && shown < 3; ++attempt) {
     const data::ApiLog log = env.generator.generate_log(
         data::kMalwareLabel, "sample_live_" + std::to_string(attempt) + ".exe",
         rng, /*drifted=*/true);
-    const auto baseline = env.detector().scan(log);
+    const auto baseline = env.detector().scan(session, log);
     best_confidence = std::max(best_confidence, baseline.malware_confidence);
     if (!baseline.is_malware() || baseline.malware_confidence < 0.75) continue;
 

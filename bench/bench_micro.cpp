@@ -1,8 +1,7 @@
 // Google-benchmark microbenchmarks for the library's hot paths: matmul,
-// network forward (convenience API and InferenceSession) and backward, JSMA
-// crafting throughput, feature transforms, PCA fitting and
-// synthetic-corpus generation — plus the add-only vs unconstrained-JSMA
-// ablation cost (DESIGN.md §5).
+// InferenceSession forward and backward, JSMA crafting throughput, feature
+// transforms, PCA fitting and synthetic-corpus generation — plus the
+// add-only vs unconstrained-JSMA ablation cost (DESIGN.md §5).
 //
 // Besides the console table, the binary writes BENCH_micro.json (ns/op per
 // benchmark) to the working directory for machine consumption.
@@ -55,21 +54,6 @@ void BM_Matmul(benchmark::State& state) {
                           n * n);
 }
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_NetworkForward(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  nn::MlpConfig cfg;
-  cfg.dims = {491, 192, 240, 208, 2};
-  cfg.seed = 3;
-  nn::Network net = nn::make_mlp(cfg);
-  const math::Matrix x = random_matrix(batch, 491, 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net.forward(x));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          batch);
-}
-BENCHMARK(BM_NetworkForward)->Arg(1)->Arg(64)->Arg(256);
 
 void BM_SessionForward(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));

@@ -158,8 +158,9 @@ int main(int argc, char** argv) {
       bb.attacker_transform, attacker_features, crafted.adversarial);
   math::Matrix adv_counts = malware_counts;
   adv_counts += additions;
-  const auto baseline = trained.detector->scan_counts(malware_counts);
-  const auto attacked = trained.detector->scan_counts(adv_counts);
+  nn::InferenceSession session = trained.detector->make_session();
+  const auto baseline = trained.detector->scan_counts(session, malware_counts);
+  const auto attacked = trained.detector->scan_counts(session, adv_counts);
   std::size_t detected_before = 0, detected_after = 0;
   for (const auto& v : baseline) detected_before += v.is_malware() ? 1 : 0;
   for (const auto& v : attacked) detected_after += v.is_malware() ? 1 : 0;

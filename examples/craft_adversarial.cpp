@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
       generator.generate_bundle(config.dataset_spec(), rng);
   auto trained = core::train_detector(bundle, config.target_architecture(),
                                       config.target_training(), vocab);
-  core::MalwareDetector& detector = *trained.detector;
+  const core::MalwareDetector& detector = *trained.detector;
+  nn::InferenceSession session = detector.make_session();
 
   // Fig. 1 shows a malware sample evading after TWO added API calls; find
   // a detected test sample for which the 2-feature JSMA budget suffices
@@ -42,7 +43,7 @@ int main(int argc, char** argv) {
   for (std::size_t row : malware_rows) {
     math::Matrix candidate(1, trained.test_features.cols());
     candidate.set_row(0, trained.test_features.row(row));
-    const auto verdict = detector.scan_features(candidate).front();
+    const auto verdict = detector.scan_features(session, candidate).front();
     if (!verdict.is_malware() || verdict.malware_confidence < 0.8) continue;
     attack::AttackResult attempt = jsma.craft(detector.network(), candidate);
     const bool evaded = attempt.evaded[0];
@@ -58,7 +59,8 @@ int main(int argc, char** argv) {
   std::cout << "original sample: P(malware) = " << before.malware_confidence
             << " -> detected as MALWARE\n";
 
-  const auto after = detector.scan_features(crafted.adversarial).front();
+  const auto after =
+      detector.scan_features(session, crafted.adversarial).front();
   std::cout << "adversarial sample: P(malware) = " << after.malware_confidence
             << (after.is_malware() ? " -> still detected\n"
                                    : " -> EVADED (classified clean)\n");

@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
   std::cout << "[2/4] training the detector...\n";
   auto trained = core::train_detector(bundle, config.target_architecture(),
                                       config.target_training(), vocab);
-  core::MalwareDetector& detector = *trained.detector;
+  const core::MalwareDetector& detector = *trained.detector;
+  nn::InferenceSession session = detector.make_session();
 
   // 3. Scan one malware log and one clean log end to end.
   std::cout << "[3/4] scanning two fresh samples...\n";
@@ -39,8 +40,8 @@ int main(int argc, char** argv) {
       generator.generate_log(data::kMalwareLabel, "invoice_final.exe", rng);
   const data::ApiLog clean_log =
       generator.generate_log(data::kCleanLabel, "notepad_clone.exe", rng);
-  const core::Verdict v_mal = detector.scan(malware_log);
-  const core::Verdict v_clean = detector.scan(clean_log);
+  const core::Verdict v_mal = detector.scan(session, malware_log);
+  const core::Verdict v_clean = detector.scan(session, clean_log);
   std::cout << "  " << malware_log.sample_name << " ("
             << malware_log.calls.size() << " API calls): P(malware) = "
             << v_mal.malware_confidence
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
 
   // 4. Test-set confusion matrix.
   std::cout << "[4/4] evaluating on the drifted (VirusTotal-like) test set...\n";
-  const auto verdicts = detector.scan_features(trained.test_features);
+  const auto verdicts = detector.scan_features(session, trained.test_features);
   std::vector<int> preds(verdicts.size());
   for (std::size_t i = 0; i < verdicts.size(); ++i)
     preds[i] = verdicts[i].predicted_class;

@@ -9,8 +9,7 @@ namespace mev::core {
 MalwareDetector::MalwareDetector(features::FeaturePipeline pipeline,
                                  std::shared_ptr<nn::Network> network)
     : pipeline_(std::move(pipeline)),
-      network_(std::move(network)),
-      scratch_mutex_(std::make_unique<std::mutex>()) {
+      network_(std::move(network)) {
   if (network_ == nullptr)
     throw std::invalid_argument("MalwareDetector: null network");
   if (network_->input_dim() != pipeline_.dim())
@@ -23,37 +22,15 @@ nn::InferenceSession MalwareDetector::make_session(
   return nn::InferenceSession(*network_, max_batch);
 }
 
-nn::InferenceSession& MalwareDetector::scratch() {
-  if (scratch_ == nullptr)
-    scratch_ = std::make_unique<nn::InferenceSession>(*network_);
-  return *scratch_;
-}
-
-Verdict MalwareDetector::scan(const data::ApiLog& log) {
-  std::lock_guard<std::mutex> lock(*scratch_mutex_);
-  return scan(scratch(), log);
-}
-
 Verdict MalwareDetector::scan(nn::InferenceSession& session,
                               const data::ApiLog& log) const {
   const auto feats = pipeline_.features_from_log(log);
   return scan_features(session, math::Matrix::row_vector(feats)).front();
 }
 
-std::vector<Verdict> MalwareDetector::scan_counts(const math::Matrix& counts) {
-  std::lock_guard<std::mutex> lock(*scratch_mutex_);
-  return scan_counts(scratch(), counts);
-}
-
 std::vector<Verdict> MalwareDetector::scan_counts(
     nn::InferenceSession& session, const math::Matrix& counts) const {
   return scan_features(session, pipeline_.features_from_counts(counts));
-}
-
-std::vector<Verdict> MalwareDetector::scan_features(
-    const math::Matrix& features) {
-  std::lock_guard<std::mutex> lock(*scratch_mutex_);
-  return scan_features(scratch(), features);
 }
 
 std::vector<Verdict> MalwareDetector::scan_features(

@@ -3,17 +3,13 @@
 // API that accepts either raw logs or pre-extracted count vectors.
 //
 // Threading model: the detector (pipeline + network) is read-only during
-// scanning. The scan overloads that take an nn::InferenceSession are
-// thread-safe when each thread passes its own session (make_session());
-// that is the path every concurrent caller should use (or go through
-// serve::ScoringService, which owns a session per worker). The
-// session-less overloads route through one internal scratch session; they
-// serialize on an internal mutex, so they are safe — but sequential — on
-// a shared detector, and exist for convenience in single-threaded code.
+// scanning and holds no lock. Every scan takes the nn::InferenceSession
+// it evaluates in, so concurrent scans on one shared detector are safe
+// when each thread passes its own session (make_session()) — or goes
+// through serve::ScoringService, which owns a session per worker.
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -45,19 +41,14 @@ class MalwareDetector {
   /// per thread for concurrent scanning.
   nn::InferenceSession make_session(std::size_t max_batch = 0) const;
 
-  /// End-to-end verdict for one log file. The session-less overloads
-  /// serialize on the internal scratch session; prefer the session
-  /// overloads (one session per thread) for concurrent scanning.
-  Verdict scan(const data::ApiLog& log);
+  /// End-to-end verdict for one log file.
   Verdict scan(nn::InferenceSession& session, const data::ApiLog& log) const;
 
   /// Verdicts for raw count rows.
-  std::vector<Verdict> scan_counts(const math::Matrix& counts);
   std::vector<Verdict> scan_counts(nn::InferenceSession& session,
                                    const math::Matrix& counts) const;
 
   /// Verdicts for already-normalized feature rows.
-  std::vector<Verdict> scan_features(const math::Matrix& features);
   std::vector<Verdict> scan_features(nn::InferenceSession& session,
                                      const math::Matrix& features) const;
 
@@ -70,22 +61,11 @@ class MalwareDetector {
     return pipeline_;
   }
   const nn::Network& network() const noexcept { return *network_; }
-  nn::Network& network() noexcept { return *network_; }
   std::shared_ptr<nn::Network> network_ptr() noexcept { return network_; }
 
  private:
-  /// Must be called with scratch_mutex_ held.
-  nn::InferenceSession& scratch();
-
   features::FeaturePipeline pipeline_;
   std::shared_ptr<nn::Network> network_;
-  /// Serializes the session-less scan overloads: the lazily-created
-  /// scratch session is shared mutable state, so concurrent session-less
-  /// calls on one detector queue up here instead of racing. Heap-held so
-  /// the detector stays movable.
-  std::unique_ptr<std::mutex> scratch_mutex_;
-  /// Lazily-created session backing the session-less scan overloads.
-  std::unique_ptr<nn::InferenceSession> scratch_;
 };
 
 struct DetectorTrainingResult {

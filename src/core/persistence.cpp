@@ -110,9 +110,7 @@ void save_detector(const MalwareDetector& detector,
                    const std::string& path_prefix) {
   // Network (binary payload in a checksummed envelope).
   std::ostringstream net_payload(std::ios::binary);
-  nn::save_network(
-      const_cast<MalwareDetector&>(detector).network(),  // read-only use
-      net_payload);
+  nn::save_network(detector.network(), net_payload);
   runtime::write_envelope_atomic(path_prefix + ".net", kNetworkMagic,
                                  kPersistVersion, net_payload.str());
 

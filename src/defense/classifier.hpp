@@ -42,7 +42,7 @@ class NetworkClassifier final : public Classifier {
   std::vector<double> malware_confidence(const math::Matrix& features) override;
   std::string name() const override { return name_; }
 
-  nn::Network& network() noexcept { return *net_; }
+  const nn::Network& network() const noexcept { return *net_; }
 
  private:
   std::shared_ptr<nn::Network> net_;

@@ -32,7 +32,7 @@ class DimReductionClassifier final : public Classifier {
   std::string name() const override { return "dim-reduction"; }
 
   const math::Pca& pca() const noexcept { return pca_; }
-  nn::Network& network() noexcept { return *net_; }
+  const nn::Network& network() const noexcept { return *net_; }
 
  private:
   math::Pca pca_;

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "nn/session.hpp"
+
 namespace mev::defense {
 
 DistillationResult defensive_distillation(const nn::LabeledData& train_data,
@@ -21,8 +23,9 @@ DistillationResult defensive_distillation(const nn::LabeledData& train_data,
   nn::train(*result.teacher, train_data, teacher_cfg, validation);
 
   // 2. Soft labels at temperature T.
-  const math::Matrix soft_labels =
-      result.teacher->predict_proba(train_data.x, config.temperature);
+  nn::InferenceSession teacher_session(*result.teacher, train_data.x.rows());
+  const math::Matrix& soft_labels =
+      teacher_session.predict_proba(train_data.x, config.temperature);
 
   // 3. Student trained on soft labels at temperature T. The softmax-CE
   //    gradient carries a 1/T factor, so the learning rate is scaled by T
@@ -36,8 +39,9 @@ DistillationResult defensive_distillation(const nn::LabeledData& train_data,
   nn::train_soft(*result.student, train_data.x, soft_labels, student_cfg,
                  validation);
 
-  // 4. Deployment at T = 1 is the caller's default: Network::predict and
-  //    predict_proba use temperature 1 unless told otherwise.
+  // 4. Deployment at T = 1 is the caller's default:
+  //    InferenceSession::predict and predict_proba use temperature 1
+  //    unless told otherwise.
   return result;
 }
 

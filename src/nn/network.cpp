@@ -5,8 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "nn/session.hpp"
-
 namespace mev::nn {
 
 namespace {
@@ -50,9 +48,6 @@ math::Matrix read_matrix(std::istream& is) {
 
 }  // namespace
 
-Network::Network() = default;
-Network::~Network() = default;
-
 Network::Network(const Network& other) {
   layers_.reserve(other.layers_.size());
   for (const auto& layer : other.layers_) layers_.push_back(layer->clone());
@@ -61,22 +56,8 @@ Network::Network(const Network& other) {
 Network& Network::operator=(const Network& other) {
   if (this == &other) return *this;
   layers_.clear();
-  scratch_.reset();
   layers_.reserve(other.layers_.size());
   for (const auto& layer : other.layers_) layers_.push_back(layer->clone());
-  return *this;
-}
-
-Network::Network(Network&& other) noexcept
-    : layers_(std::move(other.layers_)) {
-  other.scratch_.reset();
-}
-
-Network& Network::operator=(Network&& other) noexcept {
-  if (this == &other) return *this;
-  layers_ = std::move(other.layers_);
-  scratch_.reset();
-  other.scratch_.reset();
   return *this;
 }
 
@@ -85,13 +66,6 @@ void Network::add(std::unique_ptr<Layer> layer) {
   if (!layers_.empty() && layers_.back()->output_dim() != layer->input_dim())
     throw std::invalid_argument("Network::add: layer dimension mismatch");
   layers_.push_back(std::move(layer));
-  scratch_.reset();  // workspace shapes are stale
-}
-
-InferenceSession& Network::scratch() {
-  if (scratch_ == nullptr)
-    scratch_ = std::make_unique<InferenceSession>(*this);
-  return *scratch_;
 }
 
 std::size_t Network::input_dim() const {
@@ -109,22 +83,6 @@ std::size_t Network::num_parameters() const {
   for (const auto& layer : layers_)
     for (const auto* p : layer->param_values()) n += p->size();
   return n;
-}
-
-math::Matrix Network::forward(const math::Matrix& x, bool training) {
-  if (layers_.empty()) throw std::logic_error("Network::forward: empty");
-  return scratch().forward(x, training);
-}
-
-math::Matrix Network::predict_proba(const math::Matrix& x, float temperature) {
-  if (layers_.empty()) throw std::logic_error("Network::predict_proba: empty");
-  return scratch().predict_proba(x, temperature);
-}
-
-std::vector<int> Network::predict(const math::Matrix& x) {
-  if (layers_.empty()) throw std::logic_error("Network::predict: empty");
-  const auto labels = scratch().predict(x);
-  return {labels.begin(), labels.end()};
 }
 
 std::string Network::architecture_string() const {

@@ -2,16 +2,13 @@
 // detector (4-layer DNN) and the substitute model (Table IV: 5-layer,
 // 491-1200-1500-1300-2).
 //
-// A Network is logically CONST during evaluation: all forward caches and
-// gradient accumulators live in InferenceSession workspaces
-// (nn/session.hpp), so one network can be shared across threads with one
-// session per thread. Gradients — for training, and the input gradients
-// dF_i(X)/dX_j (Eq. 1 of the paper) the JSMA saliency map consumes — are
-// computed only through explicit sessions.
-//
-// The member evaluation methods below (forward, predict_proba, predict)
-// are a convenience API over an internal scratch session; they are NOT
-// thread-safe on a shared instance — use explicit sessions for that.
+// A Network holds layers and parameters only. Evaluation and gradients —
+// forward passes, softmax probabilities, argmax labels, training
+// gradients, and the input gradients dF_i(X)/dX_j (Eq. 1 of the paper)
+// the JSMA saliency map consumes — all run through an explicit
+// InferenceSession (nn/session.hpp), which owns every cache and
+// accumulator. The network itself is read-only while evaluated, so one
+// network can be shared across threads with one session per thread.
 #pragma once
 
 #include <iosfwd>
@@ -25,18 +22,14 @@
 
 namespace mev::nn {
 
-class InferenceSession;
-
 class Network {
  public:
-  Network();
-  ~Network();
+  Network() = default;
   Network(const Network& other);
   Network& operator=(const Network& other);
-  // Moves drop the scratch session (it holds a pointer to the moved-from
-  // object); any external sessions bound to either side are invalidated.
-  Network(Network&& other) noexcept;
-  Network& operator=(Network&& other) noexcept;
+  // Moves invalidate any session bound to either side.
+  Network(Network&& other) noexcept = default;
+  Network& operator=(Network&& other) noexcept = default;
 
   /// Appends a layer; its input_dim must match the current output_dim.
   /// Invalidates any session bound to this network.
@@ -52,25 +45,11 @@ class Network {
   /// Total number of trainable scalars.
   std::size_t num_parameters() const;
 
-  /// Forward pass over a batch; returns logits (batch x classes).
-  math::Matrix forward(const math::Matrix& x, bool training = false);
-
-  /// Softmax probabilities at the given temperature.
-  math::Matrix predict_proba(const math::Matrix& x, float temperature = 1.0f);
-
-  /// Argmax class per row.
-  std::vector<int> predict(const math::Matrix& x);
-
   /// Layer widths, e.g. "491-1200-1500-1300-2" (dense layers only).
   std::string architecture_string() const;
 
  private:
-  InferenceSession& scratch();
-
   std::vector<std::unique_ptr<Layer>> layers_;
-  // Lazily created workspace backing the forward-only conveniences; never
-  // copied or moved with the network.
-  std::unique_ptr<InferenceSession> scratch_;
 };
 
 struct MlpConfig {
@@ -81,7 +60,7 @@ struct MlpConfig {
 };
 
 /// Builds an MLP whose final layer is linear (logits); apply softmax via
-/// predict_proba or a loss function.
+/// InferenceSession::predict_proba or a loss function.
 Network make_mlp(const MlpConfig& config);
 
 /// Serializes all layers (architecture + parameters) to a binary stream.

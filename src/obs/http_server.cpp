@@ -154,7 +154,13 @@ bool SocketServer::start() {
 }
 
 void SocketServer::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  {
+    // Flip under the queue lock: a worker between its wait predicate and
+    // blocking holds this lock, so the flip cannot land in that window and
+    // the notify below cannot be lost.
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  }
   // Wake a blocked accept(); the fd itself is closed only after the
   // accept thread is joined, so it can never race onto a recycled fd.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
@@ -228,8 +234,10 @@ void SocketServer::worker_loop() {
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock, [this] {
-        return !pending_fds_.empty() ||
-               !running_.load(std::memory_order_acquire);
+        const bool wake = !pending_fds_.empty() ||
+                          !running_.load(std::memory_order_acquire);
+        if (wait_predicate_hook_) wait_predicate_hook_();
+        return wake;
       });
       if (pending_fds_.empty()) return;  // stopping and drained
       fd = pending_fds_.front();

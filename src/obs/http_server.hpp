@@ -141,6 +141,8 @@ class SocketServer {
   Stats stats() const noexcept;
 
  private:
+  friend struct SocketServerTestPeer;
+
   void accept_loop();
   void worker_loop();
   void serve_connection(int fd);
@@ -162,6 +164,10 @@ class SocketServer {
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<int> pending_fds_;
+  /// Test seam, set only before start(): runs inside the workers' queue
+  /// wait predicate, after it has read the queue state and with
+  /// queue_mutex_ held.
+  std::function<void()> wait_predicate_hook_;
 
   std::thread accept_thread_;
   std::vector<std::thread> workers_;

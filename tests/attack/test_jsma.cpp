@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "data/dataset.hpp"
+#include "nn/session.hpp"
 #include "nn/trainer.hpp"
 
 namespace mev::attack {
@@ -44,11 +45,12 @@ struct Fixture {
 
     // Collect detected malware rows.
     malware = math::Matrix(0, 10);
+    nn::InferenceSession session(net);
     for (std::size_t i = 0; i < 400; ++i) {
       if (train.labels[i] != data::kMalwareLabel) continue;
       math::Matrix row(1, 10);
       row.set_row(0, train.x.row(i));
-      if (net.predict(row)[0] == data::kMalwareLabel) {
+      if (session.predict(row)[0] == data::kMalwareLabel) {
         malware.append_row(train.x.row(i));
         if (malware.rows() >= 40) break;
       }

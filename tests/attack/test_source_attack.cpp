@@ -6,6 +6,7 @@
 
 #include "data/synthetic.hpp"
 #include "features/transform.hpp"
+#include "nn/session.hpp"
 #include "nn/trainer.hpp"
 
 namespace mev::attack {
@@ -112,8 +113,9 @@ TEST(SourceAttack, ZeroInsertionMatchesPlainScan) {
   const auto result =
       run_live_test(f.net, *f.pipeline, f.malware_log, /*feature=*/3, 2);
   const auto feats = f.pipeline->features_from_log(f.malware_log);
-  const math::Matrix probs =
-      f.net.predict_proba(math::Matrix::row_vector(feats));
+  nn::InferenceSession session(f.net);
+  const math::Matrix& probs =
+      session.predict_proba(math::Matrix::row_vector(feats));
   EXPECT_NEAR(result.points[0].malware_confidence,
               probs(0, data::kMalwareLabel), 1e-6);
 }

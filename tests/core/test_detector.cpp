@@ -53,18 +53,21 @@ TEST(Detector, ScanLogMatchesScanCounts) {
   math::Rng rng(99);
   const data::ApiLog log =
       f.generator.generate_log(data::kMalwareLabel, "x.exe", rng);
-  const Verdict via_log = f.trained.detector->scan(log);
+  nn::InferenceSession session = f.trained.detector->make_session();
+  const Verdict via_log = f.trained.detector->scan(session, log);
   math::Matrix counts(1, f.vocab.size());
   counts.set_row(0, f.trained.detector->pipeline().extractor().extract(log));
-  const Verdict via_counts = f.trained.detector->scan_counts(counts).front();
+  const Verdict via_counts =
+      f.trained.detector->scan_counts(session, counts).front();
   EXPECT_EQ(via_log.predicted_class, via_counts.predicted_class);
   EXPECT_NEAR(via_log.malware_confidence, via_counts.malware_confidence, 1e-6);
 }
 
 TEST(Detector, VerdictConsistentWithConfidence) {
   auto& f = fixture();
+  nn::InferenceSession session = f.trained.detector->make_session();
   const auto verdicts =
-      f.trained.detector->scan_features(f.trained.test_features);
+      f.trained.detector->scan_features(session, f.trained.test_features);
   for (const auto& v : verdicts) {
     if (v.malware_confidence > 0.5) {
       EXPECT_TRUE(v.is_malware());
@@ -76,8 +79,9 @@ TEST(Detector, VerdictConsistentWithConfidence) {
 
 TEST(Detector, DetectsMostMalwareAndPassesMostClean) {
   auto& f = fixture();
+  nn::InferenceSession session = f.trained.detector->make_session();
   const auto verdicts =
-      f.trained.detector->scan_features(f.trained.test_features);
+      f.trained.detector->scan_features(session, f.trained.test_features);
   std::size_t tp = 0, tn = 0, pos = 0, neg = 0;
   for (std::size_t i = 0; i < verdicts.size(); ++i) {
     if (f.bundle.test.labels[i] == data::kMalwareLabel) {
@@ -95,27 +99,14 @@ TEST(Detector, DetectsMostMalwareAndPassesMostClean) {
   EXPECT_GT(static_cast<double>(tn) / neg, 0.4);
 }
 
-TEST(Detector, SessionOverloadMatchesLegacyScan) {
-  auto& f = fixture();
-  auto& detector = *f.trained.detector;  // legacy overloads are non-const
-  nn::InferenceSession session = detector.make_session();
-  const auto legacy = detector.scan_counts(f.trained.test_features);
-  const auto via_session =
-      detector.scan_counts(session, f.trained.test_features);
-  ASSERT_EQ(legacy.size(), via_session.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i].predicted_class, via_session[i].predicted_class);
-    EXPECT_EQ(legacy[i].malware_confidence, via_session[i].malware_confidence);
-  }
-}
-
 TEST(Detector, ConcurrentScanCountsOnSharedNetwork) {
   // One shared detector/network, one session per thread: every thread must
   // reproduce the serial verdicts exactly.
   auto& f = fixture();
-  MalwareDetector& detector = *f.trained.detector;
+  const MalwareDetector& detector = *f.trained.detector;
   const math::Matrix& counts = f.trained.test_features;
-  const auto want = detector.scan_features(counts);
+  nn::InferenceSession serial = detector.make_session();
+  const auto want = detector.scan_features(serial, counts);
 
   constexpr std::size_t kThreads = 4;
   std::vector<std::vector<Verdict>> got(kThreads);

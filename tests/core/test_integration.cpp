@@ -47,18 +47,22 @@ World& world() {
   return w;
 }
 
+double detection_rate(const nn::Network& net, const math::Matrix& x) {
+  nn::InferenceSession session(net);
+  const auto preds = session.predict(x);
+  return eval::detection_rate({preds.begin(), preds.end()});
+}
+
 TEST(Integration, WhiteBoxJsmaDefeatsDetector) {
   auto& w = world();
   auto& net = w.trained.detector->network();
-  const double baseline =
-      eval::detection_rate(net.predict(w.malware_features));
+  const double baseline = detection_rate(net, w.malware_features);
   attack::JsmaConfig cfg;
   cfg.theta = 1.0f;
   cfg.gamma = 0.05f;
   cfg.early_stop = false;
   const auto crafted = attack::Jsma(cfg).craft(net, w.malware_features);
-  const double attacked =
-      eval::detection_rate(net.predict(crafted.adversarial));
+  const double attacked = detection_rate(net, crafted.adversarial);
   EXPECT_GT(baseline, 0.7);
   EXPECT_LT(attacked, baseline - 0.4);
 }
@@ -68,15 +72,13 @@ TEST(Integration, RandomAdditionIsHarmless) {
   // meaningfully reduce detection.
   auto& w = world();
   auto& net = w.trained.detector->network();
-  const double baseline =
-      eval::detection_rate(net.predict(w.malware_features));
+  const double baseline = detection_rate(net, w.malware_features);
   attack::RandomAdditionConfig cfg;
   cfg.theta = 1.0f;
   cfg.gamma = 0.05f;
   const auto crafted =
       attack::RandomAddition(cfg).craft(net, w.malware_features);
-  const double attacked =
-      eval::detection_rate(net.predict(crafted.adversarial));
+  const double attacked = detection_rate(net, crafted.adversarial);
   EXPECT_GT(attacked, baseline - 0.15);
 }
 
@@ -88,8 +90,7 @@ TEST(Integration, AdversarialTrainingRecoversDetection) {
   cfg.gamma = 0.05f;
   cfg.early_stop = false;
   const auto crafted = attack::Jsma(cfg).craft(net, w.malware_features);
-  const double before =
-      eval::detection_rate(net.predict(crafted.adversarial));
+  const double before = detection_rate(net, crafted.adversarial);
 
   math::Rng rng(4242);
   const auto clean_pool = w.generator.generate_dataset(60, 0, rng);
@@ -101,12 +102,10 @@ TEST(Integration, AdversarialTrainingRecoversDetection) {
   defense::AdversarialTrainingConfig at{w.config.target_architecture(),
                                         w.config.target_training()};
   auto hardened = defense::adversarial_training(set, at);
-  const double after =
-      eval::detection_rate(hardened->predict(crafted.adversarial));
+  const double after = detection_rate(*hardened, crafted.adversarial);
   EXPECT_GT(after, before + 0.3);
   // Malware detection must not collapse.
-  EXPECT_GT(eval::detection_rate(hardened->predict(w.malware_features)),
-            0.6);
+  EXPECT_GT(detection_rate(*hardened, w.malware_features), 0.6);
 }
 
 TEST(Integration, GreyBoxDeploymentIsRealizable) {
@@ -156,14 +155,16 @@ TEST(Integration, LiveTestThroughFullPipeline) {
 TEST(Integration, DetectorAgreesAcrossLogAndFeaturePaths) {
   auto& w = world();
   math::Rng rng(606);
+  nn::InferenceSession session = w.trained.detector->make_session();
   for (int i = 0; i < 5; ++i) {
     const auto counts = w.generator.generate_counts(data::kMalwareLabel, rng);
     const data::ApiLog log =
         w.generator.log_from_counts(counts, "agree.exe", rng);
-    const auto via_log = w.trained.detector->scan(log);
+    const auto via_log = w.trained.detector->scan(session, log);
     math::Matrix m(1, counts.size());
     m.set_row(0, counts);
-    const auto via_counts = w.trained.detector->scan_counts(m).front();
+    const auto via_counts =
+        w.trained.detector->scan_counts(session, m).front();
     EXPECT_EQ(via_log.predicted_class, via_counts.predicted_class);
   }
 }

@@ -44,12 +44,14 @@ TEST(Persistence, RoundTripPreservesVerdicts) {
   auto loaded = load_detector(prefix, f.vocab);
   ASSERT_NE(loaded, nullptr);
 
+  nn::InferenceSession session_a = f.trained.detector->make_session();
+  nn::InferenceSession session_b = loaded->make_session();
   math::Rng rng(77);
   for (int i = 0; i < 5; ++i) {
     const data::ApiLog log = f.generator.generate_log(
         i % 2, "roundtrip_" + std::to_string(i) + ".exe", rng);
-    const Verdict a = f.trained.detector->scan(log);
-    const Verdict b = loaded->scan(log);
+    const Verdict a = f.trained.detector->scan(session_a, log);
+    const Verdict b = loaded->scan(session_b, log);
     EXPECT_EQ(a.predicted_class, b.predicted_class);
     EXPECT_NEAR(a.malware_confidence, b.malware_confidence, 1e-6);
   }

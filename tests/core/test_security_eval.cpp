@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "data/dataset.hpp"
+#include "nn/session.hpp"
 #include "nn/trainer.hpp"
 
 namespace mev::core {
@@ -121,7 +122,8 @@ TEST(SecuritySweep, ZeroStrengthMatchesBaseline) {
   sweep.parameter = SweepParameter::kTheta;
   sweep.grid = {0.0};
   const SweepResult r = run_security_sweep(f.net, f.net, f.malware, sweep);
-  const auto preds = f.net.predict(f.malware);
+  nn::InferenceSession session(f.net);
+  const auto preds = session.predict(f.malware);
   std::size_t detected = 0;
   for (int p : preds) detected += p == data::kMalwareLabel ? 1 : 0;
   EXPECT_NEAR(r.target_curve.points[0].detection_rate,

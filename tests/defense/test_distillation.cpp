@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "nn/session.hpp"
+
 namespace mev::defense {
 namespace {
 
@@ -68,17 +70,20 @@ TEST(Distillation, StudentLogitsAreInflatedByTemperature) {
   nn::train(plain, data, tc);
 
   const math::Matrix probe = data.x.slice_rows(0, 50);
-  const double student_scale =
-      result.student->forward(probe).max_abs();
-  const double plain_scale = plain.forward(probe).max_abs();
+  nn::InferenceSession student_session(*result.student);
+  nn::InferenceSession plain_session(plain);
+  const double student_scale = student_session.forward(probe).max_abs();
+  const double plain_scale = plain_session.forward(probe).max_abs();
   EXPECT_GT(student_scale, plain_scale);
 }
 
 TEST(Distillation, TeacherAndStudentAgreeMostly) {
   const auto data = blobs(200, 6);
   const auto result = defensive_distillation(data, config());
-  const auto teacher_preds = result.teacher->predict(data.x);
-  const auto student_preds = result.student->predict(data.x);
+  nn::InferenceSession teacher_session(*result.teacher);
+  nn::InferenceSession student_session(*result.student);
+  const auto teacher_preds = teacher_session.predict(data.x);
+  const auto student_preds = student_session.predict(data.x);
   std::size_t agree = 0;
   for (std::size_t i = 0; i < teacher_preds.size(); ++i)
     if (teacher_preds[i] == student_preds[i]) ++agree;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "data/dataset.hpp"
+#include "nn/session.hpp"
 #include "nn/trainer.hpp"
 
 namespace mev::defense {
@@ -159,7 +160,9 @@ TEST(FeatureSqueezing, HugeThresholdNeverFlags) {
   FeatureSqueezing fs(f.net, std::make_unique<BitDepthSqueezer>(2), 10.0);
   const math::Matrix probe = f.legit.slice_rows(0, 10);
   const auto classes = fs.classify(probe);
-  EXPECT_EQ(classes, f.net->predict(probe));
+  nn::InferenceSession session(*f.net);
+  const auto want = session.predict(probe);
+  EXPECT_EQ(classes, std::vector<int>(want.begin(), want.end()));
 }
 
 }  // namespace

@@ -183,7 +183,8 @@ TEST(ScoringFrontend, JsonAndBinaryScoreMatchTheSequentialReference) {
 
   const math::Matrix counts = random_counts(3, 42);
   serve::ScoreResult want;
-  want.verdicts = f.reference.scan_counts(counts);
+  nn::InferenceSession session = f.reference.make_session();
+  want.verdicts = f.reference.scan_counts(session, counts);
   want.model_version = 1;
   const std::string expected = format_verdicts_json(want);
 

@@ -122,20 +122,6 @@ TEST(InferenceSession, BackwardMatchesSeedBuildBitExact) {
         << "weight grad " << i;
 }
 
-TEST(InferenceSession, LegacyNetworkApiMatchesSession) {
-  // Network's convenience methods are documented as session-equivalent.
-  Network net = reference_net();
-  InferenceSession session(net);
-  const math::Matrix x = random_input(5, 4, 21);
-  EXPECT_EQ(net.forward(x), session.forward(x));
-  EXPECT_EQ(net.predict_proba(x), session.predict_proba(x));
-  const auto net_pred = net.predict(x);
-  const auto ses_pred = session.predict(x);
-  ASSERT_EQ(net_pred.size(), ses_pred.size());
-  for (std::size_t i = 0; i < net_pred.size(); ++i)
-    EXPECT_EQ(net_pred[i], ses_pred[i]);
-}
-
 TEST(InferenceSession, InputGradientsAllAgreesWithPerClassGradient) {
   MlpConfig cfg;
   cfg.dims = {6, 12, 3};

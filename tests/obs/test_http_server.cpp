@@ -1,8 +1,8 @@
 // SocketServer behavior over real sockets: keep-alive with pipelining,
 // arrival-order response writes under out-of-order async completion,
 // Connection: close semantics (client-requested and server-policy),
-// inline parse-error answers, idle timeouts, and the dropped-ticket 500
-// backstop.
+// inline parse-error answers, idle timeouts, the dropped-ticket 500
+// backstop, and a shutdown that cannot lose a parked worker's wakeup.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -21,6 +23,23 @@
 #include "obs/http.hpp"
 #include "obs/http_server.hpp"
 
+namespace mev::obs::http {
+
+/// Reaches SocketServer's private test seam.
+struct SocketServerTestPeer {
+  static void set_wait_predicate_hook(SocketServer& server,
+                                      std::function<void()> hook) {
+    server.wait_predicate_hook_ = std::move(hook);
+  }
+  /// Wakes every worker parked on the connection queue.
+  static void notify_workers(SocketServer& server) {
+    std::lock_guard<std::mutex> lock(server.queue_mutex_);
+    server.queue_cv_.notify_all();
+  }
+};
+
+}  // namespace mev::obs::http
+
 namespace {
 
 using mev::obs::http::format_response;
@@ -28,6 +47,7 @@ using mev::obs::http::Request;
 using mev::obs::http::ResponseTicket;
 using mev::obs::http::SocketServer;
 using mev::obs::http::SocketServerConfig;
+using mev::obs::http::SocketServerTestPeer;
 
 constexpr const char* kText = "text/plain";
 
@@ -288,6 +308,48 @@ TEST(SocketServer, StartStopIsIdempotentAndResolvesEphemeralPorts) {
   EXPECT_FALSE(server.running());
   EXPECT_EQ(server.port(), 0);
   server.stop();
+}
+
+TEST(SocketServer, StopWakesAWorkerCaughtInsideItsWaitPredicate) {
+  // Lost-wakeup regression. The hook holds the only worker inside its
+  // first queue-wait predicate — state already read as "running, nothing
+  // queued", queue lock held — while stop() runs. A stop() that flips
+  // running_ without the queue lock lands in that window and notifies
+  // before the worker blocks, so the worker sleeps forever and stop()
+  // hangs joining it. Flipping under the lock makes stop() wait until the
+  // worker is parked, and the notify then reaches it.
+  using namespace std::chrono_literals;
+  SocketServerConfig config = base_config();
+  config.worker_threads = 1;
+  SocketServer server(std::move(config), [](Request&&, ResponseTicket) {});
+  std::promise<void> in_window;
+  std::atomic<bool> armed{true};
+  std::atomic<bool> stop_called{false};
+  SocketServerTestPeer::set_wait_predicate_hook(server, [&] {
+    if (!armed.exchange(false)) return;
+    in_window.set_value();
+    while (!stop_called.load()) std::this_thread::yield();
+    // An unlocked flip shows up here; a locked one cannot while we hold
+    // the queue lock, so give up on it after a short while.
+    const auto deadline = std::chrono::steady_clock::now() + 100ms;
+    while (server.running() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(1ms);
+    // Let an unlocked stop() reach its notify before this worker parks.
+    if (!server.running()) std::this_thread::sleep_for(50ms);
+  });
+  ASSERT_TRUE(server.start());
+  in_window.get_future().wait();
+
+  auto stopped = std::async(std::launch::async, [&] {
+    stop_called.store(true);
+    server.stop();
+  });
+  if (stopped.wait_for(5s) != std::future_status::ready) {
+    SocketServerTestPeer::notify_workers(server);  // unwedge, then fail
+    stopped.wait();
+    FAIL() << "stop() hung: the worker missed the shutdown wakeup";
+  }
+  EXPECT_FALSE(server.running());
 }
 
 TEST(SocketServer, LateResponseAfterStopIsHarmless) {

@@ -91,7 +91,8 @@ TEST(ScoringService, ManualModeParityWithSequentialScan) {
   while (service.pump(/*force=*/true) > 0) {
   }
 
-  const auto want = f.reference.scan_counts(all);
+  nn::InferenceSession session = f.reference.make_session();
+  const auto want = f.reference.scan_counts(session, all);
   std::size_t offset = 0;
   for (auto& future : futures) {
     ScoreResult result = future.get();
@@ -107,7 +108,8 @@ TEST(ScoringService, ManualModeParityWithSequentialScan) {
 TEST(ScoringService, ThreadedParityAnyWorkerCountAnyWindow) {
   Fixture f;
   const math::Matrix all = random_counts(120, 43);
-  const auto want = f.reference.scan_counts(all);
+  nn::InferenceSession session = f.reference.make_session();
+  const auto want = f.reference.scan_counts(session, all);
 
   for (std::size_t workers : {1u, 4u}) {
     for (std::uint64_t window_ms : {0u, 2u}) {
@@ -365,7 +367,9 @@ TEST(ScoringService, HotSwapPublishesNewModelAtomically) {
   const ScoreResult before = service.score(counts);
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before.model_version, 1u);
-  expect_same_verdicts(before.verdicts, f.reference.scan_counts(counts));
+  nn::InferenceSession session = f.reference.make_session();
+  expect_same_verdicts(before.verdicts,
+                       f.reference.scan_counts(session, counts));
 
   // Roll out a different model (e.g. a retrained/distilled defender).
   auto swapped_network = make_network(99);
@@ -376,7 +380,9 @@ TEST(ScoringService, HotSwapPublishesNewModelAtomically) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.model_version, 2u);
   core::MalwareDetector swapped_reference(make_pipeline(7), swapped_network);
-  expect_same_verdicts(after.verdicts, swapped_reference.scan_counts(counts));
+  nn::InferenceSession swapped_session = swapped_reference.make_session();
+  expect_same_verdicts(after.verdicts,
+                       swapped_reference.scan_counts(swapped_session, counts));
 }
 
 TEST(ScoringService, HotSwapRejectsMismatchedModel) {
@@ -427,6 +433,8 @@ TEST(ScoringService, ConcurrentSubmitAndHotSwapExactlyOnce) {
   for (auto& t : producers) t.join();
 
   std::size_t completed = 0;
+  nn::InferenceSession session_a = f.reference.make_session();
+  nn::InferenceSession session_b = reference_b.make_session();
   for (std::size_t p = 0; p < kProducers; ++p)
     for (std::size_t i = 0; i < futures[p].size(); ++i) {
       ScoreResult result = futures[p][i].get();
@@ -434,8 +442,8 @@ TEST(ScoringService, ConcurrentSubmitAndHotSwapExactlyOnce) {
       ++completed;
       // Whichever snapshot scored it, the verdicts must match that
       // snapshot's sequential reference bit-for-bit.
-      const auto want_a = f.reference.scan_counts(inputs[p][i]);
-      const auto want_b = reference_b.scan_counts(inputs[p][i]);
+      const auto want_a = f.reference.scan_counts(session_a, inputs[p][i]);
+      const auto want_b = reference_b.scan_counts(session_b, inputs[p][i]);
       ASSERT_EQ(result.verdicts.size(), want_a.size());
       bool matches_a = true, matches_b = true;
       for (std::size_t r = 0; r < result.verdicts.size(); ++r) {
