@@ -198,7 +198,7 @@ LoopResult run_inproc_open_loop(bench::Environment& env,
   result.rejected_deadline = stats.rejected_deadline;
   result.rejected_queue_full = stats.rejected_queue_full;
   result.rejected_overloaded = stats.rejected_overloaded;
-  const serve::LatencySummary e2e = serve::summarize(stats.e2e_latency_us);
+  const obs::LatencySummary e2e = obs::summarize(stats.e2e_latency_us);
   result.latency_us.mean = e2e.mean;
   result.latency_us.p50 = e2e.p50;
   result.latency_us.p95 = e2e.p95;

@@ -119,7 +119,7 @@ struct ClosedLoopResult {
   double rows_per_s = 0.0;
   double speedup = 0.0;  // vs sequential per-row baseline
   double mean_batch_rows = 0.0;
-  serve::LatencySummary e2e_us;
+  obs::LatencySummary e2e_us;
 };
 
 ClosedLoopResult run_closed_loop(bench::Environment& env,
@@ -162,7 +162,7 @@ ClosedLoopResult run_closed_loop(bench::Environment& env,
   result.rows_per_s = static_cast<double>(requests.size()) / elapsed;
   result.speedup = result.rows_per_s / baseline_rows_per_s;
   result.mean_batch_rows = stats.batch_rows.mean();
-  result.e2e_us = serve::summarize(stats.e2e_latency_us);
+  result.e2e_us = obs::summarize(stats.e2e_latency_us);
   return result;
 }
 
@@ -174,8 +174,8 @@ struct OpenLoopResult {
   std::uint64_t rejected_deadline = 0;
   std::uint64_t rejected_queue_full = 0;
   std::uint64_t rejected_overloaded = 0;
-  serve::LatencySummary queue_delay_us;
-  serve::LatencySummary e2e_us;
+  obs::LatencySummary queue_delay_us;
+  obs::LatencySummary e2e_us;
 };
 
 OpenLoopResult run_open_loop(bench::Environment& env,
@@ -241,19 +241,19 @@ OpenLoopResult run_open_loop(bench::Environment& env,
   result.rejected_deadline = stats.rejected_deadline;
   result.rejected_queue_full = stats.rejected_queue_full;
   result.rejected_overloaded = stats.rejected_overloaded;
-  result.queue_delay_us = serve::summarize(stats.queue_delay_us);
-  result.e2e_us = serve::summarize(stats.e2e_latency_us);
+  result.queue_delay_us = obs::summarize(stats.queue_delay_us);
+  result.e2e_us = obs::summarize(stats.e2e_latency_us);
   return result;
 }
 
 void print_latency(std::ostream& os, const char* name,
-                   const serve::LatencySummary& s) {
+                   const obs::LatencySummary& s) {
   os << name << " p50=" << s.p50 << "us p95=" << s.p95 << "us p99=" << s.p99
      << "us max=" << s.max << "us";
 }
 
 void json_latency(std::ostream& os, const char* key,
-                  const serve::LatencySummary& s) {
+                  const obs::LatencySummary& s) {
   os << "\"" << key << "\": {\"mean\": " << s.mean << ", \"p50\": " << s.p50
      << ", \"p95\": " << s.p95 << ", \"p99\": " << s.p99
      << ", \"max\": " << s.max << "}";

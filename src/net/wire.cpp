@@ -138,6 +138,19 @@ BodyParseResult parse_binary_rows(std::string_view body,
     return fail("binary body is " + std::to_string(body.size()) +
                 " bytes, expected " + std::to_string(12 + payload));
 
+  // The JSON decoder's contract: NaN and +/-Inf would pass straight
+  // through the feature transform into a verdict. A float is non-finite
+  // iff its exponent bits are all ones; testing the bits vectorizes,
+  // where std::isfinite's floating-point compare does not.
+  for (std::size_t r = 0; r < rows; ++r) {
+    const char* row = body.data() + 12 + r * cols * sizeof(float);
+    std::uint32_t non_finite = 0;
+    for (std::size_t c = 0; c < cols; ++c)
+      non_finite |= (read_u32(row + 4 * c) & 0x7f800000u) == 0x7f800000u;
+    if (non_finite != 0)
+      return fail("non-finite value in row " + std::to_string(r));
+  }
+
   BodyParseResult result;
   result.ok = true;
   result.rows = math::Matrix(rows, cols);

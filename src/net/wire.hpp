@@ -10,9 +10,10 @@
 //                             u32 magic  'MEVB' (0x4256454D)
 //                             u32 rows   (>0)
 //                             u32 cols   (must equal expected_cols)
-//                             f32 payload[rows*cols], row-major
+//                             f32 payload[rows*cols], row-major, finite
 //                           total size must be exactly 12 + rows*cols*4 —
-//                           trailing bytes are an error, not padding.
+//                           trailing bytes are an error, not padding; a
+//                           NaN or +/-Inf value is rejected like JSON's.
 //
 // Responses are JSON either way:
 //   200  {"model_version":N,"verdicts":[{"malware":b,"confidence":c},..]}

@@ -2,14 +2,14 @@
 // completes with one Verdict per input row or is REJECTED with an explicit
 // reason — the service never queues unboundedly and never silently drops.
 //
-// Completion is slot-based (PR 6): a queued request carries either a
-// CompletionTicket into the service's CompletionArena (future mode) or a
-// raw callback pointer (callback mode) — never a heap-allocated
-// std::promise. See serve/completion.hpp for the arena and the ScoreFuture
-// handle submit() returns.
+// Completion has one mode: a queued request carries a raw callback pointer
+// and its context. ScoreFuture is a std::future built on top of it —
+// ScoringService::submit() passes a heap std::promise as the callback
+// context.
 #pragma once
 
 #include <cstdint>
+#include <future>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -105,28 +105,22 @@ struct SubmitOptions {
   obs::TraceContext trace;
 };
 
-/// Names one slot in a CompletionArena. The generation tag detects a
-/// stale handle touching a recycled slot (each release bumps it).
-struct CompletionTicket {
-  std::uint32_t index = 0;
-  std::uint32_t generation = 0;
-};
+/// What ScoringService::submit() returns: resolves with the request's
+/// outcome (verdicts or a typed rejection — never an exception).
+using ScoreFuture = std::future<ScoreResult>;
 
 /// Callback-mode completion: invoked exactly once with the request's
 /// outcome, on whichever thread resolves it — a worker (scored), the
 /// submitting thread (synchronous rejection), or the shutdown thread.
 /// A plain function pointer + context, so callback submissions allocate
-/// nothing and the black-box loop can run zero-future.
+/// nothing per request.
 using ScoreCallback = void (*)(void* ctx, ScoreResult&& result);
 
 /// One queued unit of work. Internal to the service and the batcher, but
 /// defined here so the batcher is unit-testable without the service.
-/// Exactly one completion mode is set by the service: `has_ticket`
-/// (future mode) or `callback != nullptr` (callback mode).
+/// The service always sets `callback`; resolve() runs it exactly once.
 struct Request {
   math::Matrix counts;
-  CompletionTicket ticket;
-  bool has_ticket = false;
   ScoreCallback callback = nullptr;
   void* callback_ctx = nullptr;
   std::uint64_t enqueue_us = 0;   // clock->now_us() at submit (histograms)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <future>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -132,8 +133,6 @@ ScoringService::ScoringService(features::FeaturePipeline pipeline,
         "rows queued in ingress shard " + std::to_string(i));
   }
 
-  arena_ = std::make_shared<CompletionArena>();
-
   const BatcherConfig batcher_config{config_.max_batch_rows,
                                      config_.max_queue_delay_ms};
   worker_states_.reserve(std::max<std::size_t>(config_.workers, 1));
@@ -214,20 +213,21 @@ ScoringService::current_snapshot() const {
 
 ScoreFuture ScoringService::submit(math::Matrix counts,
                                    SubmitOptions options) {
-  const std::size_t rows = counts.rows();
-  if (rows > 0 && counts.cols() != count_cols_)
-    throw std::invalid_argument(
-        "ScoringService::submit: count rows have " +
-        std::to_string(counts.cols()) + " columns, expected " +
-        std::to_string(count_cols_));
-
-  const CompletionTicket ticket = arena_->acquire();
-  ScoreFuture future(arena_, ticket);
-  Request request;
-  request.counts = std::move(counts);
-  request.ticket = ticket;
-  request.has_ticket = true;
-  submit_request(std::move(request), rows, options);
+  // A future is a callback submission whose context is a heap promise;
+  // resolve() runs the callback exactly once, which fulfils and frees it.
+  auto promise = std::make_unique<std::promise<ScoreResult>>();
+  ScoreFuture future = promise->get_future();
+  submit_with_callback(
+      std::move(counts), options,
+      [](void* ctx, ScoreResult&& result) {
+        std::unique_ptr<std::promise<ScoreResult>> owned(
+            static_cast<std::promise<ScoreResult>*>(ctx));
+        owned->set_value(std::move(result));
+      },
+      promise.get());
+  // submit_with_callback only throws before registering the callback, so
+  // from here the callback owns the promise (it may already have run).
+  promise.release();
   return future;
 }
 
@@ -237,19 +237,13 @@ void ScoringService::submit_with_callback(math::Matrix counts,
   const std::size_t rows = counts.rows();
   if (rows > 0 && counts.cols() != count_cols_)
     throw std::invalid_argument(
-        "ScoringService::submit_with_callback: count rows have " +
-        std::to_string(counts.cols()) + " columns, expected " +
-        std::to_string(count_cols_));
+        "ScoringService: count rows have " + std::to_string(counts.cols()) +
+        " columns, expected " + std::to_string(count_cols_));
 
   Request request;
   request.counts = std::move(counts);
   request.callback = callback;
   request.callback_ctx = ctx;
-  submit_request(std::move(request), rows, options);
-}
-
-void ScoringService::submit_request(Request request, std::size_t rows,
-                                    SubmitOptions options) {
   request.trace = options.trace;
   if (rows == 0) {
     // Nothing to score: complete immediately with the current version.
@@ -401,28 +395,24 @@ void ScoringService::resolve(Request& request, ScoreResult&& result) {
             : 0;
     slo_.record(now_us, ok, latency_us);
   }
-  if (request.callback != nullptr) {
-    // Containment: a throwing caller callback must not unwind into the
-    // worker loop (it would fail the rest of the batch and, pre-PR 7,
-    // killed the thread). The request is already resolved by the call
-    // itself, so swallow, count, continue.
-    try {
-      request.callback(request.callback_ctx, std::move(result));
-    } catch (...) {
-      obs_.callback_errors.inc();
-      MEV_LOG_EVERY(*logger_, obs::LogLevel::kWarn, /*rate_per_s=*/1.0,
-                    /*burst=*/5.0, "serve.service",
-                    "submission callback threw; contained");
-    }
-  } else if (request.has_ticket) {
-    arena_->complete(request.ticket, std::move(result));
+  // Containment: a throwing caller callback must not unwind into the
+  // worker loop (it would fail the rest of the batch and, pre-PR 7,
+  // killed the thread). The request is already resolved by the call
+  // itself, so swallow, count, continue.
+  try {
+    request.callback(request.callback_ctx, std::move(result));
+  } catch (...) {
+    obs_.callback_errors.inc();
+    MEV_LOG_EVERY(*logger_, obs::LogLevel::kWarn, /*rate_per_s=*/1.0,
+                  /*burst=*/5.0, "serve.service",
+                  "submission callback threw; contained");
   }
 }
 
 void ScoringService::resolve_internal_error(Request& request) {
-  // Both completion modes get a *typed* rejection: futures resolve with
-  // kInternalError rather than rethrowing a service-side fault into the
-  // caller — the client-side taxonomy (ServiceOracle) depends on it.
+  // A *typed* rejection: callers (and futures) see kInternalError rather
+  // than a rethrown service-side fault — the client-side taxonomy
+  // (ServiceOracle) depends on it.
   ScoreResult result;
   result.rejected = RejectReason::kInternalError;
   result.stages.admitted_us = request.enqueue_us;

@@ -4,16 +4,18 @@
 //
 // Ingress is sharded and lock-free (PR 6). A submission:
 //
-//   submit(counts) ──▶ admission control (one atomic row counter) ──▶
-//       completion-arena slot (future mode) or caller callback ──▶
-//       sharded bounded MPSC ring (shard = submitter-hash, spill to a
-//       neighbor when full) ──▶ EventCount wakeup (no mutex when workers
-//       are busy) ──▶ per-worker MicroBatcher assembles a batch ──▶ one
-//       pre-warmed nn::InferenceSession per worker scores it ──▶ the
-//       slot's atomic flips / the callback runs
+//   submit_with_callback(counts, cb) ──▶ admission control (one atomic
+//       row counter) ──▶ sharded bounded MPSC ring (shard =
+//       submitter-hash, spill to a neighbor when full) ──▶ EventCount
+//       wakeup (no mutex when workers are busy) ──▶ per-worker
+//       MicroBatcher assembles a batch ──▶ one pre-warmed
+//       nn::InferenceSession per worker scores it ──▶ the callback runs
 //
-// There is no global queue mutex, no condition-variable broadcast per
-// submission, and no per-request heap allocation on the submit path.
+// The callback is the only completion mode. submit() is the same path
+// with a heap std::promise as the callback context, and score() waits on
+// that future. There is no global queue mutex and no condition-variable
+// broadcast per submission; callback submissions make no per-request
+// heap allocation on the submit path (a future costs its promise).
 // Workers own their shard; an idle worker steals from busy shards so one
 // hot submitter cannot strand work behind a parked worker.
 //
@@ -77,7 +79,6 @@
 #include "runtime/event_count.hpp"
 #include "runtime/mpsc_queue.hpp"
 #include "serve/chaos.hpp"
-#include "serve/completion.hpp"
 #include "serve/drift.hpp"
 #include "serve/micro_batcher.hpp"
 #include "serve/overload.hpp"
@@ -183,20 +184,23 @@ class ScoringService {
   bool start();
 
   /// Submits raw count rows (cols must equal the vocabulary size).
-  /// Returns a slot-backed future that resolves with verdicts in row
-  /// order, or with a rejection. Admission (queue_full / shutting_down)
-  /// is decided synchronously; those futures are already ready on return.
+  /// Returns a future that resolves with verdicts in row order, or with
+  /// a rejection. Admission (queue_full / shutting_down) is decided
+  /// synchronously; those futures are already ready on return.
   ScoreFuture submit(math::Matrix counts, SubmitOptions options = {});
 
-  /// Zero-future submission: `callback(ctx, result)` is invoked exactly
-  /// once — on a worker thread when scored, on the calling thread when
-  /// rejected synchronously, or on the shutdown thread when swept. The
-  /// callback must be fast and must not re-enter the service. No
-  /// allocation on this path.
+  /// The service's completion mode: `callback(ctx, result)` (non-null) is
+  /// invoked exactly once — on a worker thread when scored, on the
+  /// calling thread when rejected synchronously, or on the shutdown
+  /// thread when swept. The callback must be fast and must not re-enter
+  /// the service. No allocation on this path. Throws
+  /// std::invalid_argument on a wrong column count, before the request
+  /// exists.
   void submit_with_callback(math::Matrix counts, SubmitOptions options,
                             ScoreCallback callback, void* ctx);
 
-  /// Convenience synchronous call: submit + wait.
+  /// Synchronous call: submit + wait (pumping the batch itself when
+  /// workers == 0).
   ScoreResult score(math::Matrix counts, SubmitOptions options = {});
 
   /// Atomically publishes a new model snapshot. The new pipeline must
@@ -318,16 +322,12 @@ class ScoringService {
 
   std::shared_ptr<const ModelSnapshot> current_snapshot() const;
   std::shared_ptr<ModelFaultInjector> current_fault() const;
-  /// Shared tail of submit()/submit_with_callback(): admission, shard
-  /// routing, wakeup. Resolves the request inline when rejected.
-  void submit_request(Request request, std::size_t rows,
-                      SubmitOptions options);
-  /// Resolves one request with `result` through whichever completion
-  /// mode it carries (arena slot or callback). A throwing callback is
-  /// contained here — counted, never propagated into the worker loop.
+  /// Resolves one request with `result` by running its callback. A
+  /// throwing callback is contained here — counted, never propagated
+  /// into the worker loop.
   void resolve(Request& request, ScoreResult&& result);
-  /// Fails one request with kInternalError (both completion modes get a
-  /// typed rejection — futures do not rethrow service-side faults).
+  /// Fails one request with kInternalError (a typed rejection — futures
+  /// and callbacks never see a service-side exception).
   void resolve_internal_error(Request& request);
   /// Bumps the per-stage deadline expiry counters for `n` requests found
   /// expired at `stage` (all also counted under rejected_deadline).
@@ -403,7 +403,6 @@ class ScoringService {
   /// Round-robin cursor for helper wakeups: a worker that scores a batch
   /// while its own shard still has backlog pokes one sibling to steal.
   std::atomic<std::size_t> help_rr_{0};
-  std::shared_ptr<CompletionArena> arena_;
 
   mutable std::mutex snapshot_mutex_;
   std::shared_ptr<const ModelSnapshot> snapshot_;

@@ -1,8 +1,6 @@
 #include "serve/service_oracle.hpp"
 
-#include <atomic>
 #include <string>
-#include <utility>
 
 #include "runtime/oracle_error.hpp"
 
@@ -13,37 +11,9 @@ std::vector<int> ServiceOracle::label_counts(const math::Matrix& counts) {
   SubmitOptions options;
   options.deadline_ms = deadline_ms_;
 
-  // Zero-future closed loop: the verdict lands in this stack frame via
-  // the callback path — no completion slot, no allocation per query. The
-  // attacker loop is the hottest submitter in the repo (every mutation
-  // candidate is a query), so it rides the cheapest ingress there is.
-  struct SyncCtx {
-    ScoreResult result;
-    std::atomic<int> done{0};
-  } ctx;
-  service_->submit_with_callback(
-      counts, options,
-      [](void* raw, ScoreResult&& result) {
-        auto* sync = static_cast<SyncCtx*>(raw);
-        sync->result = std::move(result);
-        sync->done.store(1, std::memory_order_release);
-        sync->done.notify_one();
-      },
-      &ctx);
-
-  if (service_->config().workers == 0) {
-    // Manual-pump service: drive the batch through ourselves.
-    while (ctx.done.load(std::memory_order_acquire) == 0)
-      service_->pump(/*force=*/true);
-  } else {
-    int observed = ctx.done.load(std::memory_order_acquire);
-    while (observed == 0) {
-      ctx.done.wait(observed, std::memory_order_acquire);
-      observed = ctx.done.load(std::memory_order_acquire);
-    }
-  }
-
-  const ScoreResult& result = ctx.result;
+  // The service's one submit-and-wait: score() pumps the batch itself
+  // when the service has no workers.
+  const ScoreResult result = service_->score(counts, options);
   if (!result.ok()) {
     const std::string what =
         std::string("ServiceOracle: submission rejected: ") +

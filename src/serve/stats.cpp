@@ -38,9 +38,9 @@ std::string ServiceStats::to_string() const {
   os << "drift: psi=" << score_psi
      << " reference=" << (drift_reference_frozen ? "frozen" : "capturing")
      << "\n";
-  const auto line = [&os](const char* name, const Log2Histogram& h,
+  const auto line = [&os](const char* name, const obs::Log2Histogram& h,
                           const char* unit) {
-    const LatencySummary s = summarize(h);
+    const obs::LatencySummary s = obs::summarize(h);
     os << name << ": n=" << s.count << " mean=" << s.mean << unit
        << " p50=" << s.p50 << unit << " p95=" << s.p95 << unit
        << " p99=" << s.p99 << unit << " max=" << s.max << unit << "\n";

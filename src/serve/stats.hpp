@@ -1,7 +1,5 @@
 // Serving-side observability: the counter block every ScoringService
-// exposes. The power-of-two histogram behind the latency digests was
-// promoted to obs/histogram.hpp (PR 4) — the aliases below keep every
-// serve call site and test source-compatible.
+// exposes. Its latency digests are obs::Log2Histogram (obs/histogram.hpp).
 //
 // Percentile accuracy: p50/p95/p99 come from obs::Log2Histogram, which
 // buckets values in [2^(i-1), 2^i) and interpolates by rank inside the
@@ -17,10 +15,6 @@
 #include "obs/histogram.hpp"
 
 namespace mev::serve {
-
-using Log2Histogram = obs::Log2Histogram;
-using LatencySummary = obs::LatencySummary;
-using obs::summarize;
 
 /// Point-in-time copy of a service's counters and histograms, returned by
 /// ScoringService::stats(). Requests are counted once each; rows follow
@@ -80,9 +74,9 @@ struct ServiceStats {
   double slo_slow_burn = 0.0;
   double slo_budget_remaining = 1.0;
 
-  Log2Histogram batch_rows;        // rows per scored batch
-  Log2Histogram queue_delay_us;    // submit -> batch formation, per request
-  Log2Histogram e2e_latency_us;    // submit -> verdict ready, per request
+  obs::Log2Histogram batch_rows;      // rows per scored batch
+  obs::Log2Histogram queue_delay_us;  // submit -> batch formation, per request
+  obs::Log2Histogram e2e_latency_us;  // submit -> verdict ready, per request
 
   std::uint64_t rejected_total() const noexcept {
     return rejected_queue_full + rejected_shutting_down + rejected_deadline +

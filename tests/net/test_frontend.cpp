@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -343,6 +344,14 @@ TEST(ScoringFrontend, BadInputsMapToThe4xxSurface) {
   EXPECT_EQ(status_of(bad_cols), 400);
   EXPECT_NE(body_of(bad_cols).find("columns"), std::string::npos);
 
+  // 400: a NaN count in a binary body (the JSON decoder's contract).
+  math::Matrix nan_row = random_counts(1, 3);
+  nan_row(0, 0) = std::numeric_limits<float>::quiet_NaN();
+  client.send_raw(post_score(encode_binary_rows(nan_row), kBinaryContentType));
+  const std::string non_finite = client.read_response();
+  EXPECT_EQ(status_of(non_finite), 400);
+  EXPECT_NE(body_of(non_finite).find("non-finite"), std::string::npos);
+
   // 400: garbage deadline header.
   client.send_raw(post_score(encode_binary_rows(random_counts(1, 2)),
                              kBinaryContentType,
@@ -361,7 +370,7 @@ TEST(ScoringFrontend, BadInputsMapToThe4xxSurface) {
   client.send_raw("GET /v2/score HTTP/1.1\r\n\r\n");
   EXPECT_EQ(status_of(client.read_response()), 404);
 
-  EXPECT_EQ(frontend.stats().bad_requests, 4u);
+  EXPECT_EQ(frontend.stats().bad_requests, 5u);
   EXPECT_EQ(frontend.stats().scored_requests, 0u);
 }
 

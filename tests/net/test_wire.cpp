@@ -5,6 +5,7 @@
 #include "net/wire.hpp"
 
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -120,6 +121,17 @@ TEST(WireBinary, RejectsBadFrames) {
 
   EXPECT_FALSE(parse_binary_rows(good, 4, /*max_rows=*/1).ok);
   EXPECT_TRUE(parse_binary_rows(good, 4, /*max_rows=*/2).ok);
+
+  // Non-finite payload values: rejected with the JSON decoder's wording.
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    math::Matrix rows = ramp(2, 4);
+    rows(1, 2) = bad;
+    const auto result = parse_binary_rows(encode_binary_rows(rows), 4);
+    EXPECT_FALSE(result.ok) << bad;
+    EXPECT_EQ(result.error, "non-finite value in row 1") << bad;
+  }
 }
 
 TEST(WireBinary, DeclaredRowCountCannotOverrunTheBody) {

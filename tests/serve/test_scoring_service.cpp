@@ -330,6 +330,28 @@ TEST(ScoringService, DestructorDrainsInFlightWork) {
   EXPECT_TRUE(future.get().ok());
 }
 
+TEST(ScoringService, DroppedFuturesNeitherLeakNorStall) {
+  // A future dropped unread, while pending or after its request resolved:
+  // the completion callback still fulfils and frees the promise (the ASan
+  // job runs with detect_leaks=1), and the service keeps serving.
+  Fixture f;
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  auto service = f.make_service(cfg);
+  constexpr std::uint64_t kDropped = 32;
+  for (std::uint64_t i = 0; i < kDropped; ++i) {
+    ScoreFuture future = service.submit(random_counts(3, 100 + i));
+    if (i % 2 == 1) future.wait();  // resolved before the drop
+  }
+  EXPECT_TRUE(service.score(random_counts(2, 200)).ok());
+
+  service.shutdown(/*drain=*/true);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.accepted_requests, kDropped + 1);
+  EXPECT_EQ(stats.completed_requests, stats.accepted_requests);
+  EXPECT_EQ(stats.callback_errors, 0u);
+}
+
 TEST(ScoringService, EmptySubmissionCompletesImmediately) {
   Fixture f;
   runtime::FakeClock clock;
@@ -556,7 +578,7 @@ TEST(ScoringService, StatsHistogramsTrackBatchesAndLatency) {
   // The partial batch waited 10ms (FakeClock-derived microseconds).
   EXPECT_EQ(stats.queue_delay_us.max(), 10000u);
   EXPECT_EQ(stats.e2e_latency_us.count(), 2u);
-  const LatencySummary s = summarize(stats.e2e_latency_us);
+  const obs::LatencySummary s = obs::summarize(stats.e2e_latency_us);
   EXPECT_LE(s.p50, s.p99);
 }
 

@@ -6,7 +6,7 @@ namespace mev::serve {
 namespace {
 
 TEST(Log2Histogram, EmptyIsAllZero) {
-  Log2Histogram h;
+  obs::Log2Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.min(), 0u);
   EXPECT_EQ(h.max(), 0u);
@@ -15,7 +15,7 @@ TEST(Log2Histogram, EmptyIsAllZero) {
 }
 
 TEST(Log2Histogram, TracksCountMinMaxMeanExactly) {
-  Log2Histogram h;
+  obs::Log2Histogram h;
   h.record(10);
   h.record(20);
   h.record(30);
@@ -26,7 +26,7 @@ TEST(Log2Histogram, TracksCountMinMaxMeanExactly) {
 }
 
 TEST(Log2Histogram, ConstantValuePercentilesAreExact) {
-  Log2Histogram h;
+  obs::Log2Histogram h;
   for (int i = 0; i < 100; ++i) h.record(7);
   // Interpolation is clamped to the observed [min, max], so a constant
   // stream reports the constant at every percentile.
@@ -36,7 +36,7 @@ TEST(Log2Histogram, ConstantValuePercentilesAreExact) {
 }
 
 TEST(Log2Histogram, PercentilesAreMonotoneAndBounded) {
-  Log2Histogram h;
+  obs::Log2Histogram h;
   for (std::uint64_t v = 1; v <= 1000; ++v) h.record(v);
   double prev = 0.0;
   for (double p : {1.0, 25.0, 50.0, 75.0, 95.0, 99.0, 100.0}) {
@@ -52,7 +52,7 @@ TEST(Log2Histogram, PercentilesAreMonotoneAndBounded) {
 }
 
 TEST(Log2Histogram, HandlesZeroAndHugeValues) {
-  Log2Histogram h;
+  obs::Log2Histogram h;
   h.record(0);
   h.record(~std::uint64_t{0});  // lands in (clamped) top bucket
   EXPECT_EQ(h.count(), 2u);
@@ -61,7 +61,7 @@ TEST(Log2Histogram, HandlesZeroAndHugeValues) {
 }
 
 TEST(Log2Histogram, MergeCombines) {
-  Log2Histogram a, b;
+  obs::Log2Histogram a, b;
   a.record(4);
   a.record(8);
   b.record(1);
@@ -72,14 +72,14 @@ TEST(Log2Histogram, MergeCombines) {
   EXPECT_EQ(a.max(), 1024u);
   EXPECT_DOUBLE_EQ(a.mean(), (4.0 + 8.0 + 1.0 + 1024.0) / 4.0);
   // Merging into empty copies.
-  Log2Histogram c;
+  obs::Log2Histogram c;
   c.merge(a);
   EXPECT_EQ(c.count(), 4u);
   EXPECT_EQ(c.min(), 1u);
 }
 
 TEST(Log2Histogram, ResetClears) {
-  Log2Histogram h;
+  obs::Log2Histogram h;
   h.record(5);
   h.reset();
   EXPECT_EQ(h.count(), 0u);
@@ -87,9 +87,9 @@ TEST(Log2Histogram, ResetClears) {
 }
 
 TEST(ServiceStatsSummary, SummarizeReportsDigest) {
-  Log2Histogram h;
+  obs::Log2Histogram h;
   for (int i = 0; i < 10; ++i) h.record(100);
-  const LatencySummary s = summarize(h);
+  const obs::LatencySummary s = obs::summarize(h);
   EXPECT_EQ(s.count, 10u);
   EXPECT_DOUBLE_EQ(s.mean, 100.0);
   EXPECT_DOUBLE_EQ(s.p50, 100.0);
