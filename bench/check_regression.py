@@ -50,11 +50,13 @@ import sys
 
 # Micro benchmarks gating the check (prefix match on "name/arg" keys):
 # session-based inference and input gradients (forward plus the packed-W^T
-# backward) are the hot path of every attack loop, and the span/counter
-# costs are the observability overhead contract. Everything else in
-# BENCH_micro.json is informational.
+# backward) are the hot path of every attack loop, the training step is the
+# black-box substitute's loop and the only pinned bench of A^T*B, and the
+# span/counter costs are the observability overhead contract. Everything
+# else in BENCH_micro.json is informational.
 PINNED_MICRO_PREFIXES = (
     "BM_SessionForward",
+    "BM_SessionBackward",
     "BM_SessionInputGradient",
     "BM_ObsSpanEnabled",
     "BM_ObsCounterInc",

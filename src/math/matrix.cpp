@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "math/gemm.hpp"
+
 namespace mev::math {
 
 namespace {
@@ -199,70 +201,33 @@ Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  matmul_a_bt_into(a, b, c);
-  return c;
-}
-
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
   require(a.cols() == b.rows(), "matmul: inner dimension mismatch");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  c.resize(m, n);
-  c.fill(0.0f);
-  // i-k-j loop order: the inner loop streams both B and C rows, which is
-  // cache-friendly for row-major storage; OpenMP parallelizes over rows.
-#pragma omp parallel for schedule(static) if (m * n * k > 1u << 16)
-  for (std::size_t i = 0; i < m; ++i) {
-    float* ci = c.data() + i * n;
-    const float* ai = a.data() + i * k;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aik = ai[kk];
-      if (aik == 0.0f) continue;  // feature vectors are sparse
-      const float* bk = b.data() + kk * n;
-      for (std::size_t j = 0; j < n; ++j) ci[j] += aik * bk[j];
-    }
-  }
+  require(&c != &a && &c != &b, "matmul_into: output aliases an input");
+  c.resize(a.rows(), b.cols());
+  gemm::run(gemm::selected(),
+            {.a = a.data(), .a_row_stride = a.cols(), .a_k_stride = 1,
+             .b = b.data(), .c = c.data(),
+             .m = a.rows(), .n = b.cols(), .k = a.cols(),
+             .accumulate = false});
 }
 
 void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c,
                       bool accumulate) {
   require(a.rows() == b.rows(), "matmul_at_b: row mismatch");
+  require(&c != &a && &c != &b, "matmul_at_b_into: output aliases an input");
   const std::size_t m = a.cols(), k = a.rows(), n = b.cols();
   if (accumulate) {
     require(c.rows() == m && c.cols() == n,
             "matmul_at_b_into: accumulate shape mismatch");
   } else {
     c.resize(m, n);
-    c.fill(0.0f);
   }
-#pragma omp parallel for schedule(static) if (m * n * k > 1u << 16)
-  for (std::size_t i = 0; i < m; ++i) {
-    float* ci = c.data() + i * n;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aki = a(kk, i);
-      if (aki == 0.0f) continue;
-      const float* bk = b.data() + kk * n;
-      for (std::size_t j = 0; j < n; ++j) ci[j] += aki * bk[j];
-    }
-  }
-}
-
-void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c) {
-  require(a.cols() == b.cols(), "matmul_a_bt: col mismatch");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  c.resize(m, n);
-#pragma omp parallel for schedule(static) if (m * n * k > 1u << 16)
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* ai = a.data() + i * k;
-    float* ci = c.data() + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* bj = b.data() + j * k;
-      float s = 0.0f;
-      for (std::size_t kk = 0; kk < k; ++kk) s += ai[kk] * bj[kk];
-      ci[j] = s;
-    }
-  }
+  // Aᵀ is read in place: row i of Aᵀ is column i of A.
+  gemm::run(gemm::selected(),
+            {.a = a.data(), .a_row_stride = 1, .a_k_stride = a.cols(),
+             .b = b.data(), .c = c.data(),
+             .m = m, .n = n, .k = k, .accumulate = accumulate});
 }
 
 void transpose_into(const Matrix& a, Matrix& t) {

@@ -143,18 +143,20 @@ Matrix operator-(Matrix lhs, const Matrix& rhs);
 Matrix operator*(Matrix lhs, float scalar);
 Matrix operator*(float scalar, Matrix rhs);
 
-/// C = A * B. Blocked, OpenMP-parallel when available.
+/// C = A * B. A register-tiled kernel (a block of C held in vector
+/// registers across all of k), compiled for AVX-512, AVX2 and baseline
+/// x86-64, the widest the CPU supports picked at first use; OpenMP over
+/// row blocks for large products. Every variant returns the bits of the
+/// scalar loop c += a*b over k in order from +0, skipping a == 0 terms
+/// (see math/gemm.hpp).
 Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// C = A^T * B without materializing A^T.
+/// C = A^T * B without materializing A^T (the kernel reads A^T in place).
 Matrix matmul_at_b(const Matrix& a, const Matrix& b);
-
-/// C = A * B^T without materializing B^T.
-Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
 
 // Destination-passing variants: `c` is resized (capacity-preserving) and
 // overwritten, so a warm workspace makes them allocation-free. `c` must
-// not alias `a` or `b`.
+// not alias `a` or `b` (std::invalid_argument).
 
 /// C = A * B.
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c);
@@ -164,11 +166,6 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& c);
 /// kernel for dense-layer weight gradients.
 void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c,
                       bool accumulate = false);
-
-/// C = A * B^T. Sums each element in k order from +0 like matmul_into,
-/// so for finite B it equals matmul_into(a, Bᵀ, c) byte for byte; it is
-/// the reference for that identity and PCA's kernel.
-void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// T = Aᵀ, written tile by tile (a.cols() x a.rows()).
 void transpose_into(const Matrix& a, Matrix& t);

@@ -186,7 +186,7 @@ Matrix Pca::inverse_transform(const Matrix& z) const {
   if (!fitted()) throw std::logic_error("Pca::inverse_transform before fit");
   if (z.cols() != components_.cols())
     throw std::invalid_argument("Pca::inverse_transform: dimension mismatch");
-  Matrix x = matmul_a_bt(z, components_);
+  Matrix x = matmul(z, components_.transposed());
   for (std::size_t r = 0; r < x.rows(); ++r) {
     auto row = x.row(r);
     for (std::size_t c = 0; c < x.cols(); ++c) row[c] += mean_[c];

@@ -226,12 +226,25 @@ TEST(Matrix, MatmulAtBMatchesExplicitTranspose) {
     EXPECT_NEAR(got.data()[i], expected.data()[i], 1e-4);
 }
 
+// C = A·Bᵀ as one scalar dot product per element, summed in k order from
+// +0: the reference matmul_into against a packed Bᵀ must reproduce.
+Matrix dot_product_a_bt(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < b.rows(); ++j) {
+      float s = 0.0f;
+      for (std::size_t k = 0; k < a.cols(); ++k) s += a(i, k) * b(j, k);
+      c(i, j) = s;
+    }
+  return c;
+}
+
 TEST(Matrix, MatmulABtMatchesExplicitTranspose) {
-  // matmul_into against a packed B^T must reproduce matmul_a_bt_into byte
-  // for byte: both sum k = 0..K-1 in order from +0, and the zero skip in
-  // matmul_into only drops +-0 products, which never change such a sum.
-  // Shapes: the 491-128-64-2 detector's weights (B) at batch 1/13/96, plus
-  // one that does not fit the transpose tile evenly.
+  // matmul_into against a packed B^T must reproduce the dot-product
+  // reference byte for byte: both sum k = 0..K-1 in order from +0, and the
+  // zero skip in matmul_into only drops +-0 products, which never change
+  // such a sum. Shapes: the 491-128-64-2 detector's weights (B) at batch
+  // 1/13/96, plus one that does not fit the transpose tile evenly.
   struct Shape {
     std::size_t m, n, k;  // A is m x k, B is n x k
   };
@@ -251,8 +264,8 @@ TEST(Matrix, MatmulABtMatchesExplicitTranspose) {
       }
       for (std::size_t i = 0; i < b.size(); ++i)
         b.data()[i] = static_cast<float>(rng.normal());
-      Matrix want, bt, got;
-      matmul_a_bt_into(a, b, want);
+      const Matrix want = dot_product_a_bt(a, b);
+      Matrix bt, got;
       transpose_into(b, bt);
       matmul_into(a, bt, got);
       ASSERT_TRUE(got.same_shape(want));
@@ -263,6 +276,19 @@ TEST(Matrix, MatmulABtMatchesExplicitTranspose) {
           << ")^T, sparse=" << sparse;
     }
   }
+}
+
+TEST(Matrix, MatmulRejectsAnOutputAliasingAnInput) {
+  // Resizing C before reading would otherwise zero the input silently.
+  Matrix sq{{1, 2}, {3, 4}};
+  const Matrix other{{1, 0}, {0, 1}};
+  EXPECT_THROW(matmul_into(sq, other, sq), std::invalid_argument);
+  EXPECT_THROW(matmul_into(other, sq, sq), std::invalid_argument);
+  EXPECT_THROW(matmul_at_b_into(sq, other, sq), std::invalid_argument);
+  EXPECT_THROW(matmul_at_b_into(other, sq, sq), std::invalid_argument);
+  EXPECT_THROW(matmul_at_b_into(sq, other, sq, /*accumulate=*/true),
+               std::invalid_argument);
+  EXPECT_EQ(sq, (Matrix{{1, 2}, {3, 4}}));
 }
 
 TEST(Matrix, Matvec) {
