@@ -155,7 +155,6 @@ serve::ServiceConfig service_config() {
   serve::ServiceConfig cfg;
   cfg.workers = 4;
   cfg.max_batch_rows = 64;
-  cfg.max_queue_delay_ms = 2;
   cfg.max_queue_rows = 8192;
   return cfg;
 }

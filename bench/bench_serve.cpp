@@ -7,9 +7,9 @@
 //      scan_counts() call per request (the pre-service deployment model).
 //      A batched variant (64-row scan_counts calls) isolates how much of
 //      the service's win comes from micro-batch amortization alone.
-//   2. Closed-loop sweep — worker count x batch window, 2 clients per
-//      worker each keeping one request in flight; reports rows/s, speedup
-//      vs the sequential baseline, mean batch size and latency digests.
+//   2. Closed-loop sweep — worker count, 2 clients per worker each
+//      keeping one request in flight; reports rows/s, speedup vs the
+//      sequential baseline, mean batch size and latency digests.
 //   3. Open-loop — seeded Poisson arrivals at multiples of the sequential
 //      baseline rate with a per-request deadline, showing sustained
 //      throughput, queue-delay percentiles and deadline/queue-full
@@ -115,7 +115,6 @@ SequentialResult run_sequential(bench::Environment& env,
 
 struct ClosedLoopResult {
   std::size_t workers = 0;
-  std::uint64_t window_ms = 0;
   double rows_per_s = 0.0;
   double speedup = 0.0;  // vs sequential per-row baseline
   double mean_batch_rows = 0.0;
@@ -124,12 +123,11 @@ struct ClosedLoopResult {
 
 ClosedLoopResult run_closed_loop(bench::Environment& env,
                                  const std::vector<math::Matrix>& requests,
-                                 std::size_t workers, std::uint64_t window_ms,
+                                 std::size_t workers,
                                  double baseline_rows_per_s) {
   serve::ServiceConfig cfg;
   cfg.workers = workers;
   cfg.max_batch_rows = 64;
-  cfg.max_queue_delay_ms = window_ms;
   cfg.max_queue_rows = 8192;
   serve::ScoringService service(env.detector().pipeline(),
                                 env.detector().network_ptr(), cfg);
@@ -158,7 +156,6 @@ ClosedLoopResult run_closed_loop(bench::Environment& env,
   const serve::ServiceStats stats = service.stats();
   ClosedLoopResult result;
   result.workers = workers;
-  result.window_ms = window_ms;
   result.rows_per_s = static_cast<double>(requests.size()) / elapsed;
   result.speedup = result.rows_per_s / baseline_rows_per_s;
   result.mean_batch_rows = stats.batch_rows.mean();
@@ -186,7 +183,6 @@ OpenLoopResult run_open_loop(bench::Environment& env,
   serve::ServiceConfig cfg;
   cfg.workers = workers;
   cfg.max_batch_rows = 64;
-  cfg.max_queue_delay_ms = 2;
   cfg.max_queue_rows = 1024;  // tight enough to exercise queue-full at 2x
   if (shed) {
     // The overload phase: the CoDel controller turns sustained queue
@@ -282,7 +278,7 @@ int main(int argc, char** argv) {
             << " rows/s (amortization ceiling "
             << seq.batched_rows_per_s / seq.per_row_rows_per_s << "x)\n\n";
 
-  std::cerr << "# closed-loop sweep (workers x window)...\n";
+  std::cerr << "# closed-loop sweep (workers)...\n";
   std::vector<ClosedLoopResult> closed;
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}, std::size_t{8}}) {
@@ -292,17 +288,14 @@ int main(int argc, char** argv) {
                 << "speedup vs sequential measures the scheduler, not the "
                 << "service; check_regression.py skips this point's "
                 << "throughput gate\n";
-    for (const std::uint64_t window_ms : {std::uint64_t{0}, std::uint64_t{2}}) {
-      closed.push_back(run_closed_loop(env, requests, workers, window_ms,
-                                       seq.per_row_rows_per_s));
-      const ClosedLoopResult& r = closed.back();
-      std::cout << "closed-loop workers=" << r.workers
-                << " window=" << r.window_ms << "ms: " << r.rows_per_s
-                << " rows/s (" << r.speedup << "x sequential), mean batch "
-                << r.mean_batch_rows << " rows, ";
-      print_latency(std::cout, "e2e", r.e2e_us);
-      std::cout << "\n";
-    }
+    closed.push_back(
+        run_closed_loop(env, requests, workers, seq.per_row_rows_per_s));
+    const ClosedLoopResult& r = closed.back();
+    std::cout << "closed-loop workers=" << r.workers << ": " << r.rows_per_s
+              << " rows/s (" << r.speedup << "x sequential), mean batch "
+              << r.mean_batch_rows << " rows, ";
+    print_latency(std::cout, "e2e", r.e2e_us);
+    std::cout << "\n";
   }
   std::cout << "\n";
 
@@ -373,8 +366,8 @@ int main(int argc, char** argv) {
       << "  \"closed_loop\": [\n";
   for (std::size_t i = 0; i < closed.size(); ++i) {
     const ClosedLoopResult& r = closed[i];
-    out << "    {\"workers\": " << r.workers << ", \"window_ms\": "
-        << r.window_ms << ", \"rows_per_s\": " << r.rows_per_s
+    out << "    {\"workers\": " << r.workers
+        << ", \"rows_per_s\": " << r.rows_per_s
         << ", \"speedup_vs_sequential\": " << r.speedup
         << ", \"mean_batch_rows\": " << r.mean_batch_rows << ", ";
     json_latency(out, "e2e_latency_us", r.e2e_us);

@@ -157,10 +157,7 @@ def check_micro(baseline, fresh, tolerance):
 def serve_points(report):
     """Yield (key, e2e p95) for every sweep point in a serve report."""
     for point in report.get("closed_loop", []):
-        key = (
-            f"closed_loop[workers={point.get('workers')},"
-            f"window_ms={point.get('window_ms')}].e2e_latency_us.p95"
-        )
+        key = f"closed_loop[workers={point.get('workers')}].e2e_latency_us.p95"
         yield key, point.get("e2e_latency_us", {}).get("p95")
     for point in report.get("open_loop", []):
         key = (
@@ -180,8 +177,8 @@ def serve_throughput_points(report):
     """
     for point in report.get("closed_loop", []):
         key = (
-            f"closed_loop[workers={point.get('workers')},"
-            f"window_ms={point.get('window_ms')}].speedup_vs_sequential"
+            f"closed_loop[workers={point.get('workers')}]"
+            ".speedup_vs_sequential"
         )
         yield key, point.get("speedup_vs_sequential"), point.get("workers") or 0
 

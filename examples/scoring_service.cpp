@@ -110,11 +110,10 @@ int main(int argc, char** argv) {
                                       config.target_training(), vocab);
 
   std::cout << "[2/4] starting the scoring service (4 workers, "
-               "max_batch=64, window=2ms)...\n";
+               "max_batch=64)...\n";
   serve::ServiceConfig service_cfg;
   service_cfg.workers = 4;
   service_cfg.max_batch_rows = 64;
-  service_cfg.max_queue_delay_ms = 2;
   if (admin_enabled) {
     service_cfg.admin.enabled = true;
     service_cfg.admin.port = static_cast<std::uint16_t>(admin_port);

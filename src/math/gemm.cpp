@@ -287,11 +287,12 @@ Variant selected() noexcept {
 
 void run(Variant v, const Operands& op) {
   const RowsFn rows = rows_fn(v);
-  if (op.m * op.n * op.k <= (1u << 16)) {
+  // One row block has nothing to split: skip the parallel region.
+  const std::size_t blocks = (op.m + kBlockRows - 1) / kBlockRows;
+  if (blocks <= 1 || op.m * op.n * op.k <= (1u << 16)) {
     rows(op, 0, op.m);
     return;
   }
-  const std::size_t blocks = (op.m + kBlockRows - 1) / kBlockRows;
 #pragma omp parallel for schedule(static)
   for (std::size_t blk = 0; blk < blocks; ++blk) {
     const std::size_t begin = blk * kBlockRows;

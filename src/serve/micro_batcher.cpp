@@ -1,6 +1,5 @@
 #include "serve/micro_batcher.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -31,13 +30,8 @@ void MicroBatcher::take_expired(std::uint64_t now_ms,
   }
 }
 
-std::optional<Batch> MicroBatcher::poll(std::uint64_t now_ms, bool force) {
+std::optional<Batch> MicroBatcher::poll() {
   if (pending_.empty()) return std::nullopt;
-  const std::uint64_t waited = now_ms - pending_.front().enqueue_ms;
-  const bool full = pending_rows_ >= config_.max_batch_rows;
-  if (!force && !full && waited < config_.max_queue_delay_ms)
-    return std::nullopt;
-
   Batch batch;
   while (!pending_.empty()) {
     const std::size_t next_rows = pending_.front().counts.rows();
@@ -53,19 +47,6 @@ std::optional<Batch> MicroBatcher::poll(std::uint64_t now_ms, bool force) {
     if (batch.rows >= config_.max_batch_rows) break;
   }
   return batch;
-}
-
-std::optional<std::uint64_t> MicroBatcher::ms_until_flush(
-    std::uint64_t now_ms) const {
-  if (pending_.empty()) return std::nullopt;
-  if (pending_rows_ >= config_.max_batch_rows) return 0;
-  std::uint64_t due =
-      pending_.front().enqueue_ms + config_.max_queue_delay_ms;
-  // A deadline can fall before the flush point; waking for it keeps
-  // deadline rejections timely instead of batched with the next flush.
-  for (const auto& request : pending_)
-    if (request.deadline_ms != 0) due = std::min(due, request.deadline_ms);
-  return due <= now_ms ? 0 : due - now_ms;
 }
 
 }  // namespace mev::serve

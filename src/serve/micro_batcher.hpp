@@ -1,9 +1,9 @@
-// Dynamic micro-batching policy: coalesce queued requests into batches of
-// up to `max_batch_rows` rows, but never hold a request longer than
-// `max_queue_delay_ms` waiting for co-riders. All timing flows through
-// caller-supplied clock readings, so the policy is a plain single-threaded
-// state machine — unit-testable with runtime::FakeClock and shared by the
-// real worker pool and the manual pump() mode.
+// Micro-batching policy: coalesce queued requests into batches of up to
+// `max_batch_rows` rows. Batch formation is work-conserving — the worker
+// flushes whatever it holds as soon as its rings run dry, and requests
+// that arrive while it scores form the next batch, so batches grow with
+// load instead of with a timer. A plain single-threaded state machine,
+// shared by the real worker pool and the manual pump() mode.
 #pragma once
 
 #include <cstddef>
@@ -17,13 +17,9 @@
 namespace mev::serve {
 
 struct BatcherConfig {
-  /// Flush as soon as pending rows reach this many. A single request
-  /// larger than the cap forms its own (oversized) batch — requests are
-  /// never split across batches.
+  /// Largest batch, in rows. A single request larger than the cap forms
+  /// its own (oversized) batch — requests are never split across batches.
   std::size_t max_batch_rows = 64;
-  /// Flush a partial batch once the oldest pending request has waited
-  /// this long (0 = flush immediately, i.e. no coalescing delay).
-  std::uint64_t max_queue_delay_ms = 2;
 };
 
 /// A formed batch: whole requests, FIFO order.
@@ -47,17 +43,10 @@ class MicroBatcher {
   /// (FIFO order). The service fails these with RejectReason::kDeadline.
   void take_expired(std::uint64_t now_ms, std::vector<Request>& expired);
 
-  /// Forms the next batch if the flush condition holds: pending rows
-  /// >= max_batch_rows, the oldest request has waited >= max_queue_delay,
-  /// or `force` (drain/shutdown). Returns std::nullopt otherwise.
-  /// take_expired() should run first so expired requests are not scored.
-  std::optional<Batch> poll(std::uint64_t now_ms, bool force = false);
-
-  /// Milliseconds until the next action is due — the oldest pending
-  /// request hitting max_queue_delay or the earliest per-request deadline
-  /// (0 when already due); std::nullopt when nothing is pending. Drives
-  /// the worker's timed wait.
-  std::optional<std::uint64_t> ms_until_flush(std::uint64_t now_ms) const;
+  /// Forms the next batch from the oldest pending requests, up to
+  /// max_batch_rows; std::nullopt when nothing is pending. take_expired()
+  /// should run first so expired requests are not scored.
+  std::optional<Batch> poll();
 
   const BatcherConfig& config() const noexcept { return config_; }
 

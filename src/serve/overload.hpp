@@ -7,10 +7,10 @@
 // keeps even the luckiest request above the target, so gating on the
 // interval minimum ignores bursts and fires only on sustained overload.
 //
-// On a bad interval the controller enters brownout: the service shrinks
-// its batching window (flush partial batches immediately — co-rider
-// coalescing is a luxury overload cannot afford) and rejects a
-// deterministic fraction of admissions with RejectReason::kOverloaded.
+// On a bad interval the controller enters brownout: the service rejects
+// a deterministic fraction of admissions with RejectReason::kOverloaded.
+// (Batch formation needs no brownout posture: it is work-conserving, so a
+// worker never waits for co-riders in the first place.)
 // The fraction follows AIMD: additive increase while intervals stay bad
 // (ramping with the square root of the consecutive-bad count so a deep
 // overload sheds aggressively), halved on every good interval. Recovery
@@ -94,11 +94,6 @@ class OverloadController {
   double shed_fraction() const noexcept {
     return static_cast<double>(shed_ppm_.load(std::memory_order_relaxed)) /
            1e6;
-  }
-  /// True while the service should run in brownout posture (shrunk batch
-  /// window): any state other than healthy.
-  bool brownout() const noexcept {
-    return state() != OverloadState::kHealthy;
   }
   bool enabled() const noexcept { return config_.enabled; }
   const OverloadConfig& config() const noexcept { return config_; }

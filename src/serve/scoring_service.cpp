@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <future>
 #include <stdexcept>
 #include <string>
@@ -14,13 +13,16 @@ namespace mev::serve {
 
 namespace {
 
-/// The submitting thread's home shard: a cheap per-thread hash so a hot
-/// submitter keeps hitting the same ring (cache-warm, contention-free
-/// against other submitters) without any registration step.
+/// The submitting thread's home shard. Each thread draws an index once
+/// from a process-wide counter, so a hot submitter keeps hitting the same
+/// ring (cache-warm, contention-free against other submitters) and
+/// distinct submitters take the rings round-robin — unlike a thread-id
+/// hash, which lets two submitters share a ring while another sits idle.
 std::size_t submitter_shard(std::size_t shard_count) noexcept {
-  static thread_local const std::size_t hash =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return hash % shard_count;
+  static std::atomic<std::size_t> next_submitter{0};
+  static thread_local const std::size_t index =
+      next_submitter.fetch_add(1, std::memory_order_relaxed);
+  return index % shard_count;
 }
 
 }  // namespace
@@ -133,8 +135,7 @@ ScoringService::ScoringService(features::FeaturePipeline pipeline,
         "rows queued in ingress shard " + std::to_string(i));
   }
 
-  const BatcherConfig batcher_config{config_.max_batch_rows,
-                                     config_.max_queue_delay_ms};
+  const BatcherConfig batcher_config{config_.max_batch_rows};
   worker_states_.reserve(std::max<std::size_t>(config_.workers, 1));
   for (std::size_t i = 0; i < std::max<std::size_t>(config_.workers, 1); ++i)
     worker_states_.push_back(std::make_unique<WorkerState>(batcher_config));
@@ -360,10 +361,10 @@ void ScoringService::submit_with_callback(math::Matrix counts,
   obs_.queued_rows.set(static_cast<double>(prev + rows));
   obs_.accepted_requests.inc();
   obs_.accepted_rows.inc(rows);
-  // Wake the shard's *owner*, not an arbitrary worker: a submitter's
-  // stream then coalesces in one batcher instead of fragmenting across
-  // whichever workers happened to wake first (each fragment would wait
-  // its own flush window — a ~2x tail-latency penalty at low load).
+  // Wake the shard's *owner*, not an arbitrary worker: requests that
+  // arrive together then coalesce in one batcher instead of fragmenting
+  // across whichever workers happened to wake first into more, smaller
+  // batches.
   // Exception: an owner the watchdog has flagged stalled cannot answer a
   // wakeup — reroute to the next healthy sibling so the request is stolen
   // instead of waiting out the stall.
@@ -474,7 +475,7 @@ ScoreResult ScoringService::score(math::Matrix counts,
     // Manual-pump mode: drive the batch through ourselves.
     while (future.wait_for(std::chrono::seconds(0)) !=
            std::future_status::ready)
-      pump(/*force=*/true);
+      pump();
   }
   return future.get();
 }
@@ -642,8 +643,7 @@ bool ScoringService::all_shards_empty() const {
   return true;
 }
 
-std::size_t ScoringService::assemble_and_score(WorkerState& worker,
-                                               bool force) {
+std::size_t ScoringService::assemble_and_score(WorkerState& worker) {
   const std::uint64_t now = clock_->now_ms();
   overload_.tick(now);
   if (overload_.enabled()) {
@@ -658,11 +658,7 @@ std::size_t ScoringService::assemble_and_score(WorkerState& worker,
     count_deadline_stage(DeadlineStage::kQueue, expired.size());
     reject_all(std::move(expired), RejectReason::kDeadline, expired_rows);
   }
-  // Brownout posture: stop waiting for co-riders — flushing partial
-  // batches immediately trades batching efficiency for queue delay, which
-  // is exactly the trade overload wants.
-  std::optional<Batch> batch =
-      worker.batcher.poll(now, force || overload_.brownout());
+  std::optional<Batch> batch = worker.batcher.poll();
   if (!batch.has_value()) return 0;
   const std::size_t rows = batch->rows;
   queued_rows_.fetch_sub(rows, std::memory_order_acq_rel);
@@ -687,8 +683,7 @@ void ScoringService::worker_loop(std::size_t worker_index) {
     std::size_t scored = 0;
     try {
       moved = gather(worker_index, worker, /*steal=*/true);
-      scored =
-          assemble_and_score(worker, /*force=*/state == State::kDraining);
+      scored = assemble_and_score(worker);
     } catch (const std::exception& error) {
       // Last-resort containment (score_batch already fails its own batch
       // kInternalError): nothing may kill a worker thread. Requests the
@@ -710,10 +705,9 @@ void ScoringService::worker_loop(std::size_t worker_index) {
       // shards refilled with at least a full batch while it was scoring,
       // it is saturated — recruit one sibling to steal. Without this,
       // idle workers parked on their own signals would never learn about
-      // a hot shard's backlog. The full-batch threshold matters: a
-      // recruit that steals less flushes on its *own* delay window,
-      // re-fragmenting the stream the affinity wakeup exists to keep
-      // together.
+      // a hot shard's backlog. The full-batch threshold matters: below
+      // it the owner keeps up on its own, and a recruit would only split
+      // the backlog into smaller batches.
       const std::size_t workers = worker_states_.size();
       std::uint64_t backlog_rows = 0;
       for (std::size_t s = worker_index; s < shards_.size(); s += workers)
@@ -728,15 +722,17 @@ void ScoringService::worker_loop(std::size_t worker_index) {
     if (moved > 0 || scored > 0) continue;
     if (state == State::kDraining) {
       if (worker.batcher.empty() && all_shards_empty()) return;
-      continue;  // force-flush whatever is left, then re-check
+      continue;  // score whatever is left, then re-check
     }
 
     // Idle: park on this worker's eventcount. The epoch key closes the
     // race with a submission's notify_one() landing between the re-check
     // and the wait. The re-check spans *all* shards (not just owned ones)
-    // so a helper wakeup that raced with the gather above is not lost.
+    // so a helper wakeup that raced with the gather above is not lost. It
+    // also covers the batcher: the wait has no timeout, and a contained
+    // throw can leave requests there.
     const runtime::EventCount::Key key = worker.signal.prepare_wait();
-    if (!all_shards_empty() ||
+    if (!worker.batcher.empty() || !all_shards_empty() ||
         state_.load(std::memory_order_seq_cst) != State::kRunning) {
       worker.signal.cancel_wait();
       continue;
@@ -744,11 +740,7 @@ void ScoringService::worker_loop(std::size_t worker_index) {
     // Parked = healthy: the idle flag tells the watchdog a quiet worker
     // is waiting for work, not wedged in it.
     watchdog.set_idle(worker_index, true);
-    const auto wait_ms = worker.batcher.ms_until_flush(clock_->now_ms());
-    if (wait_ms.has_value())
-      worker.signal.wait_for_ms(key, std::max<std::uint64_t>(*wait_ms, 1));
-    else
-      worker.signal.wait(key);
+    worker.signal.wait(key);
     watchdog.set_idle(worker_index, false);
   }
 }
@@ -953,12 +945,12 @@ void ScoringService::final_sweep(bool drain) {
     // rings need an outer loop: drain_shard takes at most one batch's
     // worth per pass.
     for (auto& state : worker_states_)
-      while (assemble_and_score(*state, /*force=*/true) > 0) {
+      while (assemble_and_score(*state) > 0) {
       }
     for (;;) {
       std::size_t moved = 0;
       for (auto& shard : shards_) moved += drain_shard(*shard, sweeper);
-      const std::size_t scored = assemble_and_score(sweeper, /*force=*/true);
+      const std::size_t scored = assemble_and_score(sweeper);
       if (moved == 0 && scored == 0) return;
     }
   }
@@ -966,9 +958,8 @@ void ScoringService::final_sweep(bool drain) {
   // Immediate stop: everything still queued is rejected, exactly once.
   std::vector<Request> orphans;
   std::size_t orphan_rows = 0;
-  const std::uint64_t now = clock_->now_ms();
   for (auto& state : worker_states_)
-    while (auto batch = state->batcher.poll(now, /*force=*/true)) {
+    while (auto batch = state->batcher.poll()) {
       orphan_rows += batch->rows;
       for (auto& request : batch->requests)
         orphans.push_back(std::move(request));
@@ -989,15 +980,13 @@ void ScoringService::final_sweep(bool drain) {
   reject_all(std::move(orphans), RejectReason::kShuttingDown, orphan_rows);
 }
 
-std::size_t ScoringService::pump(bool force) {
+std::size_t ScoringService::pump() {
   if (config_.workers != 0)
     throw std::logic_error(
         "ScoringService::pump: only valid in manual mode (workers == 0)");
   WorkerState& worker = *worker_states_.front();
   for (auto& shard : shards_) drain_shard(*shard, worker);
-  return assemble_and_score(
-      worker,
-      force || state_.load(std::memory_order_acquire) != State::kRunning);
+  return assemble_and_score(worker);
 }
 
 ServiceStats ScoringService::stats() const {

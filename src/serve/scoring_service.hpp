@@ -6,10 +6,11 @@
 //
 //   submit_with_callback(counts, cb) ──▶ admission control (one atomic
 //       row counter) ──▶ sharded bounded MPSC ring (shard =
-//       submitter-hash, spill to a neighbor when full) ──▶ EventCount
+//       submitter index, spill to a neighbor when full) ──▶ EventCount
 //       wakeup (no mutex when workers are busy) ──▶ per-worker
-//       MicroBatcher assembles a batch ──▶ one pre-warmed
-//       nn::InferenceSession per worker scores it ──▶ the callback runs
+//       MicroBatcher forms a batch as soon as the rings run dry ──▶
+//       one pre-warmed nn::InferenceSession per worker scores it ──▶ the
+//       callback runs
 //
 // The callback is the only completion mode. submit() is the same path
 // with a heap std::promise as the callback context, and score() waits on
@@ -43,8 +44,8 @@
 //    admission, at batch assembly, and again post-dequeue, so expired
 //    work never consumes inference. Under sustained overload a
 //    CoDel-style controller (config.overload) sheds a deterministic
-//    admission fraction (kOverloaded) and shrinks the batch window until
-//    queue delay recovers; a wedged worker is detected by the watchdog
+//    admission fraction (kOverloaded) until queue delay recovers; a
+//    wedged worker is detected by the watchdog
 //    and its shards are served by siblings. See DESIGN.md §8 for the
 //    state machine and invariants.
 //
@@ -53,7 +54,10 @@
 // itself. A submission before start() fails fast with kShuttingDown —
 // it is never silently queued into a service nobody is pumping.
 //
-// All flush timing flows through an injectable runtime::Clock; with
+// Batch formation is work-conserving: a worker scores what it holds as
+// soon as its rings run dry, and requests that arrive meanwhile form the
+// next batch, so batches grow with load and nothing waits on a timer. All
+// deadline timing flows through an injectable runtime::Clock; with
 // workers = 0 the service runs in manual-pump mode (no threads), which
 // together with runtime::FakeClock makes every policy deterministic in
 // tests.
@@ -93,17 +97,18 @@ struct ServiceConfig {
   /// caller drives scoring with pump() — the deterministic test mode.
   std::size_t workers = 4;
   /// Submission shards (independent MPSC rings). 0 = one per worker
-  /// (minimum 1). Submitters hash to a shard by thread id; worker i owns
-  /// the shards with index ≡ i (mod workers) and steals from the rest
-  /// when its own are empty.
+  /// (minimum 1). Each submitting thread draws an index once from a
+  /// process-wide counter and uses shard index mod shards, so distinct
+  /// submitters take the rings round-robin; worker i owns the shards with
+  /// index ≡ i (mod workers) and steals from the rest when its own are
+  /// empty.
   std::size_t shards = 0;
   /// Capacity of each shard ring in *requests* (rounded up to a power of
   /// two). A full ring spills to the next shard; when every ring is full
   /// the submission is rejected kQueueFull.
   std::size_t shard_capacity = 1024;
-  /// Micro-batch flush thresholds (see BatcherConfig).
+  /// Largest micro-batch in rows (see BatcherConfig).
   std::size_t max_batch_rows = 64;
-  std::uint64_t max_queue_delay_ms = 2;
   /// Admission bound: a submission is rejected with kQueueFull when the
   /// rows already queued (rings + batchers) plus its own would exceed
   /// this.
@@ -143,9 +148,8 @@ struct ServiceConfig {
   obs::AdminServerConfig admin;
   /// Adaptive load shedding (serve/overload.hpp). Disabled by default:
   /// enabled, sustained queue delay above target flips the service into
-  /// brownout — partial batches flush immediately and a deterministic
-  /// fraction of admissions is rejected kOverloaded — and /readyz reports
-  /// 503 until the controller recovers.
+  /// brownout — a deterministic fraction of admissions is rejected
+  /// kOverloaded — and /readyz reports 503 until the controller recovers.
   OverloadConfig overload;
   /// Worker stall detection (serve/watchdog.hpp). The watchdog itself is
   /// always wired (worker heartbeats cost one relaxed atomic add); this
@@ -215,16 +219,15 @@ class ScoringService {
   /// Version of the currently-published snapshot (1 on construction).
   std::uint64_t model_version() const;
 
-  /// Stops the service. With drain, pending requests are scored first
-  /// (partial batches flush immediately); without, they are rejected with
-  /// kShuttingDown. Subsequent submissions are rejected. Idempotent.
+  /// Stops the service. With drain, pending requests are scored first;
+  /// without, they are rejected with kShuttingDown. Subsequent
+  /// submissions are rejected. Idempotent.
   void shutdown(bool drain = true);
 
   /// Manual-pump mode only (workers == 0): drains the shard rings into
   /// the pump batcher, expires overdue requests, then forms and scores at
-  /// most one batch if a flush is due (or `force`). Returns the number of
-  /// rows scored.
-  std::size_t pump(bool force = false);
+  /// most one batch. Returns the number of rows scored.
+  std::size_t pump();
 
   /// Point-in-time copy of counters and histograms, read from the
   /// registry cells in metrics().
@@ -310,10 +313,9 @@ class ScoringService {
         : batcher(batcher_config) {}
     MicroBatcher batcher;
     /// Per-worker eventcount: a submission wakes the *owner* of the shard
-    /// it landed on, so one submitter's stream keeps coalescing in one
+    /// it landed on, so requests that arrive together coalesce in one
     /// batcher instead of fragmenting across whichever workers woke first
-    /// (fragmented batchers each wait their own flush window — measurably
-    /// worse tail latency at low load).
+    /// into more, smaller batches.
     runtime::EventCount signal;
     std::shared_ptr<const ModelSnapshot> pinned;
     std::unique_ptr<nn::InferenceSession> session;
@@ -342,8 +344,8 @@ class ScoringService {
   std::size_t gather(std::size_t worker_index, WorkerState& worker,
                      bool steal);
   bool all_shards_empty() const;
-  /// Expires + flushes + scores at most one batch. Returns rows scored.
-  std::size_t assemble_and_score(WorkerState& worker, bool force);
+  /// Expires + forms + scores at most one batch. Returns rows scored.
+  std::size_t assemble_and_score(WorkerState& worker);
   /// Scores one batch and resolves its requests.
   void score_batch(WorkerState& worker, Batch batch);
   /// Rejects requests and bumps the matching counter. `charged` rows are

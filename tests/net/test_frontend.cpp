@@ -412,7 +412,6 @@ TEST(ScoringFrontend, ExpiredDeadlineAnswers504) {
   runtime::FakeClock clock(1000);
   serve::ServiceConfig cfg;
   cfg.workers = 0;
-  cfg.max_queue_delay_ms = 100;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
   FrontendConfig config = base_config();
@@ -431,7 +430,7 @@ TEST(ScoringFrontend, ExpiredDeadlineAnswers504) {
   ASSERT_EQ(service.stats().accepted_requests, 1u);
 
   clock.advance(10);
-  service.pump(/*force=*/true);
+  service.pump();
 
   const std::string response = client.read_response();
   EXPECT_EQ(status_of(response), 504);
@@ -445,7 +444,6 @@ TEST(ScoringFrontend, BackpressureAndShutdownMapTo503WithRetryAfter) {
   serve::ServiceConfig cfg;
   cfg.workers = 0;
   cfg.max_queue_rows = 4;
-  cfg.max_queue_delay_ms = 100;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
   FrontendConfig config = base_config();
@@ -478,7 +476,7 @@ TEST(ScoringFrontend, BackpressureAndShutdownMapTo503WithRetryAfter) {
 
     // Drain the filler, then stop the service: subsequent posts are
     // 503 shutting_down.
-    while (service.pump(/*force=*/true) > 0) {
+    while (service.pump() > 0) {
     }
     EXPECT_EQ(status_of(filler.read_response()), 200);
   }

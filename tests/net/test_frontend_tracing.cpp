@@ -305,7 +305,6 @@ TEST(FrontendTracing, StageBreakdownSumsExactlyToEndToEndUnderFakeClock) {
   serve::ServiceConfig cfg;
   cfg.workers = 0;  // manual pump: the test owns every boundary
   cfg.max_batch_rows = 8;
-  cfg.max_queue_delay_ms = 0;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
   FrontendConfig config = base_config();  // null clock: shares the service's
@@ -327,7 +326,7 @@ TEST(FrontendTracing, StageBreakdownSumsExactlyToEndToEndUnderFakeClock) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   clock.advance(3);  // the request spends exactly 3 ms "queued"
-  service.pump(/*force=*/true);
+  service.pump();
 
   const std::string response = client.read_response();
   ASSERT_EQ(status_of(response), 200);
@@ -366,7 +365,6 @@ TEST(FrontendTracing, RequestzServesTheCrossThreadSpanTree) {
   serve::ServiceConfig cfg;
   cfg.workers = 2;  // real worker threads: the spans cross threads
   cfg.max_batch_rows = 8;
-  cfg.max_queue_delay_ms = 0;
   cfg.clock = &clock;
   cfg.tracer = &tracer;
   auto service = f.make_service(cfg);

@@ -138,7 +138,7 @@ TEST(Chaos, ThrowingModelFailsBatchTypedAndServiceRecovers) {
 
   auto a = service.submit(random_counts(2, 1));
   auto b = service.submit(random_counts(3, 2));
-  service.pump(/*force=*/true);
+  service.pump();
   EXPECT_EQ(a.get().rejected, RejectReason::kInternalError);
   EXPECT_EQ(b.get().rejected, RejectReason::kInternalError);
 
@@ -150,7 +150,7 @@ TEST(Chaos, ThrowingModelFailsBatchTypedAndServiceRecovers) {
   // Clearing the fault is a hot swap: the very next batch scores clean.
   service.clear_model_fault();
   auto c = service.submit(random_counts(2, 3));
-  service.pump(/*force=*/true);
+  service.pump();
   EXPECT_TRUE(c.get().ok());
   EXPECT_EQ(service.stats().completed_rows, 2u);
 }
@@ -173,7 +173,7 @@ TEST(Chaos, GarbledVerdictCountFailsBatchInsteadOfMisattributing) {
   // short must fail BOTH typed, not hand request B request A's verdict.
   auto a = service.submit(random_counts(1, 4));
   auto b = service.submit(random_counts(1, 5));
-  service.pump(/*force=*/true);
+  service.pump();
   EXPECT_EQ(a.get().rejected, RejectReason::kInternalError);
   EXPECT_EQ(b.get().rejected, RejectReason::kInternalError);
   EXPECT_EQ(service.stats().batch_failures, 1u);
@@ -181,7 +181,7 @@ TEST(Chaos, GarbledVerdictCountFailsBatchInsteadOfMisattributing) {
 
   service.clear_model_fault();
   auto c = service.submit(random_counts(1, 6));
-  service.pump(/*force=*/true);
+  service.pump();
   EXPECT_TRUE(c.get().ok());
 }
 
@@ -204,7 +204,7 @@ TEST(Chaos, SlowModelExpiresDeadlinePostDequeue) {
   options.deadline_ms = 10;  // expires during the injected 50ms slowdown
   auto doomed = service.submit(random_counts(2, 7), options);
   auto survivor = service.submit(random_counts(1, 8));
-  service.pump(/*force=*/true);
+  service.pump();
 
   // The injected latency lands between batch formation and inference, so
   // the post-dequeue gate catches it — the expired rows never reach the
@@ -233,13 +233,13 @@ TEST(Chaos, ThrowingCallbackIsContainedAndCounted) {
   };
   service.submit_with_callback(random_counts(1, 9), {}, throwing_callback,
                                nullptr);
-  service.pump(/*force=*/true);
+  service.pump();
   EXPECT_EQ(calls.load(), 1);
   EXPECT_EQ(service.stats().callback_errors, 1u);
 
   // The pump survived the throw; the service still scores.
   auto next = service.submit(random_counts(1, 10));
-  service.pump(/*force=*/true);
+  service.pump();
   EXPECT_TRUE(next.get().ok());
   EXPECT_EQ(service.stats().completed_rows, 2u);
 }
@@ -263,7 +263,6 @@ TEST(Chaos, ExactlyOnceUnderEveryBuiltinProfile) {
     ServiceConfig cfg;
     cfg.workers = 2;
     cfg.max_batch_rows = 4;
-    cfg.max_queue_delay_ms = 1;
     cfg.watchdog.enabled = true;
     cfg.watchdog.stall_ms = 20;
     cfg.watchdog.poll_ms = 5;

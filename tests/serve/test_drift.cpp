@@ -122,7 +122,7 @@ TEST(ServiceDriftTest, StatsCarryDriftAndSloFields) {
   const math::Matrix rows = random_counts(8, 42);
   for (int i = 0; i < 2; ++i) {
     ScoreFuture future = service.submit(rows);
-    while (service.pump(/*force=*/true) > 0) {
+    while (service.pump() > 0) {
     }
     ASSERT_TRUE(future.get().ok());
   }
@@ -146,7 +146,7 @@ TEST(ServiceDriftTest, SwapModelResetsTheReference) {
   ScoringService service(make_pipeline(7), make_network(11), cfg);
 
   ScoreFuture future = service.submit(random_counts(8, 42));
-  while (service.pump(/*force=*/true) > 0) {
+  while (service.pump() > 0) {
   }
   ASSERT_TRUE(future.get().ok());
   ASSERT_TRUE(service.drift().reference_frozen());
@@ -157,7 +157,7 @@ TEST(ServiceDriftTest, SwapModelResetsTheReference) {
   EXPECT_EQ(service.drift().reference_count(), 0u);
 
   ScoreFuture after = service.submit(random_counts(8, 43));
-  while (service.pump(/*force=*/true) > 0) {
+  while (service.pump() > 0) {
   }
   ASSERT_TRUE(after.get().ok());
   EXPECT_TRUE(service.drift().reference_frozen());

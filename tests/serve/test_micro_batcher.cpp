@@ -1,5 +1,5 @@
-// Batching-policy unit tests: all timing is FakeClock-driven, no threads,
-// no sleeps — the flush conditions are pure functions of (pending, now).
+// Batching-policy unit tests: no threads, no sleeps. Batch formation is a
+// pure function of what is pending; only deadline expiry reads the clock.
 #include "serve/micro_batcher.hpp"
 
 #include <gtest/gtest.h>
@@ -19,102 +19,72 @@ Request make_request(std::size_t rows, std::uint64_t enqueue_ms,
   return r;
 }
 
-BatcherConfig config(std::size_t max_rows, std::uint64_t delay_ms) {
-  return BatcherConfig{max_rows, delay_ms};
-}
+BatcherConfig config(std::size_t max_rows) { return BatcherConfig{max_rows}; }
 
 TEST(MicroBatcher, ZeroMaxBatchThrows) {
-  EXPECT_THROW(MicroBatcher(config(0, 1)), std::invalid_argument);
+  EXPECT_THROW(MicroBatcher(config(0)), std::invalid_argument);
 }
 
 TEST(MicroBatcher, EmptyNeverFlushes) {
-  MicroBatcher b(config(8, 5));
+  MicroBatcher b(config(8));
   EXPECT_TRUE(b.empty());
-  EXPECT_FALSE(b.poll(100).has_value());
-  EXPECT_FALSE(b.ms_until_flush(100).has_value());
+  EXPECT_FALSE(b.poll().has_value());
 }
 
 TEST(MicroBatcher, FlushesAtMaxBatchRowsImmediately) {
   runtime::FakeClock clock(10);
-  MicroBatcher b(config(8, 1000));
+  MicroBatcher b(config(8));
   b.add(make_request(3, clock.now_ms()));
   b.add(make_request(5, clock.now_ms()));
-  // Full by rows: no waiting for the delay window.
-  const auto batch = b.poll(clock.now_ms());
+  const auto batch = b.poll();
   ASSERT_TRUE(batch.has_value());
   EXPECT_EQ(batch->rows, 8u);
   EXPECT_EQ(batch->requests.size(), 2u);
   EXPECT_TRUE(b.empty());
 }
 
-TEST(MicroBatcher, PartialBatchWaitsForDelayThenFlushes) {
-  runtime::FakeClock clock(100);
-  MicroBatcher b(config(64, 5));
-  b.add(make_request(3, clock.now_ms()));
-  EXPECT_FALSE(b.poll(clock.now_ms()).has_value());
-  clock.advance(4);
-  EXPECT_FALSE(b.poll(clock.now_ms()).has_value());
-  clock.advance(1);  // oldest has now waited exactly max_queue_delay
-  const auto batch = b.poll(clock.now_ms());
+TEST(MicroBatcher, PartialBatchFlushesWithoutWaiting) {
+  MicroBatcher b(config(64));
+  b.add(make_request(3, 100));
+  // Work-conserving: no co-rider window, the lone request is a batch now.
+  const auto batch = b.poll();
   ASSERT_TRUE(batch.has_value());
   EXPECT_EQ(batch->rows, 3u);
-}
-
-TEST(MicroBatcher, DelayMeasuredFromOldestRequest) {
-  runtime::FakeClock clock(0);
-  MicroBatcher b(config(64, 10));
-  b.add(make_request(1, clock.now_ms()));
-  clock.advance(8);
-  b.add(make_request(1, clock.now_ms()));  // newer rider
-  clock.advance(2);                        // oldest at 10ms, newest at 2ms
-  const auto batch = b.poll(clock.now_ms());
-  ASSERT_TRUE(batch.has_value());
-  // Both ride the flush triggered by the oldest request's delay.
-  EXPECT_EQ(batch->requests.size(), 2u);
+  EXPECT_TRUE(b.empty());
+  EXPECT_FALSE(b.poll().has_value());
 }
 
 TEST(MicroBatcher, RequestsAreNeverSplit) {
   runtime::FakeClock clock(0);
-  MicroBatcher b(config(64, 5));
+  MicroBatcher b(config(64));
   b.add(make_request(40, clock.now_ms()));
   b.add(make_request(40, clock.now_ms()));
-  const auto first = b.poll(clock.now_ms());
+  const auto first = b.poll();
   ASSERT_TRUE(first.has_value());
   // 40 + 40 > 64: the second request must wait for the next batch rather
   // than being split.
   EXPECT_EQ(first->rows, 40u);
   EXPECT_EQ(b.pending_rows(), 40u);
-  clock.advance(5);
-  const auto second = b.poll(clock.now_ms());
+  const auto second = b.poll();
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->rows, 40u);
 }
 
 TEST(MicroBatcher, OversizedRequestFormsItsOwnBatch) {
   runtime::FakeClock clock(0);
-  MicroBatcher b(config(8, 5));
+  MicroBatcher b(config(8));
   b.add(make_request(20, clock.now_ms()));
   b.add(make_request(2, clock.now_ms()));
-  const auto batch = b.poll(clock.now_ms());
+  const auto batch = b.poll();
   ASSERT_TRUE(batch.has_value());
   EXPECT_EQ(batch->rows, 20u);  // larger than max_batch_rows, still whole
   EXPECT_EQ(batch->requests.size(), 1u);
   EXPECT_EQ(b.pending_rows(), 2u);
 }
 
-TEST(MicroBatcher, ForceFlushesPartialBatch) {
-  runtime::FakeClock clock(0);
-  MicroBatcher b(config(64, 1000));
-  b.add(make_request(2, clock.now_ms()));
-  EXPECT_FALSE(b.poll(clock.now_ms()).has_value());
-  const auto batch = b.poll(clock.now_ms(), /*force=*/true);
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->rows, 2u);
-}
-
 TEST(MicroBatcher, ExpiredRequestsAreTakenNotScored) {
   runtime::FakeClock clock(0);
-  MicroBatcher b(config(64, 100));
+  MicroBatcher b(config(64));
   b.add(make_request(2, clock.now_ms(), /*deadline_ms=*/5));
   b.add(make_request(3, clock.now_ms(), /*deadline_ms=*/50));
   clock.advance(10);  // first deadline passed, second still live
@@ -123,45 +93,26 @@ TEST(MicroBatcher, ExpiredRequestsAreTakenNotScored) {
   ASSERT_EQ(expired.size(), 1u);
   EXPECT_EQ(expired[0].counts.rows(), 2u);
   EXPECT_EQ(b.pending_rows(), 3u);
-  // The survivor still flushes normally (by force here).
-  const auto batch = b.poll(clock.now_ms(), /*force=*/true);
+  // The survivor still flushes normally.
+  const auto batch = b.poll();
   ASSERT_TRUE(batch.has_value());
   EXPECT_EQ(batch->rows, 3u);
 }
 
-TEST(MicroBatcher, MsUntilFlushTracksDelayAndDeadlines) {
-  runtime::FakeClock clock(1000);
-  MicroBatcher b(config(8, 20));
-  EXPECT_FALSE(b.ms_until_flush(clock.now_ms()).has_value());
-
-  b.add(make_request(1, clock.now_ms()));
-  EXPECT_EQ(b.ms_until_flush(clock.now_ms()), 20u);
-  clock.advance(15);
-  EXPECT_EQ(b.ms_until_flush(clock.now_ms()), 5u);
-
-  // An earlier deadline pulls the wake-up forward.
-  b.add(make_request(1, clock.now_ms(), clock.now_ms() + 2));
-  EXPECT_EQ(b.ms_until_flush(clock.now_ms()), 2u);
-
-  // A full batch is due immediately.
-  b.add(make_request(8, clock.now_ms()));
-  EXPECT_EQ(b.ms_until_flush(clock.now_ms()), 0u);
-}
-
 TEST(MicroBatcher, FifoOrderWithinAndAcrossBatches) {
   runtime::FakeClock clock(0);
-  MicroBatcher b(config(4, 5));
+  MicroBatcher b(config(4));
   for (std::size_t i = 0; i < 6; ++i) {
     Request r = make_request(2, clock.now_ms());
     r.counts.fill(static_cast<float>(i));
     b.add(std::move(r));
   }
-  const auto first = b.poll(clock.now_ms());
+  const auto first = b.poll();
   ASSERT_TRUE(first.has_value());
   ASSERT_EQ(first->requests.size(), 2u);
   EXPECT_EQ(first->requests[0].counts(0, 0), 0.0f);
   EXPECT_EQ(first->requests[1].counts(0, 0), 1.0f);
-  const auto second = b.poll(clock.now_ms());
+  const auto second = b.poll();
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->requests[0].counts(0, 0), 2.0f);
 }

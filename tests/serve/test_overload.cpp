@@ -1,7 +1,6 @@
 // OverloadController policy (CoDel-min signal, AIMD shed, hysteretic
 // recovery) and its service wiring: deterministic admission shedding in
-// brownout, /readyz surfacing, batch-window shrink, and drain-through-
-// brownout shutdown.
+// brownout, /readyz surfacing, and drain-through-brownout shutdown.
 #include "serve/overload.hpp"
 
 #include <gtest/gtest.h>
@@ -61,7 +60,6 @@ TEST(OverloadController, DisabledIsInert) {
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(controller.should_shed());
   EXPECT_EQ(controller.state(), OverloadState::kHealthy);
   EXPECT_EQ(controller.shed_fraction(), 0.0);
-  EXPECT_FALSE(controller.brownout());
 }
 
 TEST(OverloadController, SustainedDelayEntersBrownoutAndRampsShed) {
@@ -70,7 +68,6 @@ TEST(OverloadController, SustainedDelayEntersBrownoutAndRampsShed) {
   controller.record_delay(50);
   controller.tick(100);  // closes bad interval #1
   EXPECT_EQ(controller.state(), OverloadState::kBrownout);
-  EXPECT_TRUE(controller.brownout());
   const double shed1 = controller.shed_fraction();
   EXPECT_NEAR(shed1, 0.05, 1e-6);
 
@@ -129,7 +126,6 @@ TEST(OverloadController, HystereticRecoveryHealthyOnlyAfterGoodRun) {
   controller.tick(200);
   EXPECT_EQ(controller.state(), OverloadState::kRecovering);
   EXPECT_GT(controller.shed_fraction(), 0.0);
-  EXPECT_TRUE(controller.brownout());  // posture stays defensive
 
   // Idle (sample-free) intervals count as good; shed decays to zero and
   // only then, with enough consecutive good intervals, healthy returns.
@@ -160,7 +156,6 @@ TEST(ServiceOverload, BrownoutShedsDeterministicallyAndRecovers) {
   ServiceConfig cfg;
   cfg.workers = 0;
   cfg.max_batch_rows = 128;
-  cfg.max_queue_delay_ms = 0;
   cfg.clock = &clock;
   cfg.overload = enabled_config();
   auto service = f.make_service(cfg);
@@ -169,7 +164,7 @@ TEST(ServiceOverload, BrownoutShedsDeterministicallyAndRecovers) {
   // well over the 5ms target.
   auto slow = service.submit(random_counts(1, 1));
   clock.advance(50);
-  service.pump(/*force=*/true);
+  service.pump();
   EXPECT_TRUE(slow.get().ok());
 
   clock.advance(60);  // cross the interval boundary
@@ -198,8 +193,8 @@ TEST(ServiceOverload, BrownoutShedsDeterministicallyAndRecovers) {
   EXPECT_EQ(overloaded, 5);
   EXPECT_EQ(service.stats().rejected_overloaded, 5u);
 
-  // Brownout posture force-flushes: the 95 admitted rows drain promptly.
-  while (service.pump(/*force=*/true) > 0) {
+  // The 95 admitted rows drain.
+  while (service.pump() > 0) {
   }
   for (auto& future : futures) EXPECT_TRUE(future.get().ok());
 
@@ -219,7 +214,6 @@ TEST(ServiceOverload, ShutdownDuringBrownoutDrainsEverything) {
   ServiceConfig cfg;
   cfg.workers = 0;
   cfg.max_batch_rows = 8;
-  cfg.max_queue_delay_ms = 0;
   cfg.clock = &clock;
   cfg.overload = enabled_config();
   auto service = f.make_service(cfg);
@@ -227,7 +221,7 @@ TEST(ServiceOverload, ShutdownDuringBrownoutDrainsEverything) {
   // Force brownout.
   auto aged = service.submit(random_counts(1, 1));
   clock.advance(50);
-  service.pump(/*force=*/true);
+  service.pump();
   EXPECT_TRUE(aged.get().ok());
   clock.advance(60);
   service.pump();
@@ -265,7 +259,6 @@ TEST(ServiceOverload, ThreadedShutdownDuringBrownoutIsClean) {
   ServiceConfig cfg;
   cfg.workers = 2;
   cfg.max_batch_rows = 4;
-  cfg.max_queue_delay_ms = 0;
   cfg.overload.enabled = true;
   cfg.overload.target_delay_ms = 3;
   cfg.overload.interval_ms = 25;

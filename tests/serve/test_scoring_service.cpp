@@ -1,5 +1,5 @@
 // ScoringService behavior: parity with sequential scanning (bit-identical
-// verdicts for any worker count / batch window), deterministic batching
+// verdicts for any worker count), work-conserving batching
 // and deadline policy under FakeClock (manual-pump mode), backpressure,
 // shutdown semantics, hot-swap under concurrency, and stats() as a view
 // of the service's own registry cells.
@@ -88,7 +88,7 @@ TEST(ScoringService, ManualModeParityWithSequentialScan) {
     futures.push_back(service.submit(all.slice_rows(row, row + n)));
     row += n;
   }
-  while (service.pump(/*force=*/true) > 0) {
+  while (service.pump() > 0) {
   }
 
   nn::InferenceSession session = f.reference.make_session();
@@ -112,28 +112,25 @@ TEST(ScoringService, ThreadedParityAnyWorkerCountAnyWindow) {
   const auto want = f.reference.scan_counts(session, all);
 
   for (std::size_t workers : {1u, 4u}) {
-    for (std::uint64_t window_ms : {0u, 2u}) {
-      ServiceConfig cfg;
-      cfg.workers = workers;
-      cfg.max_batch_rows = 16;
-      cfg.max_queue_delay_ms = window_ms;
-      auto service = f.make_service(cfg);
-      std::vector<ScoreFuture> futures;
-      for (std::size_t r = 0; r < all.rows(); r += 3)
-        futures.push_back(
-            service.submit(all.slice_rows(r, std::min(r + 3, all.rows()))));
-      std::size_t offset = 0;
-      for (auto& future : futures) {
-        ScoreResult result = future.get();
-        ASSERT_TRUE(result.ok());
-        const std::vector<core::Verdict> expected(
-            want.begin() + offset,
-            want.begin() + offset + result.verdicts.size());
-        expect_same_verdicts(result.verdicts, expected);
-        offset += result.verdicts.size();
-      }
-      EXPECT_EQ(offset, all.rows());
+    ServiceConfig cfg;
+    cfg.workers = workers;
+    cfg.max_batch_rows = 16;
+    auto service = f.make_service(cfg);
+    std::vector<ScoreFuture> futures;
+    for (std::size_t r = 0; r < all.rows(); r += 3)
+      futures.push_back(
+          service.submit(all.slice_rows(r, std::min(r + 3, all.rows()))));
+    std::size_t offset = 0;
+    for (auto& future : futures) {
+      ScoreResult result = future.get();
+      ASSERT_TRUE(result.ok());
+      const std::vector<core::Verdict> expected(
+          want.begin() + offset,
+          want.begin() + offset + result.verdicts.size());
+      expect_same_verdicts(result.verdicts, expected);
+      offset += result.verdicts.size();
     }
+    EXPECT_EQ(offset, all.rows());
   }
 }
 
@@ -143,7 +140,6 @@ TEST(ScoringService, FullBatchFlushesWithoutClockAdvance) {
   ServiceConfig cfg;
   cfg.workers = 0;
   cfg.max_batch_rows = 4;
-  cfg.max_queue_delay_ms = 100;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
 
@@ -153,24 +149,23 @@ TEST(ScoringService, FullBatchFlushesWithoutClockAdvance) {
   EXPECT_TRUE(future.get().ok());
 }
 
-TEST(ScoringService, PartialBatchWaitsForWindowUnderFakeClock) {
+TEST(ScoringService, ThreadedLoneRequestCompletesWithoutClockAdvance) {
   Fixture f;
-  runtime::FakeClock clock;
+  runtime::FakeClock clock;  // never advanced
   ServiceConfig cfg;
-  cfg.workers = 0;
-  cfg.max_batch_rows = 64;
-  cfg.max_queue_delay_ms = 5;
+  cfg.workers = 2;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
 
-  auto future = service.submit(random_counts(2, 2));
-  EXPECT_EQ(service.pump(), 0u);  // window not elapsed, no flush
-  clock.advance(5);
-  EXPECT_EQ(service.pump(), 2u);  // partial batch flushed by time
+  // Work-conserving batching: a worker whose rings are dry scores the lone
+  // row at once. Nothing waits for co-riders, so no time has to pass.
+  auto future = service.submit(random_counts(1, 2));
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
   EXPECT_TRUE(future.get().ok());
   const auto stats = service.stats();
   EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.completed_rows, 2u);
+  EXPECT_EQ(stats.completed_rows, 1u);
 }
 
 TEST(ScoringService, ExpiredDeadlineIsRejectedNotScored) {
@@ -178,7 +173,6 @@ TEST(ScoringService, ExpiredDeadlineIsRejectedNotScored) {
   runtime::FakeClock clock(50);
   ServiceConfig cfg;
   cfg.workers = 0;
-  cfg.max_queue_delay_ms = 100;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
 
@@ -186,8 +180,8 @@ TEST(ScoringService, ExpiredDeadlineIsRejectedNotScored) {
   options.deadline_ms = 5;
   auto doomed = service.submit(random_counts(3, 3), options);
   auto alive = service.submit(random_counts(2, 4));
-  clock.advance(10);  // past the deadline, inside the batch window
-  service.pump(/*force=*/true);
+  clock.advance(10);  // past the deadline before the next pump
+  service.pump();
 
   const ScoreResult rejected = doomed.get();
   EXPECT_FALSE(rejected.ok());
@@ -231,7 +225,6 @@ TEST(ScoringService, EarlierOfRelativeAndAbsoluteDeadlineWins) {
   runtime::FakeClock clock(100);
   ServiceConfig cfg;
   cfg.workers = 0;
-  cfg.max_queue_delay_ms = 1000;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
 
@@ -251,7 +244,7 @@ TEST(ScoringService, EarlierOfRelativeAndAbsoluteDeadlineWins) {
   auto c = service.submit(random_counts(1, 33), roomy);
 
   clock.advance(15);  // now 115: past both tight deadlines
-  service.pump(/*force=*/true);
+  service.pump();
   EXPECT_EQ(a.get().rejected, RejectReason::kDeadline);
   EXPECT_EQ(b.get().rejected, RejectReason::kDeadline);
   EXPECT_TRUE(c.get().ok());
@@ -277,7 +270,7 @@ TEST(ScoringService, QueueFullRejectsImmediately) {
             std::future_status::ready);
   EXPECT_EQ(rejected.get().rejected, RejectReason::kQueueFull);
 
-  while (service.pump(true) > 0) {
+  while (service.pump() > 0) {
   }
   EXPECT_TRUE(accepted.get().ok());
   const auto stats = service.stats();
@@ -290,7 +283,6 @@ TEST(ScoringService, ShutdownDrainScoresPending) {
   runtime::FakeClock clock;
   ServiceConfig cfg;
   cfg.workers = 0;
-  cfg.max_queue_delay_ms = 1000;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
 
@@ -308,7 +300,6 @@ TEST(ScoringService, ShutdownWithoutDrainRejectsPending) {
   runtime::FakeClock clock;
   ServiceConfig cfg;
   cfg.workers = 0;
-  cfg.max_queue_delay_ms = 1000;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
 
@@ -428,7 +419,6 @@ TEST(ScoringService, ConcurrentSubmitAndHotSwapExactlyOnce) {
   ServiceConfig cfg;
   cfg.workers = 4;
   cfg.max_batch_rows = 8;
-  cfg.max_queue_delay_ms = 1;
   cfg.max_queue_rows = 1u << 20;  // no backpressure in this test
   auto service = f.make_service(cfg);
 
@@ -499,7 +489,6 @@ TEST(ScoringService, ConcurrentCallbackSubmittersExactlyOnce) {
   ServiceConfig cfg;
   cfg.workers = 2;
   cfg.max_batch_rows = 8;
-  cfg.max_queue_delay_ms = 1;
   cfg.max_queue_rows = 1u << 20;  // no backpressure: every submit lands
   auto service = f.make_service(cfg);
 
@@ -558,14 +547,13 @@ TEST(ScoringService, StatsHistogramsTrackBatchesAndLatency) {
   ServiceConfig cfg;
   cfg.workers = 0;
   cfg.max_batch_rows = 4;
-  cfg.max_queue_delay_ms = 10;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
 
   auto a = service.submit(random_counts(4, 21));  // full batch
   service.pump();
-  auto b = service.submit(random_counts(2, 22));  // partial, flushed by time
-  clock.advance(10);
+  auto b = service.submit(random_counts(2, 22));  // partial
+  clock.advance(10);  // b waits 10ms for the next pump
   service.pump();
   EXPECT_TRUE(a.get().ok());
   EXPECT_TRUE(b.get().ok());
@@ -634,7 +622,6 @@ TEST(ScoringService, ServicesWithoutRegistryKeepIndependentStats) {
   ServiceConfig cfg;
   cfg.workers = 0;
   cfg.max_queue_rows = 8;
-  cfg.max_queue_delay_ms = 100;
   cfg.clock = &clock;
   auto a = f.make_service(cfg);
   auto b = f.make_service(cfg);
@@ -655,9 +642,9 @@ TEST(ScoringService, ServicesWithoutRegistryKeepIndependentStats) {
   auto b_full1 = b.submit(random_counts(5, 37));
   auto b_full2 = b.submit(random_counts(9, 38));
   clock.advance(10);
-  while (a.pump(/*force=*/true) > 0) {
+  while (a.pump() > 0) {
   }
-  while (b.pump(/*force=*/true) > 0) {
+  while (b.pump() > 0) {
   }
   EXPECT_TRUE(a_scored1.get().ok());
   EXPECT_TRUE(a_scored2.get().ok());
@@ -705,7 +692,6 @@ TEST(ScoringService, CallbackSeesItsOwnRequestInStats) {
   cfg.workers = 2;
   cfg.max_batch_rows = 4;
   cfg.max_queue_rows = 8;
-  cfg.max_queue_delay_ms = 60'000;  // only a full batch flushes
   auto service = f.make_service(cfg);
 
   StatsProbe scored{&service, {}};
@@ -721,12 +707,14 @@ TEST(ScoringService, CallbackSeesItsOwnRequestInStats) {
   service.submit_with_callback(random_counts(9, 42), {}, probe_stats, &full);
   EXPECT_EQ(full.seen.get_future().get().rejected_queue_full, 1u);
 
-  // A partial batch waits out its window in a worker's batcher; the
-  // immediate shutdown sweeps it through reject_all.
-  StatsProbe swept{&service, {}};
-  service.submit_with_callback(random_counts(1, 43), {}, probe_stats,
-                               &swept);
-  service.shutdown(/*drain=*/false);
+  // The immediate-shutdown sweep resolves through reject_all. A pump-mode
+  // service holds the request in its ring until then.
+  ServiceConfig idle_cfg;
+  idle_cfg.workers = 0;
+  auto idle = f.make_service(idle_cfg);
+  StatsProbe swept{&idle, {}};
+  idle.submit_with_callback(random_counts(1, 43), {}, probe_stats, &swept);
+  idle.shutdown(/*drain=*/false);
   EXPECT_EQ(swept.seen.get_future().get().rejected_shutting_down, 1u);
 }
 

@@ -73,7 +73,6 @@ TEST(ServiceReadiness, QueueHighWaterFlagsNotReadyBeforeAdmissionRejects) {
   cfg.clock = &clock;
   cfg.max_queue_rows = 20;  // high-water mark at 18 rows
   cfg.max_batch_rows = 64;
-  cfg.max_queue_delay_ms = 1000;
   auto service = f.make_service(cfg);
 
   std::vector<ScoreFuture> futures;
@@ -89,7 +88,7 @@ TEST(ServiceReadiness, QueueHighWaterFlagsNotReadyBeforeAdmissionRejects) {
   EXPECT_EQ(service.stats().rejected_queue_full, 0u);
 
   // Scoring the backlog restores readiness.
-  while (service.pump(/*force=*/true) > 0) {
+  while (service.pump() > 0) {
   }
   EXPECT_TRUE(service.readiness().ready);
   for (auto& future : futures) EXPECT_TRUE(future.get().ok());
@@ -165,7 +164,6 @@ TEST(ServiceAdmin, ReadyzAnswers503DuringDrain) {
   ServiceConfig cfg;
   cfg.workers = 0;  // manual pump: the drain only advances when we pump
   cfg.clock = &clock;
-  cfg.max_queue_delay_ms = 1000;
   cfg.admin.enabled = true;
   auto service = f.make_service(cfg);
   ASSERT_NE(service.admin_server(), nullptr);

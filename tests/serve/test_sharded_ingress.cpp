@@ -5,9 +5,11 @@
 // swap returns is never scored by the retired snapshot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -100,7 +102,7 @@ TEST(ShardedIngress, CallbackModeParityWithFutureMode) {
       },
       &ctx);
   ScoreFuture future = service.submit(counts);
-  while (ctx.calls == 0) service.pump(/*force=*/true);
+  while (ctx.calls == 0) service.pump();
   const ScoreResult via_future = future.get();
 
   ASSERT_EQ(ctx.calls, 1);
@@ -140,7 +142,7 @@ TEST(ShardedIngress, SpillsPastFullHomeShardThenRejects) {
   cfg.max_queue_rows = 1024;
   ScoringService service(make_pipeline(7), make_network(11), cfg);
 
-  // One thread hashes to one home shard; pushes 3..4 overflow into the
+  // One thread has one home shard; pushes 3..4 overflow into the
   // neighbor ring, the 5th finds every ring full.
   std::vector<ScoreFuture> futures;
   for (int i = 0; i < 5; ++i)
@@ -155,13 +157,49 @@ TEST(ShardedIngress, SpillsPastFullHomeShardThenRejects) {
   for (auto& future : futures) {
     while (future.wait_for(std::chrono::seconds(0)) !=
            std::future_status::ready)
-      service.pump(/*force=*/true);
+      service.pump();
     const ScoreResult result = future.get();
     if (result.ok()) ++ok;
     if (result.rejected == RejectReason::kQueueFull) ++queue_full;
   }
   EXPECT_EQ(ok, 4u);
   EXPECT_EQ(queue_full, 1u);
+}
+
+// Each submitting thread draws its home-shard index once from a global
+// counter, so threads that submit one after another take consecutive
+// rings. A thread-id hash puts two of four threads on one ring in most
+// runs (1 - 4!/4^4, about 90%).
+TEST(ShardedIngress, DistinctSubmitterThreadsLandOnDistinctShards) {
+  constexpr std::size_t kShards = 4;
+  ServiceConfig cfg;
+  cfg.workers = 0;
+  cfg.shards = kShards;
+  ScoringService service(make_pipeline(7), make_network(11), cfg);
+
+  // Fresh thread t submits t + 1 rows; pump mode leaves them in the rings.
+  std::vector<ScoreFuture> futures(kShards);
+  for (std::size_t t = 0; t < kShards; ++t)
+    std::thread([&, t] {
+      futures[t] = service.submit(random_counts(t + 1, 50 + t));
+    }).join();
+
+  std::vector<double> depth(kShards);
+  for (std::size_t i = 0; i < kShards; ++i)
+    depth[i] = service.metrics()
+                   .gauge("mev.serve.shard" + std::to_string(i) +
+                          ".queue_rows")
+                   .value();
+  const std::size_t first = static_cast<std::size_t>(
+      std::find(depth.begin(), depth.end(), 1.0) - depth.begin());
+  ASSERT_LT(first, kShards) << "no ring holds exactly thread 0's row";
+  for (std::size_t t = 0; t < kShards; ++t)
+    EXPECT_EQ(depth[(first + t) % kShards], static_cast<double>(t + 1))
+        << "thread " << t;
+
+  while (service.pump() > 0) {
+  }
+  for (auto& future : futures) EXPECT_TRUE(future.get().ok());
 }
 
 TEST(ShardedIngress, ShardCountDefaultsToWorkers) {
@@ -188,7 +226,6 @@ TEST(ShardedIngress, NoVerdictFromRetiredSnapshotAfterSwapReturns) {
   cfg.workers = 2;
   cfg.shards = 4;
   cfg.max_batch_rows = 8;
-  cfg.max_queue_delay_ms = 0;
   ScoringService service(pipeline, network, cfg);
 
   constexpr std::size_t kSubmitters = 4;

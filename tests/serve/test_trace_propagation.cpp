@@ -63,7 +63,6 @@ TEST(TracePropagation, StageStampsAreMonotoneAndPopulated) {
   ServiceConfig cfg;
   cfg.workers = 0;  // manual pump: deterministic boundaries
   cfg.max_batch_rows = 8;
-  cfg.max_queue_delay_ms = 0;
   cfg.clock = &clock;
   auto service = f.make_service(cfg);
 
@@ -77,7 +76,7 @@ TEST(TracePropagation, StageStampsAreMonotoneAndPopulated) {
       },
       &done);
   clock.advance(3);
-  service.pump(/*force=*/true);
+  service.pump();
   ScoreResult result = got.get();
   ASSERT_TRUE(result.ok());
   // admitted at submit (clock 10 ms), formed/scanned after the advance.
@@ -96,7 +95,6 @@ TEST(TracePropagation, WorkerThreadsEmitSpansUnderTheSubmittersTrace) {
   ServiceConfig cfg;
   cfg.workers = 2;  // REAL threads: the cross-thread propagation test
   cfg.max_batch_rows = 4;
-  cfg.max_queue_delay_ms = 0;
   cfg.clock = &clock;
   cfg.tracer = &tracer;
   auto service = f.make_service(cfg);
@@ -131,7 +129,6 @@ TEST(TracePropagation, UncorrelatedRequestsEmitNoRequestSpans) {
   ServiceConfig cfg;
   cfg.workers = 0;
   cfg.max_batch_rows = 4;
-  cfg.max_queue_delay_ms = 0;
   cfg.clock = &clock;
   cfg.tracer = &tracer;
   auto service = f.make_service(cfg);
@@ -143,7 +140,7 @@ TEST(TracePropagation, UncorrelatedRequestsEmitNoRequestSpans) {
         static_cast<std::atomic<bool>*>(ctx)->store(true);
       },
       &called);
-  service.pump(/*force=*/true);
+  service.pump();
   ASSERT_TRUE(called.load());
   for (const obs::TraceEvent& e : tracer.recent(256)) {
     EXPECT_EQ(e.trace_id, 0u) << e.name
@@ -161,7 +158,6 @@ TEST(TracePropagation, EveryRequestInABatchKeepsItsOwnTrace) {
   ServiceConfig cfg;
   cfg.workers = 0;
   cfg.max_batch_rows = 64;  // all three requests coalesce into one batch
-  cfg.max_queue_delay_ms = 5;
   cfg.clock = &clock;
   cfg.tracer = &tracer;
   auto service = f.make_service(cfg);
@@ -180,8 +176,7 @@ TEST(TracePropagation, EveryRequestInABatchKeepsItsOwnTrace) {
         },
         &completions);
   }
-  clock.advance(5);
-  service.pump(/*force=*/true);
+  service.pump();
   ASSERT_EQ(completions.load(), 3);
   // One shared batch, but three distinct queue spans — one per trace.
   for (const obs::TraceContext& ctx : contexts) {
@@ -216,7 +211,7 @@ TEST(TracePropagation, RejectedRequestsStillReportAdmissionStamps) {
       },
       &done);
   clock.advance(50);  // long past the 1 ms deadline
-  service.pump(/*force=*/true);
+  service.pump();
   ScoreResult result = got.get();
   EXPECT_EQ(result.rejected, RejectReason::kDeadline);
   EXPECT_EQ(result.stages.admitted_us, 100'000u);

@@ -153,7 +153,6 @@ TEST(ServiceWatchdog, StalledWorkerIsDetectedSiblingsServeShutdownDrains) {
   ServiceConfig cfg;
   cfg.workers = 2;
   cfg.max_batch_rows = 2;
-  cfg.max_queue_delay_ms = 1;
   cfg.watchdog.enabled = true;
   cfg.watchdog.stall_ms = 25;
   cfg.watchdog.poll_ms = 5;
