@@ -16,25 +16,21 @@
 #include <thread>
 
 #include "obs/build_info.hpp"
+#include "obs/json.hpp"
 
 namespace mev::bench {
 
-inline std::string meta_json_escape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out += '\\';
-    if (static_cast<unsigned char>(*s) >= 0x20) out += *s;
-  }
-  return out;
-}
-
 /// Writes `"meta": {...}` (no trailing comma or newline) at `indent`.
 inline void write_meta_json(std::ostream& os, const char* indent = "  ") {
-  os << indent << "\"meta\": {\"git_sha\": \""
-     << meta_json_escape(mev::obs::build_git_sha()) << "\", \"build_flags\": \""
-     << meta_json_escape(mev::obs::build_flags())
-     << "\", \"hardware_concurrency\": "
-     << std::max(1u, std::thread::hardware_concurrency()) << "}";
+  std::string out = indent;
+  out += "\"meta\": {\"git_sha\": ";
+  mev::obs::json::append_string(out, mev::obs::build_git_sha());
+  out += ", \"build_flags\": ";
+  mev::obs::json::append_string(out, mev::obs::build_flags());
+  out += ", \"hardware_concurrency\": ";
+  out += std::to_string(std::max(1u, std::thread::hardware_concurrency()));
+  out += '}';
+  os << out;
 }
 
 }  // namespace mev::bench

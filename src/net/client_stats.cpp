@@ -1,7 +1,6 @@
 #include "net/client_stats.hpp"
 
-#include <cstdio>
-
+#include "obs/json.hpp"
 #include "obs/scope.hpp"
 
 namespace mev::net {
@@ -9,19 +8,6 @@ namespace mev::net {
 namespace {
 
 constexpr const char* kOverflowLabel = "(overflow)";
-
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  out += buf;
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
-  }
-}
 
 }  // namespace
 
@@ -84,19 +70,19 @@ std::string ClientStatsTracker::to_json(std::uint64_t now_us) {
     first = false;
     const std::uint64_t requests = entry->requests.total(now_us);
     const std::uint64_t rejected = entry->rejected.total(now_us);
-    out += "{\"client\":\"";
-    append_escaped(out, entry->client);
-    out += "\",\"requests_per_s\":";
-    append_number(out, entry->requests.rate_per_s(now_us));
+    out += "{\"client\":";
+    obs::json::append_string(out, entry->client);
+    out += ",\"requests_per_s\":";
+    obs::json::append_fixed6(out, entry->requests.rate_per_s(now_us));
     out += ",\"rows_per_s\":";
-    append_number(out, entry->rows.rate_per_s(now_us));
+    obs::json::append_fixed6(out, entry->rows.rate_per_s(now_us));
     out += ",\"reject_rate\":";
-    append_number(out, requests != 0
-                           ? static_cast<double>(rejected) /
-                                 static_cast<double>(requests)
-                           : 0.0);
+    obs::json::append_fixed6(out, requests != 0
+                                      ? static_cast<double>(rejected) /
+                                            static_cast<double>(requests)
+                                      : 0.0);
     out += ",\"score_psi\":";
-    append_number(out, entry->refresh_psi(now_us));
+    obs::json::append_fixed6(out, entry->refresh_psi(now_us));
     out += ",\"reference_frozen\":";
     out += entry->drift.reference_frozen() ? "true" : "false";
     out += ",\"lifetime_requests\":";

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace mev::net {
 
 namespace {
@@ -34,12 +36,6 @@ BodyParseResult fail(std::string error) {
   BodyParseResult result;
   result.error = std::move(error);
   return result;
-}
-
-void append_double(std::string& out, double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, res.ptr);
 }
 
 }  // namespace
@@ -180,7 +176,7 @@ std::string format_verdicts_json(const serve::ScoreResult& result) {
     out += "{\"malware\":";
     out += verdict.is_malware() ? "true" : "false";
     out += ",\"confidence\":";
-    append_double(out, verdict.malware_confidence);
+    obs::json::append_number(out, verdict.malware_confidence);
     out += '}';
   }
   out += "]}\n";
@@ -189,20 +185,11 @@ std::string format_verdicts_json(const serve::ScoreResult& result) {
 
 std::string format_error_json(std::string_view error,
                               std::string_view detail) {
-  std::string out = "{\"error\":\"";
-  out += error;
-  out += "\",\"detail\":\"";
-  // Reason tokens are fixed strings; details are our own messages — both
-  // JSON-safe by construction, but escape quotes/backslashes defensively.
-  for (const char c : detail) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-      continue;
-    }
-    out += c;
-  }
-  out += "\"}\n";
+  std::string out = "{\"error\":";
+  obs::json::append_string(out, error);
+  out += ",\"detail\":";
+  obs::json::append_string(out, detail);
+  out += "}\n";
   return out;
 }
 

@@ -1,12 +1,11 @@
 #include "obs/admin_server.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
 #include "obs/build_info.hpp"
+#include "obs/json.hpp"
 #include "obs/scope.hpp"
 #include "obs/trace_context.hpp"
 
@@ -17,33 +16,6 @@ namespace {
 constexpr const char* kTextPlain = "text/plain; charset=utf-8";
 constexpr const char* kPromText = "text/plain; version=0.0.4; charset=utf-8";
 constexpr const char* kJson = "application/json";
-
-void append_json_escaped(std::string& out, const char* s) {
-  for (; s != nullptr && *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
-void append_double(std::string& out, double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  if (res.ec == std::errc()) {
-    out.append(buf, res.ptr);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
-  }
-}
 
 }  // namespace
 
@@ -193,9 +165,9 @@ std::string AdminServer::tracez_body(const http::Request& request) const {
   for (const TraceEvent& e : events) {
     if (!first) body += ',';
     first = false;
-    body += "{\"name\":\"";
-    append_json_escaped(body, e.name);
-    body += "\",\"ph\":\"";
+    body += "{\"name\":";
+    json::append_string(body, e.name);
+    body += ",\"ph\":\"";
     body += e.phase;
     body += "\",\"tid\":";
     body += std::to_string(e.tid);
@@ -203,29 +175,7 @@ std::string AdminServer::tracez_body(const http::Request& request) const {
     body += std::to_string(e.ts_us);
     body += ",\"dur_us\":";
     body += std::to_string(e.dur_us);
-    if (e.trace_id != 0) {
-      body += ",\"trace_id\":\"";
-      body += format_hex64(e.trace_id);
-      body += "\",\"span_id\":\"";
-      body += format_hex64(e.span_id);
-      body += '"';
-      if (e.parent_span_id != 0) {
-        body += ",\"parent_span_id\":\"";
-        body += format_hex64(e.parent_span_id);
-        body += '"';
-      }
-    }
-    if (e.num_args > 0) {
-      body += ",\"args\":{";
-      for (std::uint8_t a = 0; a < e.num_args; ++a) {
-        if (a > 0) body += ',';
-        body += '"';
-        append_json_escaped(body, e.args[a].key);
-        body += "\":";
-        append_double(body, e.args[a].value);
-      }
-      body += '}';
-    }
+    append_event_ids_and_args(body, e);
     body += '}';
   }
   body += "],\"dropped\":";
@@ -243,9 +193,9 @@ void append_flight_spans(std::string& body, const FlightRecord& r) {
   for (std::uint8_t s = 0; s < r.num_spans; ++s) {
     const FlightSpan& span = r.spans[s];
     if (s > 0) body += ',';
-    body += "{\"name\":\"";
-    append_json_escaped(body, span.name);
-    body += "\",\"span_id\":\"";
+    body += "{\"name\":";
+    json::append_string(body, span.name);
+    body += ",\"span_id\":\"";
     body += format_hex64(span.span_id);
     body += '"';
     if (span.parent_span_id != 0) {
@@ -297,29 +247,22 @@ std::string flight_record_json(const FlightRecord& r) {
 }
 
 /// One request as a self-contained Chrome trace (chrome://tracing,
-/// ui.perfetto.dev): each retained span becomes a complete 'X' event.
+/// ui.perfetto.dev): each retained span becomes a complete 'X' event in
+/// the tracer's own event shape.
 std::string flight_record_chrome(const FlightRecord& r) {
   std::string body = "{\"traceEvents\":[";
   for (std::uint8_t s = 0; s < r.num_spans; ++s) {
     const FlightSpan& span = r.spans[s];
+    TraceEvent event;
+    event.name = span.name;
+    event.tid = 1;
+    event.ts_us = span.start_us;
+    event.dur_us = span.dur_us;
+    event.trace_id = r.trace_id;
+    event.span_id = span.span_id;
+    event.parent_span_id = span.parent_span_id;
     if (s > 0) body += ',';
-    body += "{\"name\":\"";
-    append_json_escaped(body, span.name);
-    body += "\",\"cat\":\"mev\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":";
-    body += std::to_string(span.start_us);
-    body += ",\"dur\":";
-    body += std::to_string(span.dur_us);
-    body += ",\"trace_id\":\"";
-    body += format_hex64(r.trace_id);
-    body += "\",\"span_id\":\"";
-    body += format_hex64(span.span_id);
-    body += '"';
-    if (span.parent_span_id != 0) {
-      body += ",\"parent_span_id\":\"";
-      body += format_hex64(span.parent_span_id);
-      body += '"';
-    }
-    body += '}';
+    append_chrome_event(body, event);
   }
   body += "],\"displayTimeUnit\":\"ms\"}\n";
   return body;

@@ -7,6 +7,8 @@
 #include <ctime>
 #include <thread>
 
+#include "obs/json.hpp"
+
 namespace mev::obs {
 
 namespace {
@@ -23,15 +25,6 @@ struct ProcessStart {
 /// process, not the first scrape.
 const ProcessStart g_start;
 
-std::string json_escape(const char* s) {
-  std::string out;
-  for (; s != nullptr && *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out += '\\';
-    if (static_cast<unsigned char>(*s) >= 0x20) out += *s;
-  }
-  return out;
-}
-
 }  // namespace
 
 int process_pid() noexcept { return static_cast<int>(::getpid()); }
@@ -45,11 +38,11 @@ std::uint64_t process_uptime_s() noexcept {
 }
 
 std::string build_info_json() {
-  std::string out = "{\"git_sha\":\"";
-  out += json_escape(build_git_sha());
-  out += "\",\"build_flags\":\"";
-  out += json_escape(build_flags());
-  out += "\",\"hardware_concurrency\":";
+  std::string out = "{\"git_sha\":";
+  json::append_string(out, build_git_sha());
+  out += ",\"build_flags\":";
+  json::append_string(out, build_flags());
+  out += ",\"hardware_concurrency\":";
   out += std::to_string(std::max(1u, std::thread::hardware_concurrency()));
   out += ",\"pid\":";
   out += std::to_string(process_pid());

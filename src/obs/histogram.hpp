@@ -1,6 +1,5 @@
 // Log2Histogram: the fixed-footprint, O(1)-record histogram shared by the
-// serving layer's latency stats and the obs/ metrics registry. Promoted
-// from src/serve/ (serve re-exports it for compatibility).
+// serving layer's latency stats and the obs/ metrics registry.
 //
 // Accuracy contract (pinned by tests/obs/test_histogram.cpp): values land
 // in power-of-two buckets — bucket 0 holds {0}, bucket i holds
@@ -11,8 +10,8 @@
 // typically far less), and is exact for min, max, and single-bucket
 // distributions. count/sum/mean/min/max are exact.
 //
-// This histogram is NOT thread-safe; owners guard it (the service's stats
-// mutex, the registry's per-histogram mutex).
+// This histogram is NOT thread-safe; owners guard it (the registry's
+// per-histogram mutex; ServiceStats holds plain copies).
 #pragma once
 
 #include <array>

@@ -1,57 +1,29 @@
 #include "obs/log.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <ostream>
 
+#include "obs/json.hpp"
 #include "obs/scope.hpp"
 
 namespace mev::obs {
 
 namespace {
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
-void append_double(std::string& out, double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  if (res.ec == std::errc()) {
-    out.append(buf, res.ptr);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
-  }
-}
-
-void append_field_value(std::string& out, const LogField& f, bool json) {
+void append_field_value(std::string& out, const LogField& f, bool as_json) {
   switch (f.kind) {
     case LogField::Kind::kString:
-      if (json) {
-        out += '"';
-        append_json_escaped(out, f.str != nullptr ? f.str : "");
-        out += '"';
+      if (as_json) {
+        json::append_string(out, f.str);
       } else {
         out += f.str != nullptr ? f.str : "";
       }
       break;
     case LogField::Kind::kF64:
-      append_double(out, f.f64);
+      json::append_number(out, f.f64);
       break;
     case LogField::Kind::kI64:
       out += std::to_string(f.i64);
@@ -127,16 +99,15 @@ void Logger::write_record(LogLevel level, const char* component,
     out += std::to_string(ts_us);
     out += ",\"level\":\"";
     out += runtime::to_string(level);
-    out += "\",\"component\":\"";
-    append_json_escaped(out, component != nullptr ? component : "");
-    out += "\",\"msg\":\"";
-    append_json_escaped(out, message);
-    out += '"';
+    out += "\",\"component\":";
+    json::append_string(out, component);
+    out += ",\"msg\":";
+    json::append_string(out, message);
     for (std::size_t i = 0; i < num_fields; ++i) {
-      out += ",\"";
-      append_json_escaped(out, fields[i].key != nullptr ? fields[i].key : "");
-      out += "\":";
-      append_field_value(out, fields[i], /*json=*/true);
+      out += ',';
+      json::append_string(out, fields[i].key);
+      out += ':';
+      append_field_value(out, fields[i], /*as_json=*/true);
     }
     out += "}\n";
   } else {
@@ -153,7 +124,7 @@ void Logger::write_record(LogLevel level, const char* component,
       out += ' ';
       out += fields[i].key != nullptr ? fields[i].key : "";
       out += '=';
-      append_field_value(out, fields[i], /*json=*/false);
+      append_field_value(out, fields[i], /*as_json=*/false);
     }
     out += '\n';
   }

@@ -1,12 +1,11 @@
 #include "obs/metrics.hpp"
 
-#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json.hpp"
 #include "runtime/clock.hpp"
 
 namespace mev::obs {
@@ -41,38 +40,15 @@ std::string prometheus_escape_label_value(std::string_view value) {
   return out;
 }
 
-namespace {
-
-/// Deterministic decimal rendering: integers print without a fraction,
-/// everything else as the shortest round-trip form.
-std::string format_number(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 9e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  if (res.ec == std::errc()) return std::string(buf, res.ptr);
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
-
 std::string prometheus_number(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  return format_number(v);
+  std::string out;
+  json::append_number(out, v);
+  return out;
 }
 
 namespace {
-
-/// JSON has no NaN/Infinity literals; non-finite gauge values snapshot as
-/// null rather than producing an unparseable document.
-std::string json_number(double v) {
-  return std::isfinite(v) ? format_number(v) : "null";
-}
 
 const char* kind_name(detail::MetricKind kind) {
   switch (kind) {
@@ -121,24 +97,6 @@ std::string render_labels(const Labels& labels, const std::string& extra = "") {
     out += extra;
   }
   out += "}";
-  return out;
-}
-
-std::string escape_json(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
   return out;
 }
 
@@ -350,37 +308,45 @@ std::string MetricsRegistry::prometheus() const {
 
 void MetricsRegistry::write_json(std::ostream& os) const {
   std::string counters, gauges, histograms;
+  // Built with += only: operator+ on a temporary trips GCC 12's bogus
+  // -Wrestrict under -Werror (GCC PR105651).
+  const auto field = [](std::string& out, const char* name, double v) {
+    out += ",\"";
+    out += name;
+    out += "\":";
+    json::append_number(out, v);
+  };
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& metric : metrics_) {
-    // Built with += (not operator+ on a temporary): GCC 12's -Werror
-    // build trips a bogus -Wrestrict on the rvalue overload (PR105651).
     // Labeled cells key as `name{key=value,...}` so every cell stays
     // addressable in the snapshot.
-    std::string key = "\"";
-    key += escape_json(metric->name);
+    std::string key = metric->name;
     if (!metric->labels.empty()) {
       key += '{';
       bool first = true;
       for (const auto& [k, v] : metric->labels) {
         if (!first) key += ',';
         first = false;
-        key += escape_json(k);
+        key += k;
         key += '=';
-        key += escape_json(v);
+        key += v;
       }
       key += '}';
     }
-    key += "\":";
+    std::string& out = metric->kind == detail::MetricKind::kCounter ? counters
+                       : metric->kind == detail::MetricKind::kGauge
+                           ? gauges
+                           : histograms;
+    if (!out.empty()) out += ',';
+    json::append_string(out, key);
+    out += ':';
     switch (metric->kind) {
       case detail::MetricKind::kCounter:
-        if (!counters.empty()) counters += ',';
-        counters += key + std::to_string(
-                              metric->counter.load(std::memory_order_relaxed));
+        out += std::to_string(metric->counter.load(std::memory_order_relaxed));
         break;
       case detail::MetricKind::kGauge:
-        if (!gauges.empty()) gauges += ',';
-        gauges +=
-            key + json_number(metric->gauge.load(std::memory_order_relaxed));
+        json::append_number(out,
+                            metric->gauge.load(std::memory_order_relaxed));
         break;
       case detail::MetricKind::kHistogram:
       case detail::MetricKind::kWindowedHistogram: {
@@ -390,28 +356,33 @@ void MetricsRegistry::write_json(std::ostream& os) const {
           h = metric->histogram;
         }
         const LatencySummary s = summarize(h);
-        if (!histograms.empty()) histograms += ',';
-        histograms += key + "{\"count\":" + std::to_string(s.count) +
-                      ",\"mean\":" + json_number(s.mean) +
-                      ",\"min\":" + std::to_string(h.min()) +
-                      ",\"max\":" + std::to_string(s.max) +
-                      ",\"p50\":" + json_number(s.p50) +
-                      ",\"p95\":" + json_number(s.p95) +
-                      ",\"p99\":" + json_number(s.p99);
+        out += "{\"count\":";
+        out += std::to_string(s.count);
+        field(out, "mean", s.mean);
+        out += ",\"min\":";
+        out += std::to_string(h.min());
+        out += ",\"max\":";
+        out += std::to_string(s.max);
+        field(out, "p50", s.p50);
+        field(out, "p95", s.p95);
+        field(out, "p99", s.p99);
         if (metric->kind == detail::MetricKind::kWindowedHistogram) {
           const std::uint64_t now_us =
               metric->clock.load(std::memory_order_acquire)->now_us();
           for (const auto& w : kExportWindows) {
             const LatencySummary ws =
                 summarize(metric->window->merged(now_us, w.window_us));
-            histograms += std::string(",\"window_") + w.label +
-                          "\":{\"count\":" + std::to_string(ws.count) +
-                          ",\"p50\":" + json_number(ws.p50) +
-                          ",\"p95\":" + json_number(ws.p95) +
-                          ",\"p99\":" + json_number(ws.p99) + "}";
+            out += ",\"window_";
+            out += w.label;
+            out += "\":{\"count\":";
+            out += std::to_string(ws.count);
+            field(out, "p50", ws.p50);
+            field(out, "p95", ws.p95);
+            field(out, "p99", ws.p99);
+            out += '}';
           }
         }
-        histograms += "}";
+        out += '}';
         break;
       }
     }

@@ -1,6 +1,6 @@
 #include "obs/slo.hpp"
 
-#include <cstdio>
+#include "obs/json.hpp"
 
 namespace mev::obs {
 
@@ -21,25 +21,18 @@ double burn(std::uint64_t bad, std::uint64_t total,
   return (static_cast<double>(bad) / static_cast<double>(total)) / budget;
 }
 
-void append_number(std::string& out, double v) {
-  // Fixed 6-decimal rendering keeps /sloz greppable and deterministic.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  out += buf;
-}
-
 void append_objective_json(std::string& out, const char* name,
                            const SloTracker::Objective& o) {
   out += '"';
   out += name;
   out += "\":{\"objective\":";
-  append_number(out, o.objective);
+  json::append_fixed6(out, o.objective);
   out += ",\"fast_burn_rate\":";
-  append_number(out, o.fast_burn);
+  json::append_fixed6(out, o.fast_burn);
   out += ",\"slow_burn_rate\":";
-  append_number(out, o.slow_burn);
+  json::append_fixed6(out, o.slow_burn);
   out += ",\"error_budget_remaining\":";
-  append_number(out, o.budget_remaining);
+  json::append_fixed6(out, o.budget_remaining);
   out += ",\"fast_total\":";
   out += std::to_string(o.fast_total);
   out += ",\"fast_bad\":";

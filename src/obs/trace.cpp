@@ -1,10 +1,10 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
+
+#include "obs/json.hpp"
 
 namespace mev::obs {
 
@@ -15,53 +15,9 @@ std::uint64_t next_tracer_id() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// Shortest round-trip decimal for a double (deterministic across runs).
-void append_double(std::string& out, double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  if (res.ec == std::errc()) {
-    out.append(buf, res.ptr);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
-  }
-}
+}  // namespace
 
-void append_json_string(std::string& out, const char* s) {
-  out += '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
-void append_event(std::string& out, const TraceEvent& e, bool& first) {
-  if (!first) out += ',';
-  first = false;
-  out += "{\"name\":";
-  append_json_string(out, e.name);
-  out += ",\"cat\":\"mev\",\"ph\":\"";
-  out += e.phase;
-  out += "\",\"pid\":1,\"tid\":";
-  out += std::to_string(e.tid);
-  out += ",\"ts\":";
-  out += std::to_string(e.ts_us);
-  if (e.phase == 'X') {
-    out += ",\"dur\":";
-    out += std::to_string(e.dur_us);
-  } else if (e.phase == 'i') {
-    out += ",\"s\":\"t\"";
-  }
+void append_event_ids_and_args(std::string& out, const TraceEvent& e) {
   if (e.trace_id != 0) {
     // Hex strings, not JSON numbers: 64-bit ids do not survive a double.
     // Chrome's viewer ignores unknown keys; /requestz and tests read them.
@@ -80,16 +36,32 @@ void append_event(std::string& out, const TraceEvent& e, bool& first) {
     out += ",\"args\":{";
     for (std::uint8_t a = 0; a < e.num_args; ++a) {
       if (a > 0) out += ',';
-      append_json_string(out, e.args[a].key);
+      json::append_string(out, e.args[a].key);
       out += ':';
-      append_double(out, e.args[a].value);
+      json::append_number(out, e.args[a].value);
     }
     out += '}';
   }
-  out += '}';
 }
 
-}  // namespace
+void append_chrome_event(std::string& out, const TraceEvent& e) {
+  out += "{\"name\":";
+  json::append_string(out, e.name);
+  out += ",\"cat\":\"mev\",\"ph\":\"";
+  out += e.phase;
+  out += "\",\"pid\":1,\"tid\":";
+  out += std::to_string(e.tid);
+  out += ",\"ts\":";
+  out += std::to_string(e.ts_us);
+  if (e.phase == 'X') {
+    out += ",\"dur\":";
+    out += std::to_string(e.dur_us);
+  } else if (e.phase == 'i') {
+    out += ",\"s\":\"t\"";
+  }
+  append_event_ids_and_args(out, e);
+  out += '}';
+}
 
 void Span::finish() noexcept {
   Tracer* tracer = std::exchange(tracer_, nullptr);
@@ -228,13 +200,18 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
   std::string out;
   out += "{\"traceEvents\":[";
   bool first = true;
+  const auto append = [&](const TraceEvent& e) {
+    if (!first) out += ',';
+    first = false;
+    append_chrome_event(out, e);
+  };
   std::uint64_t total_dropped = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& buffer : buffers_) {
       const std::size_t n = buffer->size.load(std::memory_order_acquire);
       for (std::size_t i = 0; i < n; ++i)
-        append_event(out, buffer->events[i], first);
+        append(buffer->events[i]);
       total_dropped += buffer->dropped.load(std::memory_order_relaxed);
     }
   }
@@ -246,7 +223,7 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
     note.phase = 'i';
     note.args[0] = TraceArg{"count", static_cast<double>(total_dropped)};
     note.num_args = 1;
-    append_event(out, note, first);
+    append(note);
   }
   out += "],\"displayTimeUnit\":\"ms\"}\n";
   os << out;

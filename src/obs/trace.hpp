@@ -252,6 +252,14 @@ class Tracer {
   std::uint32_t next_tid_ = 1;
 };
 
+/// Appends one event as a Chrome trace-event object ({"name":...,"ph":...}),
+/// the shape write_chrome_trace() emits for every buffered event.
+void append_chrome_event(std::string& out, const TraceEvent& event);
+
+/// Appends the fields both JSON event forms (Chrome, /tracez) end with:
+/// the hex ids of a correlated event and its "args", each only when set.
+void append_event_ids_and_args(std::string& out, const TraceEvent& event);
+
 /// Null-safe helpers so call sites never branch on the tracer pointer.
 inline Span span(Tracer* tracer, const char* name) noexcept {
   return tracer != nullptr ? tracer->span(name) : Span();

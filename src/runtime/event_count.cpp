@@ -1,7 +1,5 @@
 #include "runtime/event_count.hpp"
 
-#include <chrono>
-
 namespace mev::runtime {
 
 EventCount::Key EventCount::prepare_wait() noexcept {
@@ -26,25 +24,6 @@ void EventCount::wait(Key key) noexcept {
     cv_.wait(lock);
   lock.unlock();
   state_.fetch_sub(1, std::memory_order_seq_cst);
-}
-
-bool EventCount::wait_for_ms(Key key, std::uint64_t timeout_ms) noexcept {
-  bool notified = true;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    while (static_cast<Key>(state_.load(std::memory_order_relaxed) >>
-                            kEpochShift) == key) {
-      if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-        notified = static_cast<Key>(state_.load(std::memory_order_relaxed) >>
-                                    kEpochShift) != key;
-        break;
-      }
-    }
-  }
-  state_.fetch_sub(1, std::memory_order_seq_cst);
-  return notified;
 }
 
 void EventCount::notify(bool all) noexcept {

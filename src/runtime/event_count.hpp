@@ -12,7 +12,7 @@
 //       ec.cancel_wait();
 //       ... consume ...
 //     } else {
-//       ec.wait(key);   // or wait_for_ms
+//       ec.wait(key);
 //     }
 //
 // notify_*() on the fast path is a single atomic load: when no consumer
@@ -40,7 +40,7 @@ class EventCount {
   EventCount& operator=(const EventCount&) = delete;
 
   /// Announces intent to wait and returns the current epoch. Must be
-  /// paired with exactly one cancel_wait(), wait(), or wait_for_ms().
+  /// paired with exactly one cancel_wait() or wait().
   Key prepare_wait() noexcept;
 
   /// Abandons an announced wait (work was found after prepare_wait()).
@@ -50,10 +50,6 @@ class EventCount {
   /// after the matching prepare_wait()). Returns immediately when one
   /// already has.
   void wait(Key key) noexcept;
-
-  /// Timed wait(): returns true when woken by a notification, false on
-  /// timeout. A zero timeout degenerates to a cancel_wait() + poll.
-  bool wait_for_ms(Key key, std::uint64_t timeout_ms) noexcept;
 
   /// Wakes one / all parked waiters. One atomic load when nobody waits.
   void notify_one() noexcept;

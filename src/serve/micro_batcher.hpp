@@ -35,7 +35,6 @@ class MicroBatcher {
   /// Enqueues a request (FIFO). The caller has already admission-checked.
   void add(Request request);
 
-  std::size_t pending_requests() const noexcept { return pending_.size(); }
   std::size_t pending_rows() const noexcept { return pending_rows_; }
   bool empty() const noexcept { return pending_.empty(); }
 

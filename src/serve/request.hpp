@@ -124,7 +124,7 @@ struct Request {
   ScoreCallback callback = nullptr;
   void* callback_ctx = nullptr;
   std::uint64_t enqueue_us = 0;   // clock->now_us() at submit (histograms)
-  std::uint64_t enqueue_ms = 0;   // clock->now_ms() at submit (batch delay)
+  std::uint64_t enqueue_ms = 0;   // clock->now_ms() at submit (admission)
   std::uint64_t deadline_ms = 0;  // absolute clock ms; 0 = none
   obs::TraceContext trace;        // copied from SubmitOptions; may be invalid
 

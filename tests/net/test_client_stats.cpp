@@ -81,6 +81,16 @@ TEST(ClientStatsTracker, ToJsonCarriesWindowedRatesAndDrift) {
   EXPECT_NE(json.find("\"score_psi\":0.0"), std::string::npos);
 }
 
+TEST(ClientStatsTracker, ToJsonEscapesQuotesAndControlBytesInLabels) {
+  // Labels are caller-chosen API keys: a quote must not end the JSON
+  // string and a control byte must survive as \u00XX, not vanish.
+  ClientStatsTracker tracker(small_config());
+  tracker.entry("a\x01" "b\"c");
+  const std::string json = tracker.to_json(kSecond);
+  EXPECT_NE(json.find("\"client\":\"a\\u0001b\\\"c\""), std::string::npos)
+      << json;
+}
+
 TEST(ClientStatsTracker, RatesUseTheSlidingWindowNotLifetime) {
   ClientStatsTracker tracker(small_config());
   ClientEntry* alpha = tracker.entry("alpha");

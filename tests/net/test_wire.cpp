@@ -171,9 +171,9 @@ TEST(WireResponses, ErrorJsonEscapesHostileDetail) {
   EXPECT_EQ(format_error_json("bad_request", "say \"no\" to back\\slash"),
             "{\"error\":\"bad_request\","
             "\"detail\":\"say \\\"no\\\" to back\\\\slash\"}\n");
-  // Control characters are blanked, not emitted raw.
+  // Control characters are \u00XX-escaped, not emitted raw.
   EXPECT_EQ(format_error_json("x", "a\r\nb"),
-            "{\"error\":\"x\",\"detail\":\"a  b\"}\n");
+            "{\"error\":\"x\",\"detail\":\"a\\u000d\\u000ab\"}\n");
 }
 
 TEST(WireResponses, StatusMappingCoversEveryRejectReason) {

@@ -2,6 +2,8 @@
 // sockets), the readiness probe contract, the appended telemetry
 // self-metrics, and a socket-level smoke test that speaks real HTTP to
 // the listening port from this test binary.
+#include <limits>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include "obs/admin_server.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/http.hpp"
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
@@ -174,6 +177,41 @@ TEST(AdminServer, TracezIncludesCorrelationIdsWhenPresent) {
             std::string::npos);
   EXPECT_NE(response.find(mev::obs::format_hex64(ctx.span_id)),
             std::string::npos);
+}
+
+TEST(AdminServer, NonFiniteNumbersAreWrittenAsNull) {
+  // JSON has no NaN/Infinity literal: /tracez, the Chrome trace and a JSON
+  // log line must write them as null to stay parseable.
+  AdminFixture f;
+  {
+    auto span = f.tracer.span("mev.test.op");
+    span.arg("x", std::numeric_limits<double>::quiet_NaN());
+    span.arg("y", std::numeric_limits<double>::infinity());
+  }
+  std::ostringstream sink;
+  mev::obs::LoggerConfig log_config;
+  log_config.json = true;
+  log_config.sink = &sink;
+  log_config.clock = &f.clock;
+  log_config.metrics = &f.registry;
+  mev::obs::Logger logger(log_config);
+  logger.log(mev::obs::LogLevel::kWarn, "obs.test", "scored",
+             {mev::obs::LogField::f64_value(
+                 "v", std::numeric_limits<double>::quiet_NaN())});
+
+  AdminServer server = f.make();
+  const std::string tracez = server.handle(make_request("GET", "/tracez"));
+  const std::string chrome = f.tracer.chrome_trace();
+  const std::string line = sink.str();
+  EXPECT_NE(tracez.find("\"args\":{\"x\":null,\"y\":null}"), std::string::npos)
+      << tracez;
+  EXPECT_NE(chrome.find("\"args\":{\"x\":null,\"y\":null}"), std::string::npos)
+      << chrome;
+  EXPECT_NE(line.find("\"v\":null}"), std::string::npos) << line;
+  for (const std::string* doc : {&tracez, &chrome, &line}) {
+    EXPECT_EQ(doc->find("nan"), std::string::npos) << *doc;
+    EXPECT_EQ(doc->find("inf"), std::string::npos) << *doc;
+  }
 }
 
 TEST(AdminServer, RequestzWithoutARecorderExplainsItself) {

@@ -1,12 +1,11 @@
 // EventCount contract tests: the no-lost-wakeup window between
-// prepare_wait and wait, the fast-path notify on an idle count, timed
-// waits, and a producer/consumer stress shaped like the serving shards.
+// prepare_wait and wait, the fast-path notify on an idle count, and a
+// producer/consumer stress shaped like the serving shards.
 #include "runtime/event_count.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -41,31 +40,6 @@ TEST(EventCount, NotifyBetweenPrepareAndWaitIsNotLost) {
   ec.notify_one();  // lands "too early"
   ec.wait(key);     // must not block
   EXPECT_EQ(ec.waiters(), 0u);
-}
-
-TEST(EventCount, WaitForMsTimesOutWithoutNotify) {
-  EventCount ec;
-  const auto key = ec.prepare_wait();
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(ec.wait_for_ms(key, 10));
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - start);
-  EXPECT_GE(elapsed.count(), 9);
-  EXPECT_EQ(ec.waiters(), 0u);
-}
-
-TEST(EventCount, WaitForMsWakesOnNotify) {
-  EventCount ec;
-  std::atomic<bool> woke{false};
-  std::thread waiter([&] {
-    const auto key = ec.prepare_wait();
-    woke.store(ec.wait_for_ms(key, 10000), std::memory_order_release);
-  });
-  // Spin until the waiter is parked (or at least announced).
-  while (ec.waiters() == 0) std::this_thread::yield();
-  ec.notify_one();
-  waiter.join();
-  EXPECT_TRUE(woke.load(std::memory_order_acquire));
 }
 
 TEST(EventCount, NotifyAllWakesEveryWaiter) {
@@ -106,7 +80,7 @@ TEST(EventCount, QueueHandoffNeverDeadlocks) {
         ec.cancel_wait();
         continue;
       }
-      ec.wait_for_ms(key, 50);  // bounded: re-check even if racy-missed
+      ec.wait(key);
     }
   });
 
