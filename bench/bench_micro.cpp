@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the library's hot paths: matmul,
-// InferenceSession forward and backward, JSMA crafting throughput, feature
-// transforms, PCA fitting and synthetic-corpus generation — plus the
-// add-only vs unconstrained-JSMA ablation cost (DESIGN.md §5).
+// InferenceSession forward and backward, the Adam step, JSMA crafting
+// throughput, feature transforms, PCA fitting and synthetic-corpus
+// generation — plus the add-only vs unconstrained-JSMA ablation cost
+// (DESIGN.md §5).
 //
 // Besides the console table, the binary writes BENCH_micro.json (ns/op per
 // benchmark) to the working directory for machine consumption.
@@ -21,6 +22,7 @@
 #include "math/rng.hpp"
 #include "nn/loss.hpp"
 #include "nn/network.hpp"
+#include "nn/optimizer.hpp"
 #include "nn/session.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
@@ -79,7 +81,7 @@ void BM_SessionBackward(benchmark::State& state) {
   cfg.seed = 3;
   nn::Network net = nn::make_mlp(cfg);
   nn::InferenceSession session(net, batch);
-  session.bind_params(net);
+  float* weight_grad = session.bind_params(net).front().grad->data();
   const math::Matrix x = random_matrix(batch, 491, 4);
   std::vector<int> labels(batch);
   for (std::size_t i = 0; i < batch; ++i) labels[i] = i % 2;
@@ -87,12 +89,42 @@ void BM_SessionBackward(benchmark::State& state) {
     session.zero_param_grads();
     const math::Matrix& logits = session.forward(x, true);
     const auto loss = nn::softmax_cross_entropy(logits, labels);
-    benchmark::DoNotOptimize(session.backward(loss.grad_logits));
+    session.backward_params(loss.grad_logits);  // the trainer's sweep
+    benchmark::DoNotOptimize(weight_grad);
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           batch);
 }
 BENCHMARK(BM_SessionBackward)->Arg(64)->Arg(256);
+
+// One Adam update over the detector's 491-128-64-2 parameter set (about
+// 71k parameters); items are parameters.
+void BM_AdamStep(benchmark::State& state) {
+  nn::MlpConfig cfg;
+  cfg.dims = {491, 128, 64, 2};
+  cfg.seed = 3;
+  nn::Network net = nn::make_mlp(cfg);
+  nn::InferenceSession session(net);
+  const std::vector<nn::ParamRef> params = session.bind_params(net);
+  math::Rng rng(5);
+  std::size_t count = 0;
+  for (const nn::ParamRef& p : params) {
+    for (std::size_t i = 0; i < p.grad->size(); ++i)
+      p.grad->data()[i] = static_cast<float>(rng.normal(0.0, 0.01));
+    count += p.value->size();
+  }
+  nn::Adam adam(nn::AdamConfig{});
+  float* weights = params.front().value->data();
+  for (auto _ : state) {
+    adam.step(params);
+    benchmark::DoNotOptimize(weights);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(count));
+}
+BENCHMARK(BM_AdamStep);
 
 void BM_SessionInputGradient(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));

@@ -8,7 +8,8 @@
 //
 //   --admin-port N  start the embedded HTTP admin plane on port N (0 =
 //                   kernel-assigned; the bound port is printed) serving
-//                   /metrics /varz /healthz /readyz /tracez
+//                   /metrics /varz /healthz /readyz /tracez, and turn
+//                   the process tracer on so /tracez shows spans
 //   --http-port N   start the scoring HTTP frontend on port N (0 =
 //                   kernel-assigned; the bound port is printed) serving
 //                   POST /v1/score with two demo API keys: "demo"
@@ -39,6 +40,7 @@
 #include "data/synthetic.hpp"
 #include "defense/distillation.hpp"
 #include "net/frontend.hpp"
+#include "obs/scope.hpp"
 #include "serve/scoring_service.hpp"
 
 using namespace mev;
@@ -117,6 +119,9 @@ int main(int argc, char** argv) {
   if (admin_enabled) {
     service_cfg.admin.enabled = true;
     service_cfg.admin.port = static_cast<std::uint16_t>(admin_port);
+    // The process tracer starts disabled; without it /tracez has nothing
+    // to show.
+    obs::default_tracer().set_enabled(true);
   }
   if (overload) {
     service_cfg.overload.enabled = true;

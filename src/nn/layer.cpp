@@ -38,18 +38,18 @@ void DenseLayer::forward(const math::Matrix& x, LayerWorkspace& ws,
 }
 
 void DenseLayer::backward(math::Matrix& grad_output, const math::Matrix& input,
-                          LayerWorkspace& ws,
-                          bool accumulate_param_grads) const {
+                          LayerWorkspace& ws, Grads grads) const {
   if (!grad_output.same_shape(ws.output))
     throw std::invalid_argument("DenseLayer::backward: shape mismatch");
   // grad_output becomes dLoss/dPreActivation in place.
   apply_activation_grad(activation_, ws.pre_activation, ws.output, grad_output);
 
-  if (accumulate_param_grads) {
+  if (grads != Grads::kInput) {
     math::matmul_at_b_into(input, grad_output, ws.param_grads[0],
                            /*accumulate=*/true);
     math::add_column_sums(grad_output, ws.param_grads[1]);
   }
+  if (grads == Grads::kParams) return;
 
   // dLoss/dInput = grad_output * Wᵀ against the packed Wᵀ: the same
   // k-ordered sum from +0 as the dot-product form, so the same bits.
@@ -103,7 +103,8 @@ void DropoutLayer::forward(const math::Matrix& x, LayerWorkspace& ws,
 
 void DropoutLayer::backward(math::Matrix& grad_output,
                             const math::Matrix& /*input*/, LayerWorkspace& ws,
-                            bool /*accumulate_param_grads*/) const {
+                            Grads grads) const {
+  if (grads == Grads::kParams) return;  // no parameters
   ws.grad_input = grad_output;
   if (!ws.mask.empty()) ws.grad_input.hadamard(ws.mask);
 }

@@ -36,14 +36,25 @@ struct LayerWorkspace {
   math::Matrix grad_input;      // backward result dLoss/dInput (batch x in)
   /// Dense: packed Wᵀ (out x in), so dLoss/dInput runs the vectorized
   /// matmul_into instead of a dot product per element. Built from the
-  /// layer's weights by the first backward that finds it empty; forward-
-  /// only sessions never build it. A session whose parameters are bound
-  /// for writing empties it after every forward (capacity kept), so no
-  /// pack outlives an optimizer step.
+  /// layer's weights by the first backward that wants an input gradient
+  /// and finds it empty; forward-only sessions never build it, and the
+  /// training sweep never builds layer 0's. A session whose parameters
+  /// are bound for writing empties it after every forward (capacity
+  /// kept), so no pack outlives an optimizer step.
   math::Matrix weights_t;
   /// Parameter-gradient accumulators, one per parameter tensor in the
   /// order of Layer::param_values(). Sized by Layer::init_workspace.
   std::vector<math::Matrix> param_grads;
+};
+
+/// Which gradients one Layer::backward call produces. The training sweep
+/// wants parameter gradients everywhere and an input gradient everywhere
+/// but layer 0 (nothing consumes dLoss/dFeatures there); the attack sweep
+/// wants only input gradients.
+enum class Grads {
+  kInput,           // dLoss/dInput into ws.grad_input; parameters untouched
+  kParams,          // parameter gradients only; ws.grad_input left as is
+  kParamsAndInput,  // both
 };
 
 class Layer {
@@ -56,17 +67,15 @@ class Layer {
   virtual void forward(const math::Matrix& x, LayerWorkspace& ws,
                        bool training) const = 0;
 
-  /// Backward pass: receives dLoss/dOutput (clobbered as scratch space),
-  /// writes dLoss/dInput into ws.grad_input. Must follow a forward call
-  /// with the matching batch in the same workspace; may be called many
-  /// times per forward (e.g. one per output class). When
-  /// `accumulate_param_grads` is set, parameter gradients are accumulated
-  /// into ws.param_grads and `input` must be the matrix handed to the
-  /// matching forward call; otherwise all parameter work is skipped
-  /// (the attack-gradient fast path).
+  /// Backward pass: receives dLoss/dOutput (clobbered as scratch space).
+  /// Must follow a forward call with the matching batch in the same
+  /// workspace; may be called many times per forward (e.g. one per output
+  /// class). `grads` names what to produce: parameter gradients are
+  /// accumulated into ws.param_grads (and `input` must be the matrix handed
+  /// to the matching forward call); dLoss/dInput is written into
+  /// ws.grad_input. Work for a gradient not asked for is skipped.
   virtual void backward(math::Matrix& grad_output, const math::Matrix& input,
-                        LayerWorkspace& ws,
-                        bool accumulate_param_grads) const = 0;
+                        LayerWorkspace& ws, Grads grads) const = 0;
 
   /// Sizes (and zeroes) ws.param_grads to match this layer's parameters.
   virtual void init_workspace(LayerWorkspace& ws) const {
@@ -99,8 +108,7 @@ class DenseLayer final : public Layer {
   void forward(const math::Matrix& x, LayerWorkspace& ws,
                bool training) const override;
   void backward(math::Matrix& grad_output, const math::Matrix& input,
-                LayerWorkspace& ws,
-                bool accumulate_param_grads) const override;
+                LayerWorkspace& ws, Grads grads) const override;
   void init_workspace(LayerWorkspace& ws) const override;
   std::vector<math::Matrix*> param_values() override;
   std::vector<const math::Matrix*> param_values() const override;
@@ -138,8 +146,7 @@ class DropoutLayer final : public Layer {
   void forward(const math::Matrix& x, LayerWorkspace& ws,
                bool training) const override;
   void backward(math::Matrix& grad_output, const math::Matrix& input,
-                LayerWorkspace& ws,
-                bool accumulate_param_grads) const override;
+                LayerWorkspace& ws, Grads grads) const override;
 
   std::size_t input_dim() const override { return dim_; }
   std::size_t output_dim() const override { return dim_; }

@@ -67,23 +67,34 @@ std::span<const int> InferenceSession::predict(const math::Matrix& x) {
   return labels_;
 }
 
-const math::Matrix& InferenceSession::run_backward(
-    bool accumulate_param_grads) {
+void InferenceSession::run_backward(Grads at_layer0) {
+  // Every layer above 0 hands dLoss/dInput down, in both sweeps.
+  const Grads above = at_layer0 == Grads::kParams ? Grads::kParamsAndInput
+                                                  : at_layer0;
   math::Matrix* grad = &grad_logits_;
   for (std::size_t i = ws_.size(); i-- > 0;) {
     net_->layer(i).backward(*grad, layer_input(i), ws_[i],
-                            accumulate_param_grads);
+                            i == 0 ? at_layer0 : above);
     grad = &ws_[i].grad_input;
   }
-  return ws_.front().grad_input;
 }
 
-const math::Matrix& InferenceSession::backward(const math::Matrix& grad_logits,
-                                               bool accumulate_param_grads) {
+void InferenceSession::seed_backward(const math::Matrix& grad_logits) {
   if (!grad_logits.same_shape(ws_.back().output))
     throw std::invalid_argument("InferenceSession::backward: shape mismatch");
   grad_logits_ = grad_logits;
-  return run_backward(accumulate_param_grads);
+}
+
+void InferenceSession::backward_params(const math::Matrix& grad_logits) {
+  seed_backward(grad_logits);
+  run_backward(Grads::kParams);
+}
+
+const math::Matrix& InferenceSession::backward_input(
+    const math::Matrix& grad_logits) {
+  seed_backward(grad_logits);
+  run_backward(Grads::kInput);
+  return ws_.front().grad_input;
 }
 
 void InferenceSession::softmax_jacobian_row(std::size_t target_class) {
@@ -105,7 +116,8 @@ const math::Matrix& InferenceSession::input_gradient(const math::Matrix& x,
     throw std::invalid_argument("input_gradient: class out of range");
   predict_proba(x);
   softmax_jacobian_row(static_cast<std::size_t>(target_class));
-  return run_backward(/*accumulate_param_grads=*/false);
+  run_backward(Grads::kInput);
+  return ws_.front().grad_input;
 }
 
 std::span<const math::Matrix> InferenceSession::input_gradients_all(
@@ -114,7 +126,8 @@ std::span<const math::Matrix> InferenceSession::input_gradients_all(
   predict_proba(x);
   for (std::size_t c = 0; c < classes; ++c) {
     softmax_jacobian_row(c);
-    class_grads_[c] = run_backward(/*accumulate_param_grads=*/false);
+    run_backward(Grads::kInput);
+    class_grads_[c] = ws_.front().grad_input;
   }
   return class_grads_;
 }

@@ -17,13 +17,23 @@
 // Returned references/spans point into session-owned buffers and stay
 // valid until the next call on the same session.
 //
+// Two backward sweeps. backward_params() is the trainer's: it accumulates
+// every parameter gradient and passes dLoss/dInput down through every
+// layer but the first, whose input gradient (dLoss/dFeatures) no optimizer
+// reads. Skipping it saves a batch x hidden x features GEMM, as large as
+// layer 0's forward, and layer 0's Wᵀ pack. backward_input(),
+// input_gradient() and input_gradients_all() are the attacks': they form
+// dLoss/dInput through every layer and touch no parameter accumulator.
+//
 // Parameter reads: forward reads the network's parameters on every call.
-// Backward reads the dense weights through a packed transpose that the
-// session builds at its first backward and, once bind_params() has handed
-// out writable parameters, rebuilds at the first backward after each
-// forward. So parameter writes must go through a bound session (the
-// optimizer step between a backward and the next forward); a session that
-// is not bound must not run backward after someone else rewrote the
+// A backward that passes dLoss/dInput down through a dense layer reads its
+// weights through a packed transpose that the session builds at the first
+// such backward: every dense layer in the attack sweep, every one but
+// layer 0 in the training sweep. Once bind_params() has handed out
+// writable parameters, the packs are dropped by every forward and rebuilt
+// at the next backward. So parameter writes must go through a bound session
+// (the optimizer step between a backward and the next forward); a session
+// that is not bound must not run backward after someone else rewrote the
 // weights — make a fresh one instead.
 #pragma once
 
@@ -62,13 +72,15 @@ class InferenceSession {
   /// Argmax class per row; the span is valid until the next call.
   std::span<const int> predict(const math::Matrix& x);
 
-  /// Backward pass from dLoss/dLogits; returns dLoss/dInput. Must follow
-  /// a forward() on the same batch; may be called multiple times per
-  /// forward. With `accumulate_param_grads` the per-parameter gradients
-  /// are accumulated into the session's accumulators (bind_params); the
-  /// attack paths pass false and skip all parameter work.
-  const math::Matrix& backward(const math::Matrix& grad_logits,
-                               bool accumulate_param_grads = true);
+  /// The two backward sweeps from dLoss/dLogits. Each must follow a
+  /// forward() on the same batch; either may run many times per forward.
+  ///
+  /// Training sweep: accumulates every parameter gradient into the
+  /// session's accumulators (bind_params). It stops after layer 0's
+  /// parameter gradients, so dLoss/dInput is never formed.
+  void backward_params(const math::Matrix& grad_logits);
+  /// Attack sweep: returns dLoss/dInput and touches no accumulator.
+  const math::Matrix& backward_input(const math::Matrix& grad_logits);
 
   /// Gradient of the softmax probability of `target_class` with respect
   /// to the input, per sample (batch x input_dim). Runs its own forward
@@ -92,7 +104,11 @@ class InferenceSession {
  private:
   /// Softmax-Jacobian row for `target_class` into grad_logits_.
   void softmax_jacobian_row(std::size_t target_class);
-  const math::Matrix& run_backward(bool accumulate_param_grads);
+  /// Validates and copies the backward seed into grad_logits_.
+  void seed_backward(const math::Matrix& grad_logits);
+  /// Runs the layers top-down; layer 0 gets `at_layer0` (kParams for the
+  /// training sweep, kInput for the attack sweep).
+  void run_backward(Grads at_layer0);
   const math::Matrix& layer_input(std::size_t layer_index) const;
 
   const Network* net_;

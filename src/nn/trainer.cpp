@@ -84,7 +84,7 @@ TrainHistory run_training(Network& net, const math::Matrix& x, std::size_t n,
       LossResult loss = loss_fn(logits, batch_idx);
       epoch_loss += loss.loss;
       ++batches;
-      session.backward(loss.grad_logits, /*accumulate_param_grads=*/true);
+      session.backward_params(loss.grad_logits);
       optimizer->step(params);
     }
 

@@ -34,10 +34,16 @@ void append_field_value(std::string& out, const LogField& f, bool as_json) {
   }
 }
 
+std::uint64_t next_logger_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 Logger::Logger(LoggerConfig config)
-    : min_level_(static_cast<int>(config.min_level)),
+    : id_(next_logger_id()),
+      min_level_(static_cast<int>(config.min_level)),
       json_(config.json),
       sink_(config.sink != nullptr ? config.sink : &std::cerr),
       clock_(config.clock != nullptr ? config.clock
@@ -67,10 +73,10 @@ void Logger::log_site(LogSite& site, LogLevel level, const char* component,
   if (site.rate_per_s > 0.0) {
     std::lock_guard<std::mutex> lock(mutex_);
     const double burst = std::max(site.burst, 1.0);
-    if (!site.initialized) {
+    if (site.owner != id_) {
       site.tokens = burst;
       site.last_refill_us = now_us;
-      site.initialized = true;
+      site.owner = id_;
     }
     const std::uint64_t elapsed_us =
         now_us >= site.last_refill_us ? now_us - site.last_refill_us : 0;

@@ -63,15 +63,17 @@ struct LoggerConfig {
 };
 
 /// Per-call-site token bucket state for the MEV_LOG_* macros. Declared
-/// `static` at the call site; zero-initialized = "first call initializes
-/// the bucket". A site with rate_per_s == 0 is unlimited.
+/// `static` at the call site, so it outlives any one Logger: the bucket
+/// belongs to the logger that last drove it, and a different logger
+/// (owner id mismatch, including the zero-initialized "none yet") starts
+/// it full on its own clock. A site with rate_per_s == 0 is unlimited.
 struct LogSite {
   double rate_per_s = 0.0;
   double burst = 1.0;
   // Bucket state, guarded by the owning logger's mutex.
   double tokens = 0.0;
   std::uint64_t last_refill_us = 0;
-  bool initialized = false;
+  std::uint64_t owner = 0;  // id of the logger the bucket belongs to
 };
 
 class Logger {
@@ -122,6 +124,9 @@ class Logger {
                     std::string_view message, const LogField* fields,
                     std::size_t num_fields, std::uint64_t ts_us);
 
+  // Process-unique and never 0 or reused: LogSite::owner compares it, and
+  // an address would not do, as a later logger can share a stack slot.
+  const std::uint64_t id_;
   std::atomic<int> min_level_;
   bool json_;
   std::ostream* sink_;

@@ -81,7 +81,7 @@ TEST(DenseLayer, ParameterGradientsMatchFiniteDifference) {
   layer.init_workspace(ws);
   layer.forward(x, ws, false);
   math::Matrix upstream(2, 3, 1.0f);
-  layer.backward(upstream, x, ws, /*accumulate_param_grads=*/true);
+  layer.backward(upstream, x, ws, Grads::kParamsAndInput);
 
   auto values = layer.param_values();
   ASSERT_EQ(values.size(), 2u);
@@ -115,7 +115,7 @@ TEST(DenseLayer, InputGradientMatchesFiniteDifference) {
   layer.init_workspace(ws);
   layer.forward(x, ws, false);
   math::Matrix upstream(1, 2, 1.0f);
-  layer.backward(upstream, x, ws, /*accumulate_param_grads=*/false);
+  layer.backward(upstream, x, ws, Grads::kInput);
 
   const float eps = 1e-2f;
   for (std::size_t j = 0; j < 3; ++j) {
@@ -137,10 +137,10 @@ TEST(DenseLayer, GradientsAccumulateAcrossBackwards) {
   layer.init_workspace(ws);
   layer.forward(x, ws, false);
   math::Matrix upstream(1, 2, 1.0f);
-  layer.backward(upstream, x, ws, true);
+  layer.backward(upstream, x, ws, Grads::kParamsAndInput);
   const float once = ws.param_grads[0].data()[0];
   upstream = math::Matrix(1, 2, 1.0f);  // backward clobbers its input
-  layer.backward(upstream, x, ws, true);
+  layer.backward(upstream, x, ws, Grads::kParamsAndInput);
   EXPECT_NEAR(ws.param_grads[0].data()[0], 2 * once, 1e-5);
   ws.param_grads[0].fill(0.0f);
   EXPECT_EQ(ws.param_grads[0].data()[0], 0.0f);
@@ -155,7 +155,7 @@ TEST(DenseLayer, SkippingParamGradsLeavesAccumulatorsZero) {
   layer.init_workspace(ws);
   layer.forward(x, ws, false);
   math::Matrix upstream(1, 2, 1.0f);
-  layer.backward(upstream, x, ws, /*accumulate_param_grads=*/false);
+  layer.backward(upstream, x, ws, Grads::kInput);
   for (const auto& g : ws.param_grads)
     for (std::size_t i = 0; i < g.size(); ++i)
       EXPECT_EQ(g.data()[i], 0.0f);
@@ -173,14 +173,37 @@ TEST(DenseLayer, BackwardPacksTransposedWeightsLazily) {
   layer.forward(x, ws, false);
   EXPECT_TRUE(ws.weights_t.empty()) << "forward must not build the pack";
   math::Matrix upstream(1, 3, 1.0f);
-  layer.backward(upstream, x, ws, /*accumulate_param_grads=*/false);
+  layer.backward(upstream, x, ws, Grads::kInput);
   EXPECT_EQ(ws.weights_t, layer.weights().transposed());
   // An emptied pack is rebuilt from the current weights.
   layer.mutable_weights()(0, 0) += 1.0f;
   ws.weights_t.resize(0, 0);
   upstream = math::Matrix(1, 3, 1.0f);
-  layer.backward(upstream, x, ws, /*accumulate_param_grads=*/false);
+  layer.backward(upstream, x, ws, Grads::kInput);
   EXPECT_EQ(ws.weights_t, layer.weights().transposed());
+}
+
+TEST(DenseLayer, ParamsOnlyBackwardSkipsTheInputGradient) {
+  // Grads::kParams (layer 0 of the training sweep) accumulates the same
+  // parameter gradients as kParamsAndInput but neither packs Wᵀ nor
+  // writes dLoss/dInput.
+  math::Rng rng(10);
+  DenseLayer layer(5, 3, Activation::kTanh, rng);
+  const math::Matrix x{{1, -2, 3, -4, 5}, {0.5f, 0.25f, -1, 2, 0}};
+  LayerWorkspace both, params_only;
+  for (LayerWorkspace* ws : {&both, &params_only}) {
+    layer.init_workspace(*ws);
+    layer.forward(x, *ws, false);
+  }
+  math::Matrix upstream(2, 3, 0.75f);
+  layer.backward(upstream, x, both, Grads::kParamsAndInput);
+  upstream = math::Matrix(2, 3, 0.75f);
+  layer.backward(upstream, x, params_only, Grads::kParams);
+  EXPECT_EQ(params_only.param_grads[0], both.param_grads[0]);
+  EXPECT_EQ(params_only.param_grads[1], both.param_grads[1]);
+  EXPECT_TRUE(params_only.weights_t.empty());
+  EXPECT_TRUE(params_only.grad_input.empty());
+  EXPECT_EQ(both.grad_input.cols(), 5u);
 }
 
 TEST(DenseLayer, CloneIsDeepCopy) {
@@ -224,7 +247,7 @@ TEST(DropoutLayer, BackwardUsesSameMask) {
   drop.forward(x, ws, true);
   const math::Matrix y = ws.output;
   math::Matrix upstream(1, 100, 1.0f);
-  drop.backward(upstream, x, ws, false);
+  drop.backward(upstream, x, ws, Grads::kInput);
   for (std::size_t i = 0; i < 100; ++i) {
     if (y.data()[i] == 0.0f) {
       EXPECT_EQ(ws.grad_input.data()[i], 0.0f);
@@ -241,8 +264,19 @@ TEST(DropoutLayer, InferenceBackwardIsIdentity) {
   drop.init_workspace(ws);
   drop.forward(x, ws, false);  // inference: no mask recorded
   math::Matrix upstream{{5, 6, 7, 8}};
-  drop.backward(upstream, x, ws, false);
+  drop.backward(upstream, x, ws, Grads::kInput);
   EXPECT_EQ(ws.grad_input, (math::Matrix{{5, 6, 7, 8}}));
+}
+
+TEST(DropoutLayer, ParamsOnlyBackwardWritesNothing) {
+  DropoutLayer drop(4, 0.5f, 5);
+  const math::Matrix x{{1, 2, 3, 4}};
+  LayerWorkspace ws;
+  drop.init_workspace(ws);
+  drop.forward(x, ws, true);
+  math::Matrix upstream{{5, 6, 7, 8}};
+  drop.backward(upstream, x, ws, Grads::kParams);
+  EXPECT_TRUE(ws.grad_input.empty());
 }
 
 TEST(DropoutLayer, InvalidRateThrows) {

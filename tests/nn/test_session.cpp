@@ -24,10 +24,15 @@
 // ---------------------------------------------------------------------------
 namespace {
 std::atomic<std::size_t> g_allocations{0};
+// Allocations of exactly g_watched_size bytes (0 = watch nothing).
+std::atomic<std::size_t> g_watched_size{0};
+std::atomic<std::size_t> g_watched_hits{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (size != 0 && size == g_watched_size.load(std::memory_order_relaxed))
+    g_watched_hits.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -112,10 +117,12 @@ TEST(InferenceSession, BackwardMatchesSeedBuildBitExact) {
   const math::Matrix x = random_input(3, 4, 9);
   session.zero_param_grads();
   session.forward(x, false);
-  const math::Matrix& gin =
-      session.backward(math::Matrix(3, 2, 1.0f), true);
+  // The seed build formed both results in one sweep; the attack sweep now
+  // forms dLoss/dInput and the training sweep the parameter gradients.
+  const math::Matrix& gin = session.backward_input(math::Matrix(3, 2, 1.0f));
   for (std::size_t i = 0; i < 12; ++i)
     EXPECT_EQ(gin.data()[i], kRefBackward[i]) << "grad_input " << i;
+  session.backward_params(math::Matrix(3, 2, 1.0f));
   const auto params = session.bind_params(net);
   for (std::size_t i = 0; i < 6; ++i)
     EXPECT_EQ(params[0].grad->data()[i], kRefWeightGrad0First6[i])
@@ -162,7 +169,9 @@ TEST(InferenceSession, ConstructionAndValidation) {
                std::invalid_argument);
   // backward before/with a mismatched logits shape.
   session.forward(random_input(3, 4, 2));
-  EXPECT_THROW(session.backward(math::Matrix(2, 2, 1.0f), true),
+  EXPECT_THROW(session.backward_params(math::Matrix(2, 2, 1.0f)),
+               std::invalid_argument);
+  EXPECT_THROW(session.backward_input(math::Matrix(2, 2, 1.0f)),
                std::invalid_argument);
   // bind_params only accepts the session's own network.
   Network other = reference_net();
@@ -204,12 +213,12 @@ TEST(InferenceSession, SteadyStateForwardAllocatesNothing) {
   const math::Matrix grad_logits(8, 2, 0.5f);
   for (int i = 0; i < 3; ++i) {
     trainer.forward(x, /*training=*/true);
-    trainer.backward(grad_logits, /*accumulate_param_grads=*/true);
+    trainer.backward_params(grad_logits);
   }
   const std::size_t before_train = g_allocations.load();
   for (int i = 0; i < 50; ++i) {
     trainer.forward(x, /*training=*/true);
-    trainer.backward(grad_logits, /*accumulate_param_grads=*/true);
+    trainer.backward_params(grad_logits);
   }
   EXPECT_EQ(g_allocations.load() - before_train, 0u)
       << "bound training step allocated in steady state";
@@ -217,9 +226,10 @@ TEST(InferenceSession, SteadyStateForwardAllocatesNothing) {
 
 TEST(InferenceSession, BoundSessionBackwardSeesEveryOptimizerStep) {
   // Each Sgd::step rewrites the weights between a backward and the next
-  // forward. The bound session's next backward must read the new weights
+  // forward. The bound session's next sweeps must read the new weights
   // (its W^T packs are dropped by the forward), byte for byte like a
-  // fresh session on the updated network.
+  // fresh session on the updated network: the attack sweep's dLoss/dInput
+  // and the training sweep's parameter gradients both.
   MlpConfig cfg;
   cfg.dims = {16, 32, 8, 2};
   cfg.seed = 7;
@@ -231,21 +241,59 @@ TEST(InferenceSession, BoundSessionBackwardSeesEveryOptimizerStep) {
   Sgd sgd(sgd_cfg);
   const math::Matrix x = random_input(8, 16, 11);
   const math::Matrix grad_logits = random_input(8, 2, 12);
+  const auto same_bytes = [](const math::Matrix& a, const math::Matrix& b) {
+    return a.same_shape(b) &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
   for (int step = 0; step < 3; ++step) {
     session.zero_param_grads();
     session.forward(x, /*training=*/true);
-    const math::Matrix& got =
-        session.backward(grad_logits, /*accumulate_param_grads=*/true);
+    session.backward_params(grad_logits);
+    const math::Matrix& got = session.backward_input(grad_logits);
+
     InferenceSession fresh(net, 8);
+    const std::vector<ParamRef> fresh_params = fresh.bind_params(net);
+    fresh.zero_param_grads();
     fresh.forward(x, /*training=*/true);
-    const math::Matrix& want =
-        fresh.backward(grad_logits, /*accumulate_param_grads=*/false);
-    ASSERT_TRUE(got.same_shape(want));
-    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
-              0)
+    fresh.backward_params(grad_logits);
+    const math::Matrix& want = fresh.backward_input(grad_logits);
+    EXPECT_TRUE(same_bytes(got, want))
         << "grad_input differs from a fresh session at step " << step;
+    ASSERT_EQ(params.size(), fresh_params.size());
+    for (std::size_t p = 0; p < params.size(); ++p)
+      EXPECT_TRUE(same_bytes(*params[p].grad, *fresh_params[p].grad))
+          << "parameter gradient " << p << " differs at step " << step;
     sgd.step(params);
   }
+}
+
+TEST(InferenceSession, ParamSweepNeverPacksLayerZero) {
+  // Layer 0 is 64 -> 8, so its Wᵀ pack is the only 8 x 64 float buffer a
+  // sweep at batch 4 could allocate: layer 0's grad_input is 4 x 64 and
+  // reserved up front, and the accumulators exist from bind_params.
+  MlpConfig cfg;
+  cfg.dims = {64, 8, 2};
+  cfg.seed = 4;
+  Network net = make_mlp(cfg);
+  const math::Matrix x = random_input(4, 64, 5);
+  const math::Matrix grad_logits = random_input(4, 2, 6);
+  InferenceSession trainer(net, 4);
+  trainer.bind_params(net);
+
+  g_watched_hits.store(0);
+  g_watched_size.store(8 * 64 * sizeof(float));
+  for (int step = 0; step < 3; ++step) {
+    trainer.zero_param_grads();
+    trainer.forward(x, /*training=*/true);
+    trainer.backward_params(grad_logits);
+  }
+  EXPECT_EQ(g_watched_hits.load(), 0u)
+      << "the training sweep packed layer 0's W^T";
+  // Control: the attack sweep through the same session does build that
+  // pack, so the hook would have seen it.
+  trainer.backward_input(grad_logits);
+  g_watched_size.store(0);
+  EXPECT_EQ(g_watched_hits.load(), 1u);
 }
 
 TEST(InferenceSession, SmallerBatchAfterLargerStaysAllocationFree) {

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace mev::nn {
 namespace {
@@ -171,6 +172,78 @@ TEST(Trainer, AccuracyChecksSizes) {
   const LabeledData data = blobs(10, 13);
   std::vector<int> wrong(5, 0);
   EXPECT_THROW(accuracy(net, data.x, wrong), std::invalid_argument);
+}
+
+/// 22 rows of 4 features: at batch 8 the last batch of an epoch is short.
+LabeledData pin_set() {
+  math::Rng rng(12);
+  LabeledData d;
+  d.x = math::Matrix(22, 4);
+  d.labels.resize(22);
+  for (std::size_t i = 0; i < 22; ++i) {
+    for (std::size_t j = 0; j < 4; ++j)
+      d.x(i, j) = static_cast<float>(rng.normal());
+    d.labels[i] = d.x(i, 0) + d.x(i, 1) > d.x(i, 2) ? 1 : 0;
+  }
+  return d;
+}
+
+/// Trains MLP 4-3-2 (seed 11) on pin_set() and returns every parameter,
+/// layer by layer in param_values() order.
+std::vector<float> pin_trained_params(const TrainConfig& cfg) {
+  MlpConfig mc;
+  mc.dims = {4, 3, 2};
+  mc.seed = 11;
+  Network net = make_mlp(mc);
+  train(net, pin_set(), cfg);
+  std::vector<float> out;
+  for (std::size_t l = 0; l < net.num_layers(); ++l)
+    for (const math::Matrix* p : net.layer(l).param_values())
+      out.insert(out.end(), p->data(), p->data() + p->size());
+  return out;
+}
+
+TEST(Trainer, TrainedWeightsMatchParentBitExact) {
+  // Printed with %a by the build before the training sweep stopped
+  // forming layer 0's input gradient and Adam's update was vectorized;
+  // training must still land on exactly these bits.
+  constexpr float kAdamWeights[23] = {
+      0x1.1cd0d2p-2f,  0x1.a957cap-3f,  -0x1.f8453cp-1f, 0x1.993d4p-3f,
+      -0x1.6501d8p-9f, -0x1.7d631p-2f,  -0x1.bdbd3ep-2f, -0x1.7dd41ep-3f,
+      0x1.3bafep-1f,   -0x1.ec0032p-2f, 0x1.915a1p-4f,   -0x1.d0d478p-3f,
+      0x1.80e2f6p-4f,  -0x1.86222cp-3f, 0x1.c3cd06p-3f,  0x1.37ed36p-4f,
+      0x1.5ee442p-2f,  -0x1.8148bcp-2f, -0x1.0419aep-2f, 0x1.164de8p-2f,
+      -0x1.474ab4p-1f, -0x1.125992p-4f, 0x1.125998p-4f};
+  constexpr float kSgdWeights[23] = {
+      0x1.69a22p-6f,   0x1.0ba892p-5f,  -0x1.22123ep+0f, 0x1.50ab38p-2f,
+      0x1.209a44p-4f,  -0x1.47e698p-2f, -0x1.59d93cp-1f, -0x1.4a1f52p-1f,
+      0x1.2e6076p-1f,  -0x1.a124ep-2f,  0x1.2cbd9p-2f,   -0x1.8b2134p-3f,
+      -0x1.49ff0ep-4f, -0x1.b37f2cp-3f, 0x1.4750bep-4f,  0x1.ac3056p-3f,
+      0x1.b92fb6p-3f,  -0x1.844422p-2f, -0x1.0a6456p-2f, 0x1.427668p-1f,
+      -0x1.ff6d82p-1f, -0x1.0ec06ap-2f, 0x1.0ec06cp-2f};
+
+  TrainConfig adam;
+  adam.epochs = 4;
+  adam.batch_size = 8;
+  adam.learning_rate = 0.05f;
+  adam.weight_decay = 0.01f;
+  adam.optimizer = OptimizerKind::kAdam;
+  const std::vector<float> got_adam = pin_trained_params(adam);
+  ASSERT_EQ(got_adam.size(), 23u);
+  for (std::size_t i = 0; i < 23; ++i)
+    EXPECT_EQ(got_adam[i], kAdamWeights[i]) << "adam parameter " << i;
+
+  TrainConfig sgd;
+  sgd.epochs = 4;
+  sgd.batch_size = 8;
+  sgd.learning_rate = 0.1f;
+  sgd.momentum = 0.9f;
+  sgd.weight_decay = 0.001f;
+  sgd.optimizer = OptimizerKind::kSgd;
+  const std::vector<float> got_sgd = pin_trained_params(sgd);
+  ASSERT_EQ(got_sgd.size(), 23u);
+  for (std::size_t i = 0; i < 23; ++i)
+    EXPECT_EQ(got_sgd[i], kSgdWeights[i]) << "sgd parameter " << i;
 }
 
 }  // namespace

@@ -139,6 +139,27 @@ TEST(Logger, MacrosCompileAndGate) {
   EXPECT_EQ(logger.dropped(), 1u);
 }
 
+// One MEV_LOG_EVERY occurrence that every caller shares, as the trainer's
+// per-epoch log line is shared by every training run in a process.
+void log_through_one_site(Logger& logger) {
+  MEV_LOG_EVERY(logger, LogLevel::kWarn, /*rate_per_s=*/1.0, /*burst=*/1.0,
+                "c", "shared site");
+}
+
+TEST(Logger, MacroSiteStartsFullForEachNewLogger) {
+  // Each round's logger (likely at the same stack address) and FakeClock
+  // (at the same time) are new; the site's bucket, drained by the round
+  // before, must not carry over to them.
+  for (int round = 0; round < 3; ++round) {
+    LogFixture f;
+    Logger logger = f.make();
+    log_through_one_site(logger);
+    log_through_one_site(logger);  // same logger, bucket drained
+    EXPECT_EQ(logger.lines(), 1u) << "round " << round;
+    EXPECT_EQ(logger.dropped(), 1u) << "round " << round;
+  }
+}
+
 TEST(Logger, RuntimeHookBridgesIntoTheDefaultLogger) {
   // obs/log.cpp installs the bridge at static init; anything emitted via
   // runtime::log above the default logger's min level lands there.
