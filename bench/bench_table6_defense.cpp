@@ -131,12 +131,10 @@ int main(int argc, char** argv) {
       distilled.student, "Distillation"));
 
   std::cerr << "# feature squeezing...\n";
-  auto squeezer = std::make_unique<defense::BinarySqueezer>();
   const double threshold = defense::FeatureSqueezing::calibrate_threshold(
-      env.target_network(), *squeezer, env.trained.train_features,
-      /*percentile=*/90.0);
+      env.target_network(), env.trained.train_features, /*percentile=*/90.0);
   defenses.push_back(std::make_unique<defense::FeatureSqueezing>(
-      env.detector().network_ptr(), std::move(squeezer), threshold));
+      env.detector().network_ptr(), threshold));
 
   std::cerr << "# dimensionality reduction (k=19)...\n";
   defense::DimReductionConfig dr_cfg;

@@ -23,7 +23,6 @@
 #include <string>
 
 #include "attack/jsma.hpp"
-#include "attack/transfer.hpp"
 #include "core/blackbox.hpp"
 #include "core/greybox.hpp"
 #include "core/detector.hpp"

@@ -1,18 +1,18 @@
-// Evasion-attack interface.
+// What an evasion attack returns.
 //
 // An attack perturbs normalized feature vectors (rows in [0,1]) of malware
 // samples so a model classifies them as clean. All attacks in this library
 // are ADD-ONLY: feature values may only increase, mirroring the paper's
 // functionality-preserving constraint ("only API calls are added and not
-// deleting any existing features", §II-B.1).
+// deleting any existing features", §II-B.1). Each attack (Jsma,
+// RandomAddition) crafts against a strictly read-only model: it runs its
+// own InferenceSession(s), so several attacks may share one network
+// concurrently.
 #pragma once
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "math/matrix.hpp"
-#include "nn/network.hpp"
 
 namespace mev::attack {
 
@@ -33,20 +33,6 @@ struct AttackResult {
 
   /// Mean L2 perturbation per sample.
   double mean_l2() const noexcept;
-};
-
-class EvasionAttack {
- public:
-  virtual ~EvasionAttack() = default;
-
-  /// Crafts adversarial versions of `x` (rows: malware samples, values in
-  /// [0,1]) against `model`. The model is strictly read-only: attacks run
-  /// their own InferenceSession(s) against it, so several attacks may share
-  /// one network concurrently.
-  virtual AttackResult craft(const nn::Network& model,
-                             const math::Matrix& x) const = 0;
-
-  virtual std::string name() const = 0;
 };
 
 }  // namespace mev::attack

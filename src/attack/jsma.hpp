@@ -21,6 +21,7 @@
 #include <span>
 
 #include "attack/attack.hpp"
+#include "nn/network.hpp"
 
 namespace mev::attack {
 
@@ -37,7 +38,7 @@ struct JsmaConfig {
   bool allow_repeat = false;
 };
 
-class Jsma final : public EvasionAttack {
+class Jsma {
  public:
   explicit Jsma(JsmaConfig config);
 
@@ -45,9 +46,7 @@ class Jsma final : public EvasionAttack {
   /// shards crafted in parallel (OpenMP), one InferenceSession per shard
   /// against the shared read-only network. Every per-sample quantity is
   /// computed row-wise, so the outcome is identical for any shard count.
-  AttackResult craft(const nn::Network& model,
-                     const math::Matrix& x) const override;
-  std::string name() const override { return "jsma"; }
+  AttackResult craft(const nn::Network& model, const math::Matrix& x) const;
 
   const JsmaConfig& config() const noexcept { return config_; }
 

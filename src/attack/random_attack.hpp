@@ -8,6 +8,7 @@
 #include <cstdint>
 
 #include "attack/attack.hpp"
+#include "nn/network.hpp"
 
 namespace mev::attack {
 
@@ -18,13 +19,13 @@ struct RandomAdditionConfig {
   std::uint64_t seed = 99;
 };
 
-class RandomAddition final : public EvasionAttack {
+class RandomAddition {
  public:
   explicit RandomAddition(RandomAdditionConfig config);
 
-  AttackResult craft(const nn::Network& model,
-                     const math::Matrix& x) const override;
-  std::string name() const override { return "random-addition"; }
+  /// Crafts against `model` (read-only) with the same add-only budget
+  /// JSMA would spend, on randomly chosen features.
+  AttackResult craft(const nn::Network& model, const math::Matrix& x) const;
 
   const RandomAdditionConfig& config() const noexcept { return config_; }
 

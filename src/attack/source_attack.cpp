@@ -1,46 +1,12 @@
 #include "attack/source_attack.hpp"
 
 #include <algorithm>
-
 #include <stdexcept>
 
 #include "data/dataset.hpp"
 #include "nn/session.hpp"
 
 namespace mev::attack {
-
-std::size_t select_api_to_add(const nn::Network& craft_model,
-                              std::span<const float> features,
-                              std::span<const float> per_call_delta) {
-  if (!per_call_delta.empty() && per_call_delta.size() != features.size())
-    throw std::invalid_argument("select_api_to_add: delta length mismatch");
-  const math::Matrix x = math::Matrix::row_vector(features);
-  nn::InferenceSession session(craft_model, 1);
-  const math::Matrix& grad = session.input_gradient(x, data::kCleanLabel);
-  // Add-only: the best feature maximizes (gradient into the clean class) x
-  // (total feature movement a realistic insertion budget can buy, capped
-  // by the feature's headroom) among features that can still grow.
-  constexpr float kInsertionBudget = 8.0f;  // the paper's live test budget
-  float best = 0.0f;
-  std::size_t best_j = features.size();
-  for (std::size_t j = 0; j < features.size(); ++j) {
-    const float headroom = 1.0f - features[j];
-    if (headroom <= 0.0f) continue;
-    const float movement =
-        per_call_delta.empty()
-            ? headroom
-            : std::min(headroom, kInsertionBudget * per_call_delta[j]);
-    const float score = grad(0, j) * movement;
-    if (score > best) {
-      best = score;
-      best_j = j;
-    }
-  }
-  if (best_j == features.size())
-    throw std::runtime_error(
-        "select_api_to_add: no admissible feature (saliency exhausted)");
-  return best_j;
-}
 
 std::vector<float> per_call_feature_delta(
     const features::FeaturePipeline& pipeline,
@@ -131,7 +97,6 @@ LiveTestResult run_live_test(const nn::Network& target_model,
 
   std::size_t best_feature = candidates.front().feature;
   double best_confidence = 2.0;
-  const auto& vocab = pipeline.extractor().vocab();
   for (const Candidate& c : candidates) {
     std::vector<float> bumped(counts.begin(), counts.end());
     bumped[c.feature] += static_cast<float>(max_insertions);
@@ -143,7 +108,6 @@ LiveTestResult run_live_test(const nn::Network& target_model,
       best_feature = c.feature;
     }
   }
-  (void)vocab;
   return run_live_test(target_model, pipeline, malware_log, best_feature,
                        max_insertions);
 }

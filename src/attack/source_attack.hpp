@@ -32,16 +32,6 @@ struct LiveTestResult {
   std::vector<LiveTestPoint> points; // one per insertion count 0..k
 };
 
-/// Chooses the API feature whose increase most raises the craft model's
-/// clean probability for this sample (the feature an add-only JSMA would
-/// pick first). If `per_call_delta` is non-empty (same length as
-/// `features`), the saliency is gradient * per_call_delta — the change in
-/// clean probability achievable by ONE actual API call, which is what a
-/// source-level attacker can buy. Returns the feature index.
-std::size_t select_api_to_add(const nn::Network& craft_model,
-                              std::span<const float> features,
-                              std::span<const float> per_call_delta = {});
-
 /// Feature-space movement produced by adding each API exactly once to
 /// `raw_counts`, through an elementwise transform (both CountTransform and
 /// BinaryTransform are elementwise).
@@ -58,7 +48,12 @@ LiveTestResult run_live_test(const nn::Network& target_model,
                              std::size_t api_feature_index,
                              std::size_t max_insertions = 8);
 
-/// Convenience overload that first selects the API with `craft_model`.
+/// Convenience overload that first selects the API with `craft_model`:
+/// it shortlists the features whose increase most raises the craft
+/// model's clean probability (gradient x the movement the insertion budget
+/// can buy), simulates each insertion against `craft_model`, and runs the
+/// live test with the best one. Throws std::runtime_error when no API can
+/// still be added (every feature saturated).
 LiveTestResult run_live_test(const nn::Network& target_model,
                              const nn::Network& craft_model,
                              const features::FeaturePipeline& pipeline,

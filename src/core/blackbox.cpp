@@ -39,7 +39,6 @@ std::uint64_t run_fingerprint(const BlackBoxConfig& config,
   append_bytes(bytes, config.training_per_round.epochs);
   append_bytes(bytes, config.training_per_round.batch_size);
   append_bytes(bytes, config.training_per_round.learning_rate);
-  append_bytes(bytes, config.training_per_round.optimizer);
   append_bytes(bytes, config.training_per_round.temperature);
   append_bytes(bytes, config.training_per_round.shuffle_seed);
   append_bytes(bytes, config.max_dataset_rows);

@@ -47,10 +47,6 @@ std::vector<Verdict> MalwareDetector::scan_features(
   return verdicts;
 }
 
-std::vector<float> MalwareDetector::features_of(const data::ApiLog& log) const {
-  return pipeline_.features_from_log(log);
-}
-
 math::Matrix MalwareDetector::features_of_counts(
     const math::Matrix& counts) const {
   return pipeline_.features_from_counts(counts);
@@ -66,14 +62,11 @@ DetectorTrainingResult train_detector(const data::DatasetBundle& bundle,
 
   DetectorTrainingResult result;
   result.train_features = pipeline.features_from_counts(bundle.train.counts);
-  result.val_features =
-      pipeline.features_from_counts(bundle.validation.counts);
   result.test_features = pipeline.features_from_counts(bundle.test.counts);
 
   auto network = std::make_shared<nn::Network>(nn::make_mlp(architecture));
   nn::LabeledData train_data{result.train_features, bundle.train.labels};
-  nn::LabeledData val_data{result.val_features, bundle.validation.labels};
-  result.history = nn::train(*network, train_data, training, &val_data);
+  nn::train(*network, train_data, training);
 
   result.detector =
       std::make_unique<MalwareDetector>(std::move(pipeline), network);

@@ -52,9 +52,8 @@ class MalwareDetector {
   std::vector<Verdict> scan_features(nn::InferenceSession& session,
                                      const math::Matrix& features) const;
 
-  /// Normalized features for a log / counts — the representation attacks
+  /// Normalized features for count rows — the representation attacks
   /// perturb.
-  std::vector<float> features_of(const data::ApiLog& log) const;
   math::Matrix features_of_counts(const math::Matrix& counts) const;
 
   const features::FeaturePipeline& pipeline() const noexcept {
@@ -70,11 +69,9 @@ class MalwareDetector {
 
 struct DetectorTrainingResult {
   std::unique_ptr<MalwareDetector> detector;
-  nn::TrainHistory history;
-  /// Normalized feature matrices (train/val/test) produced during
-  /// training, so callers need not re-run the transform.
+  /// Normalized feature matrices (train/test) produced during training,
+  /// so callers need not re-run the transform.
   math::Matrix train_features;
-  math::Matrix val_features;
   math::Matrix test_features;
 };
 

@@ -97,7 +97,6 @@ nn::TrainConfig ExperimentConfig::target_training() const {
   nn::TrainConfig cfg;
   cfg.batch_size = 256;
   cfg.learning_rate = 0.001f;
-  cfg.optimizer = nn::OptimizerKind::kAdam;
   cfg.shuffle_seed = seed + 1;
   switch (scale) {
     case ExperimentScale::kTiny: cfg.epochs = 10; break;
@@ -113,7 +112,6 @@ nn::TrainConfig ExperimentConfig::substitute_training() const {
   nn::TrainConfig cfg;
   cfg.batch_size = 256;
   cfg.learning_rate = 0.001f;
-  cfg.optimizer = nn::OptimizerKind::kAdam;
   cfg.shuffle_seed = seed + 2;
   switch (scale) {
     case ExperimentScale::kTiny: cfg.epochs = 25; break;

@@ -3,7 +3,6 @@
 #include <exception>
 #include <stdexcept>
 
-#include "attack/transfer.hpp"
 #include "data/dataset.hpp"
 #include "math/linalg.hpp"
 #include "nn/session.hpp"

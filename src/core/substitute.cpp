@@ -17,13 +17,9 @@ SubstituteResult train_with_pipeline(features::FeaturePipeline pipeline,
       nn::make_mlp(config.substitute_architecture(features.cols())));
 
   nn::LabeledData train_data{features, attacker_data.labels};
-  SubstituteResult result{std::move(pipeline), network,
-                          nn::train(*network, train_data,
-                                    config.substitute_training()),
-                          0.0};
-  result.train_accuracy =
-      nn::accuracy(*network, train_data.x, train_data.labels);
-  return result;
+  nn::train(*network, train_data, config.substitute_training());
+  return {std::move(pipeline), network,
+          nn::accuracy(*network, train_data.x, train_data.labels)};
 }
 
 }  // namespace

@@ -22,7 +22,6 @@ namespace mev::core {
 struct SubstituteResult {
   features::FeaturePipeline pipeline;   // the attacker's pipeline
   std::shared_ptr<nn::Network> network;
-  nn::TrainHistory history;
   double train_accuracy = 0.0;
 };
 

@@ -6,28 +6,11 @@
 
 namespace mev::data {
 
-void CountDataset::append(const CountDataset& other) {
-  if (other.size() == 0) return;
-  if (counts.rows() != 0 && counts.cols() != other.counts.cols())
-    throw std::invalid_argument("CountDataset::append: feature dim mismatch");
-  for (std::size_t r = 0; r < other.counts.rows(); ++r)
-    counts.append_row(other.counts.row(r));
-  labels.insert(labels.end(), other.labels.begin(), other.labels.end());
-}
-
 std::vector<std::size_t> CountDataset::indices_of(int label) const {
   std::vector<std::size_t> idx;
   for (std::size_t i = 0; i < labels.size(); ++i)
     if (labels[i] == label) idx.push_back(i);
   return idx;
-}
-
-CountDataset CountDataset::subset(const std::vector<std::size_t>& indices) const {
-  CountDataset out;
-  out.counts = counts.gather_rows(indices);
-  out.labels.reserve(indices.size());
-  for (std::size_t i : indices) out.labels.push_back(labels.at(i));
-  return out;
 }
 
 DatasetSpec DatasetSpec::paper() {

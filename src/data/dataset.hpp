@@ -30,14 +30,8 @@ struct CountDataset {
     return n;
   }
 
-  /// Appends all rows of `other` (feature dims must match).
-  void append(const CountDataset& other);
-
   /// Rows whose label matches.
   std::vector<std::size_t> indices_of(int label) const;
-
-  /// Gathers a subset by row indices.
-  CountDataset subset(const std::vector<std::size_t>& indices) const;
 };
 
 /// Sample counts for the three splits (paper Table I).

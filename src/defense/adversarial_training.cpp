@@ -90,10 +90,9 @@ AdvTrainingSet build_adversarial_training_set(
 
 std::shared_ptr<nn::Network> adversarial_training(
     const AdvTrainingSet& training_set,
-    const AdversarialTrainingConfig& config,
-    const nn::LabeledData* validation) {
+    const AdversarialTrainingConfig& config) {
   auto net = std::make_shared<nn::Network>(nn::make_mlp(config.architecture));
-  nn::train(*net, training_set.data, config.training, validation);
+  nn::train(*net, training_set.data, config.training);
   return net;
 }
 

@@ -43,7 +43,6 @@ struct AdversarialTrainingConfig {
 
 /// Trains a fresh model on the augmented set.
 std::shared_ptr<nn::Network> adversarial_training(
-    const AdvTrainingSet& training_set, const AdversarialTrainingConfig& config,
-    const nn::LabeledData* validation = nullptr);
+    const AdvTrainingSet& training_set, const AdversarialTrainingConfig& config);
 
 }  // namespace mev::defense

@@ -36,8 +36,7 @@ std::vector<double> DimReductionClassifier::malware_confidence(
 }
 
 std::unique_ptr<DimReductionClassifier> train_dim_reduction_defense(
-    const nn::LabeledData& train_data, const DimReductionConfig& config,
-    const nn::LabeledData* validation) {
+    const nn::LabeledData& train_data, const DimReductionConfig& config) {
   math::Pca pca;
   pca.fit(train_data.x, config.k);
 
@@ -52,14 +51,7 @@ std::unique_ptr<DimReductionClassifier> train_dim_reduction_defense(
   reduced.x = pca.transform(train_data.x);
   reduced.labels = train_data.labels;
 
-  if (validation != nullptr) {
-    nn::LabeledData reduced_val;
-    reduced_val.x = pca.transform(validation->x);
-    reduced_val.labels = validation->labels;
-    nn::train(*net, reduced, config.training, &reduced_val);
-  } else {
-    nn::train(*net, reduced, config.training, nullptr);
-  }
+  nn::train(*net, reduced, config.training);
   return std::make_unique<DimReductionClassifier>(std::move(pca),
                                                   std::move(net));
 }

@@ -42,7 +42,6 @@ class DimReductionClassifier final : public Classifier {
 
 /// Fits PCA on the training features and trains the reduced classifier.
 std::unique_ptr<DimReductionClassifier> train_dim_reduction_defense(
-    const nn::LabeledData& train_data, const DimReductionConfig& config,
-    const nn::LabeledData* validation = nullptr);
+    const nn::LabeledData& train_data, const DimReductionConfig& config);
 
 }  // namespace mev::defense

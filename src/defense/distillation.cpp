@@ -7,8 +7,7 @@
 namespace mev::defense {
 
 DistillationResult defensive_distillation(const nn::LabeledData& train_data,
-                                          const DistillationConfig& config,
-                                          const nn::LabeledData* validation) {
+                                          const DistillationConfig& config) {
   if (config.temperature < 1.0f)
     throw std::invalid_argument(
         "defensive_distillation: temperature must be >= 1");
@@ -20,7 +19,7 @@ DistillationResult defensive_distillation(const nn::LabeledData& train_data,
       std::make_shared<nn::Network>(nn::make_mlp(config.teacher_architecture));
   nn::TrainConfig teacher_cfg = config.teacher_training;
   teacher_cfg.temperature = config.temperature;
-  nn::train(*result.teacher, train_data, teacher_cfg, validation);
+  nn::train(*result.teacher, train_data, teacher_cfg);
 
   // 2. Soft labels at temperature T.
   nn::InferenceSession teacher_session(*result.teacher, train_data.x.rows());
@@ -36,8 +35,7 @@ DistillationResult defensive_distillation(const nn::LabeledData& train_data,
   nn::TrainConfig student_cfg = config.student_training;
   student_cfg.temperature = config.temperature;
   student_cfg.learning_rate *= config.temperature;
-  nn::train_soft(*result.student, train_data.x, soft_labels, student_cfg,
-                 validation);
+  nn::train_soft(*result.student, train_data.x, soft_labels, student_cfg);
 
   // 4. Deployment at T = 1 is the caller's default:
   //    InferenceSession::predict and predict_proba use temperature 1

@@ -30,7 +30,6 @@ struct DistillationResult {
 
 /// Runs the full teacher -> soft labels -> student pipeline.
 DistillationResult defensive_distillation(
-    const nn::LabeledData& train_data, const DistillationConfig& config,
-    const nn::LabeledData* validation = nullptr);
+    const nn::LabeledData& train_data, const DistillationConfig& config);
 
 }  // namespace mev::defense

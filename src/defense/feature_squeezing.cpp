@@ -1,7 +1,5 @@
 #include "defense/feature_squeezing.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "data/dataset.hpp"
@@ -11,50 +9,18 @@
 
 namespace mev::defense {
 
-BitDepthSqueezer::BitDepthSqueezer(int bits) : bits_(bits) {
-  if (bits < 1 || bits > 16)
-    throw std::invalid_argument("BitDepthSqueezer: bits must be in [1,16]");
-}
-
-math::Matrix BitDepthSqueezer::squeeze(const math::Matrix& features) const {
-  const float levels = static_cast<float>((1 << bits_) - 1);
-  math::Matrix out = features;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const float clamped = std::clamp(out.data()[i], 0.0f, 1.0f);
-    out.data()[i] = std::round(clamped * levels) / levels;
-  }
-  return out;
-}
-
-std::string BitDepthSqueezer::name() const {
-  return "bit-depth-" + std::to_string(bits_);
-}
-
-std::unique_ptr<Squeezer> BitDepthSqueezer::clone() const {
-  return std::make_unique<BitDepthSqueezer>(*this);
-}
-
-math::Matrix BinarySqueezer::squeeze(const math::Matrix& features) const {
+math::Matrix binary_squeeze(const math::Matrix& features) {
   math::Matrix out = features;
   for (std::size_t i = 0; i < out.size(); ++i)
-    out.data()[i] = out.data()[i] > threshold_ ? 1.0f : 0.0f;
+    out.data()[i] = out.data()[i] > 0.5f ? 1.0f : 0.0f;
   return out;
-}
-
-std::unique_ptr<Squeezer> BinarySqueezer::clone() const {
-  return std::make_unique<BinarySqueezer>(*this);
 }
 
 FeatureSqueezing::FeatureSqueezing(std::shared_ptr<nn::Network> model,
-                                   std::unique_ptr<Squeezer> squeezer,
                                    double threshold)
-    : model_(std::move(model)),
-      squeezer_(std::move(squeezer)),
-      threshold_(threshold) {
+    : model_(std::move(model)), threshold_(threshold) {
   if (model_ == nullptr)
     throw std::invalid_argument("FeatureSqueezing: null model");
-  if (squeezer_ == nullptr)
-    throw std::invalid_argument("FeatureSqueezing: null squeezer");
   if (threshold_ < 0.0)
     throw std::invalid_argument("FeatureSqueezing: negative threshold");
   session_ = std::make_unique<nn::InferenceSession>(*model_);
@@ -65,7 +31,7 @@ std::vector<double> FeatureSqueezing::scores(const math::Matrix& features) {
   // reuses the session buffer.
   const math::Matrix p_original = session_->predict_proba(features);
   const math::Matrix& p_squeezed =
-      session_->predict_proba(squeezer_->squeeze(features));
+      session_->predict_proba(binary_squeeze(features));
   std::vector<double> out(features.rows());
   for (std::size_t i = 0; i < features.rows(); ++i)
     out[i] = math::l1_distance(p_original.row(i), p_squeezed.row(i));
@@ -90,14 +56,14 @@ std::vector<int> FeatureSqueezing::classify(const math::Matrix& features) {
 }
 
 double FeatureSqueezing::calibrate_threshold(
-    const nn::Network& model, const Squeezer& squeezer,
-    const math::Matrix& legitimate_features, double percentile) {
+    const nn::Network& model, const math::Matrix& legitimate_features,
+    double percentile) {
   if (legitimate_features.rows() == 0)
     throw std::invalid_argument("calibrate_threshold: empty calibration set");
   nn::InferenceSession session(model, legitimate_features.rows());
   const math::Matrix p_original = session.predict_proba(legitimate_features);
   const math::Matrix& p_squeezed =
-      session.predict_proba(squeezer.squeeze(legitimate_features));
+      session.predict_proba(binary_squeeze(legitimate_features));
   std::vector<double> s(legitimate_features.rows());
   for (std::size_t i = 0; i < s.size(); ++i)
     s[i] = math::l1_distance(p_original.row(i), p_squeezed.row(i));

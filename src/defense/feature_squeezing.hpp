@@ -1,11 +1,8 @@
 // Feature squeezing (§II-C.3, Xu et al. 2018): compare the model's
 // prediction on the original input with its prediction on a "squeezed"
 // input; if the L1 distance between the two probability vectors exceeds a
-// threshold, the sample is flagged as adversarial.
-//
-// Squeezers provided:
-//  * BitDepthSqueezer — quantizes each feature in [0,1] to 2^bits levels;
-//  * BinarySqueezer   — thresholds features at 0.5 (1-bit squeeze).
+// threshold, the sample is flagged as adversarial. The squeeze is the
+// 1-bit one the paper evaluates: binarization of the [0,1] features.
 #pragma once
 
 #include <memory>
@@ -18,42 +15,13 @@
 
 namespace mev::defense {
 
-class Squeezer {
- public:
-  virtual ~Squeezer() = default;
-  virtual math::Matrix squeeze(const math::Matrix& features) const = 0;
-  virtual std::string name() const = 0;
-  virtual std::unique_ptr<Squeezer> clone() const = 0;
-};
-
-class BitDepthSqueezer final : public Squeezer {
- public:
-  explicit BitDepthSqueezer(int bits);
-  math::Matrix squeeze(const math::Matrix& features) const override;
-  std::string name() const override;
-  std::unique_ptr<Squeezer> clone() const override;
-  int bits() const noexcept { return bits_; }
-
- private:
-  int bits_;
-};
-
-class BinarySqueezer final : public Squeezer {
- public:
-  explicit BinarySqueezer(float threshold = 0.5f) : threshold_(threshold) {}
-  math::Matrix squeeze(const math::Matrix& features) const override;
-  std::string name() const override { return "binary"; }
-  std::unique_ptr<Squeezer> clone() const override;
-
- private:
-  float threshold_;
-};
+/// Each feature above 0.5 becomes 1, every other feature 0.
+math::Matrix binary_squeeze(const math::Matrix& features);
 
 /// The squeezing detector + classifier.
 class FeatureSqueezing final : public Classifier {
  public:
-  FeatureSqueezing(std::shared_ptr<nn::Network> model,
-                   std::unique_ptr<Squeezer> squeezer, double threshold);
+  FeatureSqueezing(std::shared_ptr<nn::Network> model, double threshold);
 
   /// Per-row L1 distance between P(original) and P(squeezed).
   std::vector<double> scores(const math::Matrix& features);
@@ -71,14 +39,12 @@ class FeatureSqueezing final : public Classifier {
   /// legitimate (clean + malware) calibration data, so roughly
   /// (100 - percentile)% of legitimate traffic is flagged.
   static double calibrate_threshold(const nn::Network& model,
-                                    const Squeezer& squeezer,
                                     const math::Matrix& legitimate_features,
                                     double percentile = 95.0);
 
  private:
   std::shared_ptr<nn::Network> model_;
   std::unique_ptr<nn::InferenceSession> session_;
-  std::unique_ptr<Squeezer> squeezer_;
   double threshold_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 namespace mev::eval {
@@ -22,12 +21,6 @@ double ConfusionMatrix::tpr() const noexcept {
 double ConfusionMatrix::tnr() const noexcept {
   return ratio(true_negative, negatives());
 }
-double ConfusionMatrix::fpr() const noexcept {
-  return ratio(false_positive, negatives());
-}
-double ConfusionMatrix::fnr() const noexcept {
-  return ratio(false_negative, positives());
-}
 double ConfusionMatrix::accuracy() const noexcept {
   return ratio(true_positive + true_negative, total());
 }
@@ -38,14 +31,6 @@ double ConfusionMatrix::f1() const noexcept {
   const double p = precision(), r = tpr();
   if (std::isnan(p) || std::isnan(r) || p + r == 0.0) return kNan;
   return 2.0 * p * r / (p + r);
-}
-
-std::string ConfusionMatrix::to_string() const {
-  std::ostringstream os;
-  os << "TP=" << true_positive << " TN=" << true_negative
-     << " FP=" << false_positive << " FN=" << false_negative
-     << " TPR=" << tpr() << " TNR=" << tnr();
-  return os.str();
 }
 
 ConfusionMatrix confusion(const std::vector<int>& labels,
@@ -71,10 +56,6 @@ double detection_rate(const std::vector<int>& predictions) {
     if (p == 1) ++detected;
   return static_cast<double>(detected) /
          static_cast<double>(predictions.size());
-}
-
-double evasion_rate(const std::vector<int>& predictions) {
-  return 1.0 - detection_rate(predictions);
 }
 
 }  // namespace mev::eval

@@ -1,5 +1,5 @@
-// Evaluation metrics (§II-D): confusion matrix, TPR/TNR/FPR/FNR,
-// detection rate (security-evaluation curves) and transfer rate.
+// Evaluation metrics (§II-D): confusion matrix, TPR/TNR, accuracy/F1 and
+// detection rate (security-evaluation curves).
 //
 // Positive class = malware (label 1), matching the paper.
 #pragma once
@@ -29,13 +29,9 @@ struct ConfusionMatrix {
   /// Table VI "nan" cells.
   double tpr() const noexcept;
   double tnr() const noexcept;
-  double fpr() const noexcept;
-  double fnr() const noexcept;
   double accuracy() const noexcept;
   double precision() const noexcept;
   double f1() const noexcept;
-
-  std::string to_string() const;
 };
 
 /// Builds a confusion matrix from labels and predictions (0 clean,
@@ -46,9 +42,6 @@ ConfusionMatrix confusion(const std::vector<int>& labels,
 /// Fraction of samples predicted as malware — the detection rate of a
 /// malware-only (or adversarial-example) set.
 double detection_rate(const std::vector<int>& predictions);
-
-/// 1 - detection rate: the fraction of adversarial examples that evade.
-double evasion_rate(const std::vector<int>& predictions);
 
 /// One point of a security-evaluation curve.
 struct CurvePoint {

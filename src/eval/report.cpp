@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
-#include <ostream>
 #include <sstream>
 
 namespace mev::eval {
@@ -70,8 +69,6 @@ std::string Table::render() const {
   return os.str();
 }
 
-void Table::print(std::ostream& os) const { os << render(); }
-
 namespace {
 
 /// A coarse 10-row ASCII plot of detection rate (y in [0,1]) vs index.
@@ -106,10 +103,6 @@ std::string ascii_plot(const std::vector<SecurityCurve>& curves) {
 }
 
 }  // namespace
-
-std::string render_curve(const SecurityCurve& curve) {
-  return render_curves({curve});
-}
 
 std::string render_curves(const std::vector<SecurityCurve>& curves) {
   if (curves.empty()) return "(no curves)\n";

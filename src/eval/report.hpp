@@ -2,7 +2,6 @@
 // and curve series in a consistent format.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -22,7 +21,6 @@ class Table {
   /// Renders with box-drawing dashes, padding each column to its widest
   /// cell.
   std::string render() const;
-  void print(std::ostream& os) const;
 
   static std::string fmt(double value, int precision = 3);
   /// "nan" for NaN values, matching the paper's Table VI.
@@ -35,12 +33,9 @@ class Table {
   bool has_header_ = false;
 };
 
-/// Prints a security-evaluation curve as an aligned series plus a coarse
-/// ASCII plot (detection rate vs strength), the textual analogue of the
-/// paper's Fig. 3 and Fig. 4.
-std::string render_curve(const SecurityCurve& curve);
-
-/// Renders several curves over the same x-grid side by side.
+/// Renders security-evaluation curves over the same x-grid side by side, as
+/// an aligned series plus a coarse ASCII plot (detection rate vs strength):
+/// the textual analogue of the paper's Fig. 3 and Fig. 4.
 std::string render_curves(const std::vector<SecurityCurve>& curves);
 
 }  // namespace mev::eval

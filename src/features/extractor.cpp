@@ -11,12 +11,4 @@ std::vector<float> CountExtractor::extract(const data::ApiLog& log) const {
   return counts;
 }
 
-math::Matrix CountExtractor::extract_batch(
-    std::span<const data::ApiLog> logs) const {
-  math::Matrix out(logs.size(), vocab_->size());
-  for (std::size_t i = 0; i < logs.size(); ++i)
-    out.set_row(i, extract(logs[i]));
-  return out;
-}
-
 }  // namespace mev::features

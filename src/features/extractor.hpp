@@ -18,9 +18,6 @@ class CountExtractor {
   /// Raw count vector, length == vocab.size().
   std::vector<float> extract(const data::ApiLog& log) const;
 
-  /// Batch extraction: one row per log.
-  math::Matrix extract_batch(std::span<const data::ApiLog> logs) const;
-
   const data::ApiVocab& vocab() const noexcept { return *vocab_; }
 
  private:

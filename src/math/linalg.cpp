@@ -12,14 +12,6 @@ void require_equal(std::size_t a, std::size_t b, const char* what) {
 }
 }  // namespace
 
-double dot(std::span<const float> a, std::span<const float> b) {
-  require_equal(a.size(), b.size(), "dot: length mismatch");
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    s += static_cast<double>(a[i]) * b[i];
-  return s;
-}
-
 double l2_distance(std::span<const float> a, std::span<const float> b) {
   require_equal(a.size(), b.size(), "l2_distance: length mismatch");
   double s = 0.0;
@@ -38,34 +30,6 @@ double l1_distance(std::span<const float> a, std::span<const float> b) {
   return s;
 }
 
-double linf_distance(std::span<const float> a, std::span<const float> b) {
-  require_equal(a.size(), b.size(), "linf_distance: length mismatch");
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    m = std::max(m, std::abs(static_cast<double>(a[i]) - b[i]));
-  return m;
-}
-
-std::size_t l0_distance(std::span<const float> a, std::span<const float> b,
-                        float tol) {
-  require_equal(a.size(), b.size(), "l0_distance: length mismatch");
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (std::abs(a[i] - b[i]) > tol) ++n;
-  return n;
-}
-
-double l2_norm(std::span<const float> a) {
-  double s = 0.0;
-  for (float x : a) s += static_cast<double>(x) * x;
-  return std::sqrt(s);
-}
-
-void axpy(float alpha, std::span<const float> x, std::span<float> y) {
-  require_equal(x.size(), y.size(), "axpy: length mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
 void softmax_inplace(std::span<float> logits, float temperature) {
   if (logits.empty()) return;
   if (temperature <= 0.0f)
@@ -81,22 +45,10 @@ void softmax_inplace(std::span<float> logits, float temperature) {
   for (auto& v : logits) v *= inv;
 }
 
-std::vector<float> softmax(std::span<const float> logits, float temperature) {
-  std::vector<float> out(logits.begin(), logits.end());
-  softmax_inplace(out, temperature);
-  return out;
-}
-
 std::size_t argmax(std::span<const float> v) {
   if (v.empty()) throw std::invalid_argument("argmax: empty input");
   return static_cast<std::size_t>(
       std::max_element(v.begin(), v.end()) - v.begin());
-}
-
-std::size_t argmin(std::span<const float> v) {
-  if (v.empty()) throw std::invalid_argument("argmin: empty input");
-  return static_cast<std::size_t>(
-      std::min_element(v.begin(), v.end()) - v.begin());
 }
 
 }  // namespace mev::math

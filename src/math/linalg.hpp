@@ -1,13 +1,10 @@
 // Small vector-math helpers used across the attack/defense/eval code.
 #pragma once
 
+#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace mev::math {
-
-/// Dot product. Requires equal lengths.
-double dot(std::span<const float> a, std::span<const float> b);
 
 /// Euclidean (L2) distance between two vectors of equal length.
 double l2_distance(std::span<const float> a, std::span<const float> b);
@@ -15,30 +12,10 @@ double l2_distance(std::span<const float> a, std::span<const float> b);
 /// L1 distance between two vectors of equal length.
 double l1_distance(std::span<const float> a, std::span<const float> b);
 
-/// L-infinity distance between two vectors of equal length.
-double linf_distance(std::span<const float> a, std::span<const float> b);
-
-/// Number of coordinates that differ by more than `tol` (L0 "distance").
-std::size_t l0_distance(std::span<const float> a, std::span<const float> b,
-                        float tol = 0.0f);
-
-/// Euclidean norm.
-double l2_norm(std::span<const float> a);
-
-/// y += alpha * x. Requires equal lengths.
-void axpy(float alpha, std::span<const float> x, std::span<float> y);
-
 /// In-place softmax with optional temperature (T > 0). Numerically stable.
 void softmax_inplace(std::span<float> logits, float temperature = 1.0f);
 
-/// Softmax of a copy.
-std::vector<float> softmax(std::span<const float> logits,
-                           float temperature = 1.0f);
-
 /// Index of the maximum element. Requires non-empty input.
 std::size_t argmax(std::span<const float> v);
-
-/// Index of the minimum element. Requires non-empty input.
-std::size_t argmin(std::span<const float> v);
 
 }  // namespace mev::math

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "math/gemm.hpp"
@@ -39,22 +38,6 @@ Matrix Matrix::row_vector(std::span<const float> v) {
   return m;
 }
 
-Matrix Matrix::col_vector(std::span<const float> v) {
-  Matrix m(v.size(), 1);
-  std::copy(v.begin(), v.end(), m.data_.begin());
-  return m;
-}
-
-float& Matrix::at(std::size_t r, std::size_t c) {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-  return (*this)(r, c);
-}
-
-float Matrix::at(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-  return (*this)(r, c);
-}
-
 void Matrix::set_row(std::size_t r, std::span<const float> src) {
   require(src.size() == cols_, "Matrix::set_row: length mismatch");
   if (r >= rows_) throw std::out_of_range("Matrix::set_row");
@@ -74,12 +57,6 @@ Matrix& Matrix::operator+=(const Matrix& rhs) {
   return *this;
 }
 
-Matrix& Matrix::operator-=(const Matrix& rhs) {
-  require(same_shape(rhs), "Matrix::operator-=: shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= rhs.data_[i];
-  return *this;
-}
-
 Matrix& Matrix::operator*=(float scalar) noexcept {
   for (auto& x : data_) x *= scalar;
   return *this;
@@ -88,16 +65,6 @@ Matrix& Matrix::operator*=(float scalar) noexcept {
 Matrix& Matrix::hadamard(const Matrix& rhs) {
   require(same_shape(rhs), "Matrix::hadamard: shape mismatch");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] *= rhs.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::apply(const std::function<float(float)>& f) {
-  for (auto& x : data_) x = f(x);
-  return *this;
-}
-
-Matrix& Matrix::clamp(float lo, float hi) noexcept {
-  for (auto& x : data_) x = std::clamp(x, lo, hi);
   return *this;
 }
 
@@ -154,40 +121,11 @@ double Matrix::sum() const noexcept {
   return s;
 }
 
-double Matrix::frobenius_norm() const noexcept {
-  double s = 0.0;
-  for (float x : data_) s += static_cast<double>(x) * x;
-  return std::sqrt(s);
-}
-
 float Matrix::max_abs() const noexcept {
   float m = 0.0f;
   for (float x : data_) m = std::max(m, std::abs(x));
   return m;
 }
-
-std::string Matrix::to_string(std::size_t max_rows) const {
-  std::ostringstream os;
-  os << rows_ << "x" << cols_ << " [";
-  const std::size_t shown = std::min(rows_, max_rows);
-  for (std::size_t r = 0; r < shown; ++r) {
-    os << (r == 0 ? "[" : " [");
-    for (std::size_t c = 0; c < cols_; ++c) {
-      if (c) os << ", ";
-      os << (*this)(r, c);
-    }
-    os << "]";
-    if (r + 1 < shown) os << "\n";
-  }
-  if (shown < rows_) os << "\n ...";
-  os << "]";
-  return os.str();
-}
-
-Matrix operator+(Matrix lhs, const Matrix& rhs) { return lhs += rhs; }
-Matrix operator-(Matrix lhs, const Matrix& rhs) { return lhs -= rhs; }
-Matrix operator*(Matrix lhs, float scalar) { return lhs *= scalar; }
-Matrix operator*(float scalar, Matrix rhs) { return rhs *= scalar; }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
   Matrix c;
@@ -265,18 +203,6 @@ void add_column_sums(const Matrix& m, Matrix& acc) {
     const float* row = m.data() + r * m.cols();
     for (std::size_t c = 0; c < m.cols(); ++c) s[c] += row[c];
   }
-}
-
-std::vector<float> matvec(const Matrix& a, std::span<const float> x) {
-  require(a.cols() == x.size(), "matvec: dimension mismatch");
-  std::vector<float> y(a.rows(), 0.0f);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* ai = a.data() + i * a.cols();
-    float s = 0.0f;
-    for (std::size_t j = 0; j < a.cols(); ++j) s += ai[j] * x[j];
-    y[i] = s;
-  }
-  return y;
 }
 
 void add_row_broadcast(Matrix& m, std::span<const float> bias) {

@@ -11,10 +11,8 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <initializer_list>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace mev::math {
@@ -35,8 +33,6 @@ class Matrix {
   /// Builds a 1 x v.size() row matrix from a vector.
   static Matrix row_vector(std::span<const float> v);
 
-  /// Builds a v.size() x 1 column matrix from a vector.
-  static Matrix col_vector(std::span<const float> v);
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
@@ -49,10 +45,6 @@ class Matrix {
   float operator()(std::size_t r, std::size_t c) const noexcept {
     return data_[r * cols_ + c];
   }
-
-  /// Bounds-checked access (throws std::out_of_range).
-  float& at(std::size_t r, std::size_t c);
-  float at(std::size_t r, std::size_t c) const;
 
   std::span<float> row(std::size_t r) noexcept {
     return {data_.data() + r * cols_, cols_};
@@ -76,15 +68,9 @@ class Matrix {
 
   // Elementwise in-place arithmetic. Shapes must match.
   Matrix& operator+=(const Matrix& rhs);
-  Matrix& operator-=(const Matrix& rhs);
   Matrix& operator*=(float scalar) noexcept;
   /// Hadamard (elementwise) product.
   Matrix& hadamard(const Matrix& rhs);
-
-  /// Applies f to every element in place. Type-erased overload for cold
-  /// call sites; hot paths should use the templated apply_fn below, which
-  /// inlines the functor.
-  Matrix& apply(const std::function<float(float)>& f);
 
   /// Applies f to every element in place with the functor inlined.
   template <typename F>
@@ -93,8 +79,6 @@ class Matrix {
     return *this;
   }
 
-  /// Clamps every element to [lo, hi].
-  Matrix& clamp(float lo, float hi) noexcept;
 
   void fill(float value) noexcept;
 
@@ -121,27 +105,17 @@ class Matrix {
   /// Sum of all elements.
   double sum() const noexcept;
 
-  /// Frobenius norm.
-  double frobenius_norm() const noexcept;
 
   /// Maximum absolute element (0 for empty).
   float max_abs() const noexcept;
 
   bool operator==(const Matrix& rhs) const noexcept = default;
 
-  /// Human-readable dump for debugging/tests (rows capped at `max_rows`).
-  std::string to_string(std::size_t max_rows = 8) const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<float> data_;
 };
-
-Matrix operator+(Matrix lhs, const Matrix& rhs);
-Matrix operator-(Matrix lhs, const Matrix& rhs);
-Matrix operator*(Matrix lhs, float scalar);
-Matrix operator*(float scalar, Matrix rhs);
 
 /// C = A * B. A register-tiled kernel (a block of C held in vector
 /// registers across all of k), compiled for AVX-512, AVX2 and baseline
@@ -177,9 +151,6 @@ void gather_rows_into(const Matrix& src, std::span<const std::size_t> indices,
 
 /// acc(0, j) += sum over rows of m(:, j). `acc` must be 1 x m.cols().
 void add_column_sums(const Matrix& m, Matrix& acc);
-
-/// y = A * x for a vector x (x.size() == A.cols()).
-std::vector<float> matvec(const Matrix& a, std::span<const float> x);
 
 /// Adds the row vector `bias` (length == m.cols()) to every row of m.
 void add_row_broadcast(Matrix& m, std::span<const float> bias);

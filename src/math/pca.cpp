@@ -182,20 +182,4 @@ Matrix Pca::transform(const Matrix& x) const {
   return matmul(centered, components_);
 }
 
-Matrix Pca::inverse_transform(const Matrix& z) const {
-  if (!fitted()) throw std::logic_error("Pca::inverse_transform before fit");
-  if (z.cols() != components_.cols())
-    throw std::invalid_argument("Pca::inverse_transform: dimension mismatch");
-  Matrix x = matmul(z, components_.transposed());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    auto row = x.row(r);
-    for (std::size_t c = 0; c < x.cols(); ++c) row[c] += mean_[c];
-  }
-  return x;
-}
-
-Matrix Pca::reconstruct(const Matrix& x) const {
-  return inverse_transform(transform(x));
-}
-
 }  // namespace mev::math

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "math/matrix.hpp"
@@ -45,12 +46,6 @@ class Pca {
 
   /// Projects rows of X (original space) into the k-dim component space.
   Matrix transform(const Matrix& x) const;
-
-  /// Maps component-space rows back to the original feature space.
-  Matrix inverse_transform(const Matrix& z) const;
-
-  /// Round trip: project and reconstruct (the "squeeze" used by defenses).
-  Matrix reconstruct(const Matrix& x) const;
 
   /// Eigenvalues of the kept components (descending).
   const std::vector<double>& explained_variance() const noexcept {

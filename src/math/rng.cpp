@@ -139,20 +139,4 @@ double Rng::exponential(double rate) noexcept {
   return -std::log(u) / rate;
 }
 
-std::size_t Rng::categorical(const std::vector<double>& weights) noexcept {
-  double total = 0.0;
-  for (double w : weights)
-    if (w > 0.0) total += w;
-  if (total <= 0.0) return 0;
-  double r = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    if (weights[i] <= 0.0) continue;
-    r -= weights[i];
-    if (r < 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
-Rng Rng::split() noexcept { return Rng(next() ^ 0xd1b54a32d192ed03ULL); }
-
 }  // namespace mev::math

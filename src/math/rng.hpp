@@ -59,10 +59,6 @@ class Rng {
   /// Exponential with the given rate (> 0).
   double exponential(double rate) noexcept;
 
-  /// Draws an index in [0, weights.size()) proportional to weights.
-  /// Non-positive weights are treated as zero. Requires a positive total.
-  std::size_t categorical(const std::vector<double>& weights) noexcept;
-
   /// Fisher-Yates shuffle of an index span.
   template <typename T>
   void shuffle(std::vector<T>& v) noexcept {
@@ -71,10 +67,6 @@ class Rng {
       std::swap(v[i - 1], v[j]);
     }
   }
-
-  /// A new generator whose state is derived from this one; use to give each
-  /// subsystem an independent stream without correlated draws.
-  Rng split() noexcept;
 
  private:
   std::array<std::uint64_t, 4> state_{};

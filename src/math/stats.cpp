@@ -1,52 +1,9 @@
 #include "math/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace mev::math {
-
-double mean(std::span<const double> v) {
-  if (v.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : v) s += x;
-  return s / static_cast<double>(v.size());
-}
-
-double mean_f(std::span<const float> v) {
-  if (v.empty()) return 0.0;
-  double s = 0.0;
-  for (float x : v) s += x;
-  return s / static_cast<double>(v.size());
-}
-
-double variance(std::span<const double> v) {
-  if (v.size() < 2) return 0.0;
-  const double m = mean(v);
-  double s = 0.0;
-  for (double x : v) s += (x - m) * (x - m);
-  return s / static_cast<double>(v.size());
-}
-
-double stddev(std::span<const double> v) { return std::sqrt(variance(v)); }
-
-Summary summarize(std::span<const double> v) {
-  Summary s;
-  s.count = v.size();
-  if (v.empty()) return s;
-  s.min = s.max = v[0];
-  double sum = 0.0;
-  for (double x : v) {
-    sum += x;
-    s.min = std::min(s.min, x);
-    s.max = std::max(s.max, x);
-  }
-  s.mean = sum / static_cast<double>(v.size());
-  double sq = 0.0;
-  for (double x : v) sq += (x - s.mean) * (x - s.mean);
-  s.stddev = std::sqrt(sq / static_cast<double>(v.size()));
-  return s;
-}
 
 double percentile(std::span<const double> v, double p) {
   if (v.empty()) throw std::invalid_argument("percentile: empty input");
@@ -72,21 +29,6 @@ Matrix covariance_matrix(const Matrix& x) {
   Matrix cov = matmul_at_b(centered, centered);
   cov *= 1.0f / static_cast<float>(x.rows());
   return cov;
-}
-
-double pearson(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size())
-    throw std::invalid_argument("pearson: length mismatch");
-  if (a.size() < 2) return 0.0;
-  const double ma = mean(a), mb = mean(b);
-  double num = 0.0, da = 0.0, db = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    num += (a[i] - ma) * (b[i] - mb);
-    da += (a[i] - ma) * (a[i] - ma);
-    db += (b[i] - mb) * (b[i] - mb);
-  }
-  if (da == 0.0 || db == 0.0) return 0.0;
-  return num / std::sqrt(da * db);
 }
 
 }  // namespace mev::math

@@ -8,35 +8,11 @@
 
 namespace mev::math {
 
-struct Summary {
-  double mean = 0.0;
-  double stddev = 0.0;  // population standard deviation
-  double min = 0.0;
-  double max = 0.0;
-  std::size_t count = 0;
-};
-
-/// Mean of a sample (0 for empty input).
-double mean(std::span<const double> v);
-double mean_f(std::span<const float> v);
-
-/// Population variance (0 for inputs with fewer than 1 element).
-double variance(std::span<const double> v);
-
-/// Population standard deviation.
-double stddev(std::span<const double> v);
-
-/// Full summary in one pass.
-Summary summarize(std::span<const double> v);
-
 /// p-th percentile (p in [0,100]) by linear interpolation; sorts a copy.
 double percentile(std::span<const double> v, double p);
 
 /// Sample covariance matrix of the rows of X (features are columns),
 /// normalized by N (population covariance). Requires X.rows() >= 1.
 Matrix covariance_matrix(const Matrix& x);
-
-/// Pearson correlation between two equally-sized samples (0 if degenerate).
-double pearson(std::span<const double> a, std::span<const double> b);
 
 }  // namespace mev::math

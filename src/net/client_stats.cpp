@@ -41,14 +41,6 @@ ClientEntry* ClientStatsTracker::entry(std::string_view client) {
   return raw;
 }
 
-std::vector<const ClientEntry*> ClientStatsTracker::entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<const ClientEntry*> out;
-  out.reserve(entries_.size());
-  for (const auto& entry : entries_) out.push_back(entry.get());
-  return out;
-}
-
 std::size_t ClientStatsTracker::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();

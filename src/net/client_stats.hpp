@@ -103,8 +103,7 @@ class ClientStatsTracker {
   /// stays valid for the tracker's lifetime.
   ClientEntry* entry(std::string_view client);
 
-  /// Entries in creation order (for /clientz and tests).
-  std::vector<const ClientEntry*> entries() const;
+  /// Number of tracked entries, the overflow entry included.
   std::size_t size() const;
 
   /// The /clientz body: {"clients":[{"client","window_s",

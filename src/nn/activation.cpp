@@ -90,13 +90,4 @@ std::string to_string(Activation act) {
   return "unknown";
 }
 
-Activation activation_from_string(const std::string& name) {
-  if (name == "identity") return Activation::kIdentity;
-  if (name == "relu") return Activation::kRelu;
-  if (name == "sigmoid") return Activation::kSigmoid;
-  if (name == "tanh") return Activation::kTanh;
-  if (name == "leaky_relu") return Activation::kLeakyRelu;
-  throw std::invalid_argument("activation_from_string: " + name);
-}
-
 }  // namespace mev::nn

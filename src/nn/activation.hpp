@@ -27,7 +27,4 @@ void apply_activation_grad(Activation act, const math::Matrix& z,
 
 std::string to_string(Activation act);
 
-/// Parses the string produced by to_string. Throws on unknown names.
-Activation activation_from_string(const std::string& name);
-
 }  // namespace mev::nn

@@ -72,23 +72,4 @@ LossResult soft_label_cross_entropy(const math::Matrix& logits,
   return result;
 }
 
-LossResult mean_squared_error(const math::Matrix& predictions,
-                              const math::Matrix& targets) {
-  if (!targets.same_shape(predictions))
-    throw std::invalid_argument("mean_squared_error: shape mismatch");
-  const std::size_t n = predictions.size();
-  if (n == 0) throw std::invalid_argument("mean_squared_error: empty input");
-  LossResult result;
-  result.grad_logits = predictions;
-  result.grad_logits -= targets;
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = result.grad_logits.data()[i];
-    total += d * d;
-  }
-  result.loss = total / static_cast<double>(n);
-  result.grad_logits *= 2.0f / static_cast<float>(n);
-  return result;
-}
-
 }  // namespace mev::nn

@@ -27,10 +27,6 @@ LossResult soft_label_cross_entropy(const math::Matrix& logits,
                                     const math::Matrix& targets,
                                     float temperature = 1.0f);
 
-/// Mean squared error between predictions and targets (same shape).
-LossResult mean_squared_error(const math::Matrix& predictions,
-                              const math::Matrix& targets);
-
 /// Row-wise softmax of logits at the given temperature.
 math::Matrix softmax_rows(const math::Matrix& logits,
                           float temperature = 1.0f);

@@ -54,10 +54,7 @@ Network::Network(const Network& other) {
 }
 
 Network& Network::operator=(const Network& other) {
-  if (this == &other) return *this;
-  layers_.clear();
-  layers_.reserve(other.layers_.size());
-  for (const auto& layer : other.layers_) layers_.push_back(layer->clone());
+  if (this != &other) *this = Network(other);
   return *this;
 }
 
@@ -76,13 +73,6 @@ std::size_t Network::input_dim() const {
 std::size_t Network::output_dim() const {
   if (layers_.empty()) throw std::logic_error("Network: empty");
   return layers_.back()->output_dim();
-}
-
-std::size_t Network::num_parameters() const {
-  std::size_t n = 0;
-  for (const auto& layer : layers_)
-    for (const auto* p : layer->param_values()) n += p->size();
-  return n;
 }
 
 std::string Network::architecture_string() const {

@@ -42,9 +42,6 @@ class Network {
   std::size_t input_dim() const;
   std::size_t output_dim() const;
 
-  /// Total number of trainable scalars.
-  std::size_t num_parameters() const;
-
   /// Layer widths, e.g. "491-1200-1500-1300-2" (dense layers only).
   std::string architecture_string() const;
 

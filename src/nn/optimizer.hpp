@@ -1,64 +1,28 @@
-// First-order optimizers. The paper trains the substitute model with Adam
-// (lr = 0.001); SGD with momentum and weight decay is provided for the
-// "traditional robustness" baselines mentioned in §I.
+// Adam, the optimizer the paper trains every model with (§III-B:
+// lr = 0.001).
 #pragma once
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "nn/layer.hpp"
 
 namespace mev::nn {
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  /// Applies one update using the accumulated gradients in `params`.
-  /// The same `params` vector (same order, same shapes) must be passed on
-  /// every call; per-parameter state is keyed by position.
-  virtual void step(const std::vector<ParamRef>& params) = 0;
-
-  virtual void set_learning_rate(float lr) noexcept = 0;
-  virtual float learning_rate() const noexcept = 0;
-  virtual std::string name() const = 0;
-};
-
-struct SgdConfig {
-  float learning_rate = 0.01f;
-  float momentum = 0.0f;
-  float weight_decay = 0.0f;  // L2 penalty coefficient
-};
-
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(SgdConfig config);
-  void step(const std::vector<ParamRef>& params) override;
-  void set_learning_rate(float lr) noexcept override { config_.learning_rate = lr; }
-  float learning_rate() const noexcept override { return config_.learning_rate; }
-  std::string name() const override { return "sgd"; }
-
- private:
-  SgdConfig config_;
-  std::vector<math::Matrix> velocity_;
-};
-
 struct AdamConfig {
   float learning_rate = 0.001f;
   float beta1 = 0.9f;
   float beta2 = 0.999f;
   float epsilon = 1e-8f;
-  float weight_decay = 0.0f;
 };
 
-class Adam final : public Optimizer {
+class Adam {
  public:
   explicit Adam(AdamConfig config);
-  void step(const std::vector<ParamRef>& params) override;
-  void set_learning_rate(float lr) noexcept override { config_.learning_rate = lr; }
-  float learning_rate() const noexcept override { return config_.learning_rate; }
-  std::string name() const override { return "adam"; }
+
+  /// Applies one update using the accumulated gradients in `params`.
+  /// The same `params` vector (same order, same shapes) must be passed on
+  /// every call; the moment estimates are keyed by position.
+  void step(const std::vector<ParamRef>& params);
 
  private:
   AdamConfig config_;

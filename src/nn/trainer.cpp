@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 
 #include "math/rng.hpp"
 #include "nn/loss.hpp"
+#include "nn/optimizer.hpp"
 #include "nn/session.hpp"
 #include "obs/obs.hpp"
 
@@ -16,35 +16,18 @@ namespace mev::nn {
 
 namespace {
 
-std::unique_ptr<Optimizer> make_optimizer(const TrainConfig& config) {
-  switch (config.optimizer) {
-    case OptimizerKind::kSgd: {
-      SgdConfig sc;
-      sc.learning_rate = config.learning_rate;
-      sc.momentum = config.momentum;
-      sc.weight_decay = config.weight_decay;
-      return std::make_unique<Sgd>(sc);
-    }
-    case OptimizerKind::kAdam: {
-      AdamConfig ac;
-      ac.learning_rate = config.learning_rate;
-      ac.weight_decay = config.weight_decay;
-      return std::make_unique<Adam>(ac);
-    }
-  }
-  throw std::invalid_argument("make_optimizer: unknown kind");
-}
-
 /// Shared epoch loop; `loss_fn` maps (logits, batch indices) to LossResult.
 template <typename LossFn>
-TrainHistory run_training(Network& net, const math::Matrix& x, std::size_t n,
-                          const TrainConfig& config,
-                          const LabeledData* validation, LossFn&& loss_fn) {
+std::vector<double> run_training(Network& net, const math::Matrix& x,
+                                 std::size_t n, const TrainConfig& config,
+                                 LossFn&& loss_fn) {
   if (n == 0) throw std::invalid_argument("train: empty training set");
   if (config.batch_size == 0)
     throw std::invalid_argument("train: batch_size must be positive");
 
-  auto optimizer = make_optimizer(config);
+  AdamConfig adam_config;
+  adam_config.learning_rate = config.learning_rate;
+  Adam optimizer(adam_config);
   // The session owns all activation and gradient buffers, reused across
   // batches; the network itself is only touched by the optimizer step.
   InferenceSession session(net, std::min(n, config.batch_size));
@@ -64,12 +47,12 @@ TrainHistory run_training(Network& net, const math::Matrix& x, std::size_t n,
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
-  TrainHistory history;
+  std::vector<double> epoch_losses;
+  epoch_losses.reserve(config.epochs);
   math::Matrix batch_x;
-  std::size_t epochs_since_best = 0;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    // The span covers shuffling, every batch, and validation — its
-    // duration is the epoch wall time in the exported trace.
+    // The span covers shuffling and every batch — its duration is the
+    // epoch wall time in the exported trace.
     obs::Span epoch_span = obs::span(tracer, "mev.nn.train.epoch");
     rng.shuffle(order);
     double epoch_loss = 0.0;
@@ -85,12 +68,11 @@ TrainHistory run_training(Network& net, const math::Matrix& x, std::size_t n,
       epoch_loss += loss.loss;
       ++batches;
       session.backward_params(loss.grad_logits);
-      optimizer->step(params);
+      optimizer.step(params);
     }
 
-    EpochStats stats;
-    stats.train_loss = epoch_loss / static_cast<double>(batches);
-    if (!std::isfinite(stats.train_loss)) {
+    const double train_loss = epoch_loss / static_cast<double>(batches);
+    if (!std::isfinite(train_loss)) {
       MEV_LOG(logger, obs::LogLevel::kError, "nn.train",
               "non-finite loss, training diverged",
               {obs::LogField::u64_value("epoch", epoch),
@@ -104,43 +86,22 @@ TrainHistory run_training(Network& net, const math::Matrix& x, std::size_t n,
     MEV_LOG_EVERY(logger, obs::LogLevel::kDebug, /*rate_per_s=*/5.0,
                   /*burst=*/10.0, "nn.train", "epoch complete",
                   {obs::LogField::u64_value("epoch", epoch),
-                   obs::LogField::f64_value("loss", stats.train_loss)});
-    if (validation != nullptr)
-      stats.val_accuracy = accuracy(net, validation->x, validation->labels);
-    history.epochs.push_back(stats);
+                   obs::LogField::f64_value("loss", train_loss)});
+    epoch_losses.push_back(train_loss);
     epoch_span.arg("epoch", static_cast<double>(epoch));
-    epoch_span.arg("loss", stats.train_loss);
+    epoch_span.arg("loss", train_loss);
     epoch_span.arg("lr", config.learning_rate);
     epochs_counter.inc();
     batches_counter.inc(batches);
-    loss_gauge.set(stats.train_loss);
-    if (config.on_epoch)
-      config.on_epoch(epoch, stats.train_loss, stats.val_accuracy);
-
-    if (validation != nullptr) {
-      if (stats.val_accuracy > history.best_val_accuracy) {
-        history.best_val_accuracy = stats.val_accuracy;
-        history.best_epoch = epoch;
-        epochs_since_best = 0;
-      } else if (config.early_stopping_patience > 0 &&
-                 ++epochs_since_best >= config.early_stopping_patience) {
-        history.early_stopped = true;
-        MEV_LOG(logger, obs::LogLevel::kInfo, "nn.train", "early stopping",
-                {obs::LogField::u64_value("epoch", epoch),
-                 obs::LogField::u64_value("best_epoch", history.best_epoch),
-                 obs::LogField::f64_value("best_val_accuracy",
-                                          history.best_val_accuracy)});
-        break;
-      }
-    }
+    loss_gauge.set(train_loss);
   }
-  return history;
+  return epoch_losses;
 }
 
 }  // namespace
 
-TrainHistory train(Network& net, const LabeledData& train_data,
-                   const TrainConfig& config, const LabeledData* validation) {
+std::vector<double> train(Network& net, const LabeledData& train_data,
+                          const TrainConfig& config) {
   if (train_data.labels.size() != train_data.x.rows())
     throw std::invalid_argument(
         "train: " + std::to_string(train_data.labels.size()) +
@@ -153,7 +114,7 @@ TrainHistory train(Network& net, const LabeledData& train_data,
           " at row " + std::to_string(i) + " is outside [0, " +
           std::to_string(num_classes) + ")");
   return run_training(
-      net, train_data.x, train_data.x.rows(), config, validation,
+      net, train_data.x, train_data.x.rows(), config,
       [&](const math::Matrix& logits, std::span<const std::size_t> idx) {
         std::vector<int> batch_labels(idx.size());
         for (std::size_t i = 0; i < idx.size(); ++i)
@@ -162,14 +123,13 @@ TrainHistory train(Network& net, const LabeledData& train_data,
       });
 }
 
-TrainHistory train_soft(Network& net, const math::Matrix& x,
-                        const math::Matrix& soft_targets,
-                        const TrainConfig& config,
-                        const LabeledData* validation) {
+std::vector<double> train_soft(Network& net, const math::Matrix& x,
+                               const math::Matrix& soft_targets,
+                               const TrainConfig& config) {
   if (soft_targets.rows() != x.rows())
     throw std::invalid_argument("train_soft: target count mismatch");
   return run_training(
-      net, x, x.rows(), config, validation,
+      net, x, x.rows(), config,
       [&](const math::Matrix& logits, std::span<const std::size_t> idx) {
         math::Matrix batch_targets(idx.size(), soft_targets.cols());
         for (std::size_t i = 0; i < idx.size(); ++i)

@@ -1,15 +1,12 @@
-// Mini-batch training loop with shuffling, optional validation-based early
-// stopping, and per-epoch history. Matches the paper's training regime
-// (§III-B: Adam, lr 0.001, batch 256).
+// Mini-batch Adam training loop with shuffling. Matches the paper's
+// training regime (§III-B: Adam, lr 0.001, batch 256).
 #pragma once
 
-#include <functional>
-#include <optional>
+#include <cstdint>
 #include <vector>
 
 #include "math/matrix.hpp"
 #include "nn/network.hpp"
-#include "nn/optimizer.hpp"
 
 namespace mev::obs {
 class Tracer;
@@ -18,41 +15,19 @@ class MetricsRegistry;
 
 namespace mev::nn {
 
-enum class OptimizerKind { kSgd, kAdam };
-
 struct TrainConfig {
   std::size_t epochs = 30;
   std::size_t batch_size = 256;
-  float learning_rate = 0.001f;
-  OptimizerKind optimizer = OptimizerKind::kAdam;
-  float momentum = 0.9f;       // SGD only
-  float weight_decay = 0.0f;
+  float learning_rate = 0.001f;  // Adam's step size
   /// Softmax temperature used in the loss (defensive distillation trains
   /// the student at high T; normal training uses 1).
   float temperature = 1.0f;
   std::uint64_t shuffle_seed = 7;
-  /// Stop if validation accuracy has not improved for this many epochs
-  /// (0 disables early stopping).
-  std::size_t early_stopping_patience = 0;
-  /// Called after every epoch with (epoch, train_loss, val_accuracy or -1).
-  std::function<void(std::size_t, double, double)> on_epoch;
   /// Observability sinks: per-epoch mev.nn.train.epoch spans (loss, lr,
   /// wall time) and mev.nn.train.* counters/gauges. nullptr = the ambient
   /// obs::current_tracer()/current_registry() (no-ops unless opted in).
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
-};
-
-struct EpochStats {
-  double train_loss = 0.0;
-  double val_accuracy = -1.0;  // -1 when no validation set given
-};
-
-struct TrainHistory {
-  std::vector<EpochStats> epochs;
-  std::size_t best_epoch = 0;
-  double best_val_accuracy = -1.0;
-  bool early_stopped = false;
 };
 
 /// Hard-label training set.
@@ -61,16 +36,16 @@ struct LabeledData {
   std::vector<int> labels;   // n
 };
 
-/// Trains with integer labels via softmax cross-entropy.
-TrainHistory train(Network& net, const LabeledData& train_data,
-                   const TrainConfig& config,
-                   const LabeledData* validation = nullptr);
+/// Trains with integer labels via softmax cross-entropy. Returns the mean
+/// training loss of each epoch; throws std::runtime_error if it turns
+/// non-finite (the training diverged).
+std::vector<double> train(Network& net, const LabeledData& train_data,
+                          const TrainConfig& config);
 
 /// Trains with soft probability targets (distillation student).
-TrainHistory train_soft(Network& net, const math::Matrix& x,
-                        const math::Matrix& soft_targets,
-                        const TrainConfig& config,
-                        const LabeledData* validation = nullptr);
+std::vector<double> train_soft(Network& net, const math::Matrix& x,
+                               const math::Matrix& soft_targets,
+                               const TrainConfig& config);
 
 /// Fraction of samples whose argmax prediction matches the label.
 double accuracy(const Network& net, const math::Matrix& x,

@@ -48,17 +48,6 @@ void Log2Histogram::record(std::uint64_t value) noexcept {
   ++count_;
 }
 
-void Log2Histogram::merge(const Log2Histogram& other) noexcept {
-  if (other.count_ == 0) return;
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  sum_ += other.sum_;
-  count_ += other.count_;
-}
-
-void Log2Histogram::reset() noexcept { *this = Log2Histogram{}; }
-
 double Log2Histogram::mean() const noexcept {
   return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
 }

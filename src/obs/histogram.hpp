@@ -27,8 +27,6 @@ class Log2Histogram {
   static constexpr std::size_t kBuckets = 40;
 
   void record(std::uint64_t value) noexcept;
-  void merge(const Log2Histogram& other) noexcept;
-  void reset() noexcept;
 
   std::uint64_t count() const noexcept { return count_; }
   std::uint64_t min() const noexcept { return count_ == 0 ? 0 : min_; }

@@ -187,12 +187,6 @@ Log2Histogram WindowedHistogram::lifetime() const {
   return cell_->histogram;
 }
 
-Log2Histogram WindowedHistogram::windowed(std::uint64_t window_us) const {
-  if (cell_ == nullptr) return Log2Histogram{};
-  return cell_->window->merged(
-      cell_->clock.load(std::memory_order_acquire)->now_us(), window_us);
-}
-
 std::size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return metrics_.size();

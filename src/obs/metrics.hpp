@@ -151,9 +151,6 @@ class WindowedHistogram {
   WindowedHistogram() = default;
   void record(std::uint64_t v) noexcept;
   Log2Histogram lifetime() const;
-  /// Merged histogram of the trailing window (0 = the ring's full span),
-  /// evaluated at the cell clock's current time.
-  Log2Histogram windowed(std::uint64_t window_us) const;
 
  private:
   friend class MetricsRegistry;

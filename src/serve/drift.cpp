@@ -41,8 +41,4 @@ obs::ScoreBins ScoreDrift::reference() const noexcept {
   return bins;
 }
 
-obs::ScoreBins ScoreDrift::current(std::uint64_t now_us) const noexcept {
-  return current_.bins(now_us, config_.window_us);
-}
-
 }  // namespace mev::serve

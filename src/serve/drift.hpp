@@ -64,7 +64,6 @@ class ScoreDrift {
   double psi(std::uint64_t now_us) const noexcept;
 
   obs::ScoreBins reference() const noexcept;
-  obs::ScoreBins current(std::uint64_t now_us) const noexcept;
 
   const DriftConfig& config() const noexcept { return config_; }
 

@@ -2,9 +2,7 @@
 
 #include <stdexcept>
 
-#include "attack/fgsm.hpp"
 #include "attack/random_attack.hpp"
-#include "nn/session.hpp"
 #include "nn/trainer.hpp"
 
 namespace mev::attack {
@@ -83,58 +81,6 @@ TEST(RandomAddition, EmptyBatch) {
   nn::Network net = tiny_net();
   const auto r = RandomAddition(RandomAdditionConfig{})
                      .craft(net, math::Matrix(0, 6));
-  EXPECT_EQ(r.size(), 0u);
-}
-
-TEST(FgsmAddOnly, ConfigValidation) {
-  FgsmConfig bad;
-  bad.theta = -0.5f;
-  EXPECT_THROW(FgsmAddOnly{bad}, std::invalid_argument);
-}
-
-TEST(FgsmAddOnly, OnlyMovesTowardTargetAndUp) {
-  nn::Network net = tiny_net();
-  const math::Matrix x = inputs();
-  FgsmConfig cfg;
-  cfg.theta = 0.1f;
-  const AttackResult r = FgsmAddOnly(cfg).craft(net, x);
-  nn::InferenceSession session(net);
-  const math::Matrix grad = session.input_gradient(x, cfg.target_class);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    for (std::size_t j = 0; j < 6; ++j) {
-      const float delta = r.adversarial(i, j) - x(i, j);
-      EXPECT_GE(delta, 0.0f);
-      if (grad(i, j) <= 0.0f) {
-        EXPECT_EQ(delta, 0.0f);
-      }
-    }
-  }
-}
-
-TEST(FgsmAddOnly, DeltaBoundedByTheta) {
-  nn::Network net = tiny_net();
-  const math::Matrix x = inputs();
-  FgsmConfig cfg;
-  cfg.theta = 0.07f;
-  const AttackResult r = FgsmAddOnly(cfg).craft(net, x);
-  for (std::size_t i = 0; i < r.adversarial.size(); ++i)
-    EXPECT_LE(r.adversarial.data()[i] - x.data()[i], cfg.theta + 1e-6);
-}
-
-TEST(FgsmAddOnly, TouchesMoreFeaturesThanJsmaWould) {
-  nn::Network net = tiny_net();
-  const math::Matrix x = inputs();
-  FgsmConfig cfg;
-  cfg.theta = 0.1f;
-  const AttackResult r = FgsmAddOnly(cfg).craft(net, x);
-  // Dense attack: typically perturbs about half the features (positive
-  // gradient direction), far more than a gamma-limited JSMA.
-  EXPECT_GT(r.mean_features_changed(), 1.0);
-}
-
-TEST(FgsmAddOnly, EmptyBatch) {
-  nn::Network net = tiny_net();
-  const auto r = FgsmAddOnly(FgsmConfig{}).craft(net, math::Matrix(0, 6));
   EXPECT_EQ(r.size(), 0u);
 }
 

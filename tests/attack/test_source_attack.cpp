@@ -68,25 +68,6 @@ TEST(SourceAttack, PerCallDeltaMatchesSingleInsertion) {
   }
 }
 
-TEST(SourceAttack, SelectApiValidation) {
-  auto& f = fixture();
-  const std::vector<float> feats(f.vocab.size(), 0.5f);
-  const std::vector<float> bad_delta(3, 0.1f);
-  EXPECT_THROW(select_api_to_add(f.net, feats, bad_delta),
-               std::invalid_argument);
-  // All features saturated: nothing admissible.
-  const std::vector<float> saturated(f.vocab.size(), 1.0f);
-  EXPECT_THROW(select_api_to_add(f.net, saturated), std::runtime_error);
-}
-
-TEST(SourceAttack, SelectApiReturnsGrowableFeature) {
-  auto& f = fixture();
-  const auto feats = f.pipeline->features_from_log(f.malware_log);
-  const std::size_t j = select_api_to_add(f.net, feats);
-  EXPECT_LT(j, f.vocab.size());
-  EXPECT_LT(feats[j], 1.0f);
-}
-
 TEST(SourceAttack, LiveTestPointsCountAndStart) {
   auto& f = fixture();
   const auto result =
@@ -96,6 +77,21 @@ TEST(SourceAttack, LiveTestPointsCountAndStart) {
   EXPECT_EQ(result.points.back().insertions, 8u);
   EXPECT_FALSE(result.api_name.empty());
   EXPECT_TRUE(f.vocab.contains(result.api_name));
+}
+
+TEST(SourceAttack, LiveTestThrowsWhenNoApiCanBeAdded) {
+  auto& f = fixture();
+  // Fitted on an all-zero row, every denominator is the floor of 1: one
+  // call to each API saturates every feature, so none has headroom left.
+  auto transform = std::make_unique<features::CountTransform>();
+  transform->fit(math::Matrix(1, f.vocab.size()));
+  const features::FeaturePipeline saturating(f.vocab, std::move(transform));
+  data::ApiLog log;
+  for (std::size_t j = 0; j < f.vocab.size(); ++j)
+    log.append_calls(f.vocab.name(j), 1);
+  for (float v : saturating.features_from_log(log)) ASSERT_EQ(v, 1.0f);
+  EXPECT_THROW(run_live_test(f.net, f.net, saturating, log, 8),
+               std::runtime_error);
 }
 
 TEST(SourceAttack, InsertionsNeverRaiseConfidenceWhenChosenWell) {

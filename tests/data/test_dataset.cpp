@@ -63,37 +63,6 @@ TEST(CountDataset, IndicesOf) {
   EXPECT_EQ(idx[1], 2u);
 }
 
-TEST(CountDataset, Subset) {
-  const CountDataset ds = make_dataset();
-  const CountDataset sub = ds.subset({2, 0});
-  EXPECT_EQ(sub.size(), 2u);
-  EXPECT_EQ(sub.labels[0], kMalwareLabel);
-  EXPECT_EQ(sub.counts(0, 0), 3.0f);
-  EXPECT_EQ(sub.counts(1, 0), 1.0f);
-}
-
-TEST(CountDataset, Append) {
-  CountDataset a = make_dataset();
-  const CountDataset b = make_dataset();
-  a.append(b);
-  EXPECT_EQ(a.size(), 6u);
-  EXPECT_EQ(a.counts.rows(), 6u);
-}
-
-TEST(CountDataset, AppendDimMismatchThrows) {
-  CountDataset a = make_dataset();
-  CountDataset b;
-  b.counts = math::Matrix{{1, 2, 3}};
-  b.labels = {kCleanLabel};
-  EXPECT_THROW(a.append(b), std::invalid_argument);
-}
-
-TEST(CountDataset, AppendEmptyIsNoop) {
-  CountDataset a = make_dataset();
-  a.append(CountDataset{});
-  EXPECT_EQ(a.size(), 3u);
-}
-
 TEST(Labels, ConventionMatchesPaper) {
   // Eq. 1: i = 0 is clean, i = 1 is malware.
   EXPECT_EQ(kCleanLabel, 0);

@@ -100,15 +100,5 @@ TEST(DimReduction, ConstructorValidation) {
   EXPECT_THROW(DimReductionClassifier(pca, net), std::invalid_argument);
 }
 
-TEST(DimReduction, ValidationPathWorks) {
-  const auto data = correlated_blobs(200, 8, 11);
-  const auto val = correlated_blobs(60, 8, 12);
-  DimReductionConfig cfg;
-  cfg.k = 2;
-  cfg.training.epochs = 10;
-  auto clf = train_dim_reduction_defense(data, cfg, &val);
-  EXPECT_NE(clf, nullptr);
-}
-
 }  // namespace
 }  // namespace mev::defense

@@ -53,7 +53,7 @@ SecurityCurve curve(const std::string& name) {
 }
 
 TEST(Curves, RenderSingle) {
-  const std::string out = render_curve(curve("target"));
+  const std::string out = render_curves({curve("target")});
   EXPECT_NE(out.find("gamma"), std::string::npos);
   EXPECT_NE(out.find("target"), std::string::npos);
   EXPECT_NE(out.find("0.800"), std::string::npos);

@@ -44,18 +44,5 @@ TEST(Extractor, CaseInsensitive) {
   EXPECT_EQ(extractor.extract(log)[*vocab.index_of("writefile")], 2.0f);
 }
 
-TEST(Extractor, BatchExtraction) {
-  const CountExtractor extractor(ApiVocab::instance());
-  data::ApiLog a, b;
-  a.append_calls("WriteFile", 1);
-  b.append_calls("WriteFile", 4);
-  const std::vector<data::ApiLog> logs{a, b};
-  const math::Matrix m = extractor.extract_batch(logs);
-  EXPECT_EQ(m.rows(), 2u);
-  const auto idx = *ApiVocab::instance().index_of("writefile");
-  EXPECT_EQ(m(0, idx), 1.0f);
-  EXPECT_EQ(m(1, idx), 4.0f);
-}
-
 }  // namespace
 }  // namespace mev::features

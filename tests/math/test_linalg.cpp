@@ -12,12 +12,6 @@ namespace {
 const std::vector<float> kA{1, 2, 3};
 const std::vector<float> kB{4, 6, 3};
 
-TEST(Linalg, Dot) {
-  EXPECT_DOUBLE_EQ(dot(kA, kB), 4 + 12 + 9);
-  const std::vector<float> bad{1};
-  EXPECT_THROW(dot(kA, bad), std::invalid_argument);
-}
-
 TEST(Linalg, L2Distance) {
   EXPECT_DOUBLE_EQ(l2_distance(kA, kB), 5.0);
   EXPECT_DOUBLE_EQ(l2_distance(kA, kA), 0.0);
@@ -25,30 +19,6 @@ TEST(Linalg, L2Distance) {
 
 TEST(Linalg, L1Distance) {
   EXPECT_DOUBLE_EQ(l1_distance(kA, kB), 3 + 4 + 0);
-}
-
-TEST(Linalg, LinfDistance) {
-  EXPECT_DOUBLE_EQ(linf_distance(kA, kB), 4.0);
-}
-
-TEST(Linalg, L0Distance) {
-  EXPECT_EQ(l0_distance(kA, kB), 2u);
-  EXPECT_EQ(l0_distance(kA, kA), 0u);
-  const std::vector<float> close{1.05f, 2, 3};
-  EXPECT_EQ(l0_distance(kA, close, 0.1f), 0u);
-}
-
-TEST(Linalg, L2Norm) {
-  const std::vector<float> v{3, 4};
-  EXPECT_DOUBLE_EQ(l2_norm(v), 5.0);
-  EXPECT_DOUBLE_EQ(l2_norm(std::vector<float>{}), 0.0);
-}
-
-TEST(Linalg, Axpy) {
-  std::vector<float> y{1, 1, 1};
-  axpy(2.0f, kA, y);
-  EXPECT_EQ(y[0], 3.0f);
-  EXPECT_EQ(y[2], 7.0f);
 }
 
 TEST(Linalg, SoftmaxSumsToOne) {
@@ -69,9 +39,10 @@ TEST(Linalg, SoftmaxNumericallyStableForLargeLogits) {
 }
 
 TEST(Linalg, SoftmaxTemperatureFlattens) {
-  const std::vector<float> logits{0.0f, 4.0f};
-  const auto sharp = softmax(logits, 1.0f);
-  const auto soft = softmax(logits, 50.0f);
+  std::vector<float> sharp{0.0f, 4.0f};
+  std::vector<float> soft = sharp;
+  softmax_inplace(sharp, 1.0f);
+  softmax_inplace(soft, 50.0f);
   EXPECT_GT(sharp[1] - sharp[0], soft[1] - soft[0]);
   EXPECT_NEAR(soft[0], 0.5, 0.05);
 }
@@ -87,12 +58,10 @@ TEST(Linalg, SoftmaxEmptyIsNoop) {
   EXPECT_NO_THROW(softmax_inplace(empty));
 }
 
-TEST(Linalg, ArgmaxArgmin) {
+TEST(Linalg, Argmax) {
   const std::vector<float> v{3, 9, 1, 9};
   EXPECT_EQ(argmax(v), 1u);  // first maximum
-  EXPECT_EQ(argmin(v), 2u);
   EXPECT_THROW(argmax(std::vector<float>{}), std::invalid_argument);
-  EXPECT_THROW(argmin(std::vector<float>{}), std::invalid_argument);
 }
 
 TEST(Linalg, TriangleInequalityHolds) {

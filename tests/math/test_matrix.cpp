@@ -44,22 +44,12 @@ TEST(Matrix, RaggedInitializerThrows) {
   EXPECT_THROW((Matrix{{1, 2}, {3}}), std::invalid_argument);
 }
 
-TEST(Matrix, RowAndColVector) {
+TEST(Matrix, RowVector) {
   const std::vector<float> v{1, 2, 3};
   const Matrix row = Matrix::row_vector(v);
   EXPECT_EQ(row.rows(), 1u);
   EXPECT_EQ(row.cols(), 3u);
-  const Matrix col = Matrix::col_vector(v);
-  EXPECT_EQ(col.rows(), 3u);
-  EXPECT_EQ(col.cols(), 1u);
-  EXPECT_EQ(col(2, 0), 3.0f);
-}
-
-TEST(Matrix, AtThrowsOutOfRange) {
-  Matrix m(2, 2);
-  EXPECT_THROW(m.at(2, 0), std::out_of_range);
-  EXPECT_THROW(m.at(0, 2), std::out_of_range);
-  EXPECT_NO_THROW(m.at(1, 1));
+  EXPECT_EQ(row(0, 2), 3.0f);
 }
 
 TEST(Matrix, RowSpanMutates) {
@@ -98,16 +88,13 @@ TEST(Matrix, ElementwiseArithmetic) {
   const Matrix b{{10, 20}, {30, 40}};
   a += b;
   EXPECT_EQ(a(1, 1), 44.0f);
-  a -= b;
-  EXPECT_EQ(a(0, 0), 1.0f);
   a *= 2.0f;
-  EXPECT_EQ(a(0, 1), 4.0f);
+  EXPECT_EQ(a(0, 1), 44.0f);
 }
 
 TEST(Matrix, ShapeMismatchThrows) {
   Matrix a(2, 2), b(2, 3);
   EXPECT_THROW(a += b, std::invalid_argument);
-  EXPECT_THROW(a -= b, std::invalid_argument);
   EXPECT_THROW(a.hadamard(b), std::invalid_argument);
 }
 
@@ -116,14 +103,6 @@ TEST(Matrix, Hadamard) {
   const Matrix b{{2, 2}, {2, 2}};
   a.hadamard(b);
   EXPECT_EQ(a(1, 0), 6.0f);
-}
-
-TEST(Matrix, ApplyAndClamp) {
-  Matrix m{{-1, 0.5f}, {2, 3}};
-  m.apply([](float x) { return x * x; });
-  EXPECT_EQ(m(0, 0), 1.0f);
-  m.clamp(0.0f, 4.0f);
-  EXPECT_EQ(m(1, 1), 4.0f);
 }
 
 TEST(Matrix, Transposed) {
@@ -174,10 +153,9 @@ TEST(Matrix, GatherCols) {
   EXPECT_EQ(g(1, 1), 5.0f);
 }
 
-TEST(Matrix, SumNormMaxAbs) {
+TEST(Matrix, SumMaxAbs) {
   const Matrix m{{3, -4}};
   EXPECT_DOUBLE_EQ(m.sum(), -1.0);
-  EXPECT_DOUBLE_EQ(m.frobenius_norm(), 5.0);
   EXPECT_EQ(m.max_abs(), 4.0f);
 }
 
@@ -291,16 +269,6 @@ TEST(Matrix, MatmulRejectsAnOutputAliasingAnInput) {
   EXPECT_EQ(sq, (Matrix{{1, 2}, {3, 4}}));
 }
 
-TEST(Matrix, Matvec) {
-  const Matrix a{{1, 2}, {3, 4}};
-  const std::vector<float> x{1, 1};
-  const auto y = matvec(a, x);
-  EXPECT_EQ(y[0], 3.0f);
-  EXPECT_EQ(y[1], 7.0f);
-  const std::vector<float> bad{1};
-  EXPECT_THROW(matvec(a, bad), std::invalid_argument);
-}
-
 TEST(Matrix, AddRowBroadcast) {
   Matrix m(2, 3, 1.0f);
   const std::vector<float> bias{1, 2, 3};
@@ -319,13 +287,12 @@ TEST(Matrix, ColumnSumsAndMeans) {
   EXPECT_THROW(column_means(Matrix(0, 2)), std::invalid_argument);
 }
 
-TEST(Matrix, EqualityAndToString) {
+TEST(Matrix, Equality) {
   const Matrix a{{1, 2}};
   const Matrix b{{1, 2}};
   EXPECT_EQ(a, b);
   const Matrix c{{1, 3}};
   EXPECT_NE(a, c);
-  EXPECT_NE(a.to_string().find("1x2"), std::string::npos);
 }
 
 }  // namespace

@@ -108,8 +108,6 @@ TEST(Pca, TransformShapes) {
   const Matrix z = pca.transform(x);
   EXPECT_EQ(z.rows(), 100u);
   EXPECT_EQ(z.cols(), 3u);
-  const Matrix back = pca.inverse_transform(z);
-  EXPECT_EQ(back.cols(), 8u);
 }
 
 TEST(Pca, ReconstructionErrorDecreasesWithK) {
@@ -118,11 +116,15 @@ TEST(Pca, ReconstructionErrorDecreasesWithK) {
   for (std::size_t k : {1u, 2u, 5u, 9u}) {
     Pca pca;
     pca.fit(x, k);
-    const Matrix rec = pca.reconstruct(x);
+    // Project, map back through the components and add the mean again.
+    const Matrix rec =
+        matmul(pca.transform(x), pca.components().transposed());
     double err = 0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      const double d = x.data()[i] - rec.data()[i];
-      err += d * d;
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      for (std::size_t c = 0; c < x.cols(); ++c) {
+        const double d = x(r, c) - (rec(r, c) + pca.mean()[c]);
+        err += d * d;
+      }
     }
     EXPECT_LT(err, prev_err + 1e-6);
     prev_err = err;
@@ -155,7 +157,6 @@ TEST(Pca, Errors) {
   EXPECT_THROW(pca.fit(x, 5), std::invalid_argument);
   pca.fit(x, 2);
   EXPECT_THROW(pca.transform(Matrix(1, 5)), std::invalid_argument);
-  EXPECT_THROW(pca.inverse_transform(Matrix(1, 3)), std::invalid_argument);
 }
 
 }  // namespace

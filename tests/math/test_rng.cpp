@@ -169,24 +169,6 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / n, 0.5, 0.02);
 }
 
-TEST(Rng, CategoricalFollowsWeights) {
-  Rng rng(23);
-  const std::vector<double> weights{1.0, 3.0, 0.0, 6.0};
-  std::vector<int> counts(4, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[rng.categorical(weights)];
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.01);
-  EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.6, 0.01);
-}
-
-TEST(Rng, CategoricalDegenerateWeights) {
-  Rng rng(24);
-  EXPECT_EQ(rng.categorical({0.0, 0.0}), 0u);
-  EXPECT_EQ(rng.categorical({-1.0, -2.0}), 0u);
-}
-
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(25);
   std::vector<int> v(100);
@@ -196,15 +178,6 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_NE(shuffled, v);  // astronomically unlikely to be identity
   std::sort(shuffled.begin(), shuffled.end());
   EXPECT_EQ(shuffled, v);
-}
-
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng a(42);
-  Rng b = a.split();
-  int equal = 0;
-  for (int i = 0; i < 64; ++i)
-    if (a.next() == b.next()) ++equal;
-  EXPECT_LT(equal, 2);
 }
 
 TEST(Rng, SatisfiesUniformRandomBitGenerator) {

@@ -9,45 +9,6 @@
 namespace mev::math {
 namespace {
 
-TEST(Stats, MeanOfEmptyIsZero) {
-  EXPECT_DOUBLE_EQ(mean(std::vector<double>{}), 0.0);
-}
-
-TEST(Stats, MeanKnown) {
-  const std::vector<double> v{1, 2, 3, 4};
-  EXPECT_DOUBLE_EQ(mean(v), 2.5);
-}
-
-TEST(Stats, MeanFloat) {
-  const std::vector<float> v{2, 4};
-  EXPECT_DOUBLE_EQ(mean_f(v), 3.0);
-}
-
-TEST(Stats, VarianceAndStddev) {
-  const std::vector<double> v{2, 4, 4, 4, 5, 5, 7, 9};
-  EXPECT_DOUBLE_EQ(variance(v), 4.0);
-  EXPECT_DOUBLE_EQ(stddev(v), 2.0);
-}
-
-TEST(Stats, VarianceOfSingletonIsZero) {
-  EXPECT_DOUBLE_EQ(variance(std::vector<double>{5.0}), 0.0);
-}
-
-TEST(Stats, Summarize) {
-  const std::vector<double> v{1, 5, 3};
-  const Summary s = summarize(v);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 5.0);
-  EXPECT_EQ(s.count, 3u);
-}
-
-TEST(Stats, SummarizeEmpty) {
-  const Summary s = summarize(std::vector<double>{});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
 TEST(Stats, PercentileEndpointsAndMedian) {
   const std::vector<double> v{10, 20, 30, 40, 50};
   EXPECT_DOUBLE_EQ(percentile(v, 0), 10.0);
@@ -80,18 +41,6 @@ TEST(Stats, CovarianceMatrixDiagonalIsVariance) {
 
 TEST(Stats, CovarianceEmptyThrows) {
   EXPECT_THROW(covariance_matrix(Matrix(0, 3)), std::invalid_argument);
-}
-
-TEST(Stats, PearsonPerfectCorrelation) {
-  const std::vector<double> a{1, 2, 3}, b{2, 4, 6}, c{-1, -2, -3};
-  EXPECT_NEAR(pearson(a, b), 1.0, 1e-9);
-  EXPECT_NEAR(pearson(a, c), -1.0, 1e-9);
-}
-
-TEST(Stats, PearsonDegenerate) {
-  const std::vector<double> a{1, 2, 3}, flat{5, 5, 5};
-  EXPECT_DOUBLE_EQ(pearson(a, flat), 0.0);
-  EXPECT_THROW(pearson(a, std::vector<double>{1}), std::invalid_argument);
 }
 
 }  // namespace

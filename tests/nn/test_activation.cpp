@@ -87,14 +87,5 @@ TEST(Activation, GradShapeMismatchThrows) {
                std::invalid_argument);
 }
 
-TEST(Activation, StringRoundTrip) {
-  for (Activation act :
-       {Activation::kIdentity, Activation::kRelu, Activation::kSigmoid,
-        Activation::kTanh, Activation::kLeakyRelu}) {
-    EXPECT_EQ(activation_from_string(to_string(act)), act);
-  }
-  EXPECT_THROW(activation_from_string("swish"), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace mev::nn

@@ -115,20 +115,5 @@ TEST(Loss, SoftLabelShapeMismatchThrows) {
       std::invalid_argument);
 }
 
-TEST(Loss, MseKnownValue) {
-  const math::Matrix pred{{1, 2}};
-  const math::Matrix target{{0, 0}};
-  const auto result = mean_squared_error(pred, target);
-  EXPECT_NEAR(result.loss, (1.0 + 4.0) / 2.0, 1e-6);
-  EXPECT_NEAR(result.grad_logits(0, 1), 2.0f * 2.0f / 2.0f, 1e-5);
-}
-
-TEST(Loss, MseErrors) {
-  EXPECT_THROW(mean_squared_error(math::Matrix(1, 2), math::Matrix(2, 2)),
-               std::invalid_argument);
-  EXPECT_THROW(mean_squared_error(math::Matrix(), math::Matrix()),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace mev::nn

@@ -144,12 +144,6 @@ TEST(Network, InputGradientLeavesParamGradsZero) {
       EXPECT_EQ(p.grad->data()[i], 0.0f);
 }
 
-TEST(Network, NumParameters) {
-  Network net = small_net();
-  // (4*8 + 8) + (8*6 + 6) + (6*2 + 2) = 40 + 54 + 14
-  EXPECT_EQ(net.num_parameters(), 40u + 54u + 14u);
-}
-
 TEST(Network, CopyIsDeep) {
   Network net = small_net();
   Network copy = net;

@@ -225,7 +225,7 @@ TEST(InferenceSession, SteadyStateForwardAllocatesNothing) {
 }
 
 TEST(InferenceSession, BoundSessionBackwardSeesEveryOptimizerStep) {
-  // Each Sgd::step rewrites the weights between a backward and the next
+  // Each Adam::step rewrites the weights between a backward and the next
   // forward. The bound session's next sweeps must read the new weights
   // (its W^T packs are dropped by the forward), byte for byte like a
   // fresh session on the updated network: the attack sweep's dLoss/dInput
@@ -236,9 +236,9 @@ TEST(InferenceSession, BoundSessionBackwardSeesEveryOptimizerStep) {
   Network net = make_mlp(cfg);
   InferenceSession session(net, 8);
   const std::vector<ParamRef> params = session.bind_params(net);
-  SgdConfig sgd_cfg;
-  sgd_cfg.learning_rate = 0.5f;
-  Sgd sgd(sgd_cfg);
+  AdamConfig adam_cfg;
+  adam_cfg.learning_rate = 0.5f;
+  Adam adam(adam_cfg);
   const math::Matrix x = random_input(8, 16, 11);
   const math::Matrix grad_logits = random_input(8, 2, 12);
   const auto same_bytes = [](const math::Matrix& a, const math::Matrix& b) {
@@ -263,7 +263,7 @@ TEST(InferenceSession, BoundSessionBackwardSeesEveryOptimizerStep) {
     for (std::size_t p = 0; p < params.size(); ++p)
       EXPECT_TRUE(same_bytes(*params[p].grad, *fresh_params[p].grad))
           << "parameter gradient " << p << " differs at step " << step;
-    sgd.step(params);
+    adam.step(params);
   }
 }
 

@@ -60,32 +60,6 @@ TEST(Log2Histogram, HandlesZeroAndHugeValues) {
   EXPECT_EQ(h.max(), ~std::uint64_t{0});
 }
 
-TEST(Log2Histogram, MergeCombines) {
-  obs::Log2Histogram a, b;
-  a.record(4);
-  a.record(8);
-  b.record(1);
-  b.record(1024);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_EQ(a.min(), 1u);
-  EXPECT_EQ(a.max(), 1024u);
-  EXPECT_DOUBLE_EQ(a.mean(), (4.0 + 8.0 + 1.0 + 1024.0) / 4.0);
-  // Merging into empty copies.
-  obs::Log2Histogram c;
-  c.merge(a);
-  EXPECT_EQ(c.count(), 4u);
-  EXPECT_EQ(c.min(), 1u);
-}
-
-TEST(Log2Histogram, ResetClears) {
-  obs::Log2Histogram h;
-  h.record(5);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.percentile(99.0), 0.0);
-}
-
 TEST(ServiceStatsSummary, SummarizeReportsDigest) {
   obs::Log2Histogram h;
   for (int i = 0; i < 10; ++i) h.record(100);
