@@ -5,41 +5,37 @@ Two report formats are understood:
 
 * BENCH_micro.json — a flat ``{"BM_Name/arg": ns_per_op}`` map written by
   ``bench/bench_micro``. Lower is better.
-* BENCH_serve.json — the structured report written by ``bench/bench_serve``
-  with ``closed_loop`` / ``open_loop`` sweeps.
-* BENCH_http.json — the report written by ``bench/bench_http``. The pinned
-  signals are the HTTP-vs-in-process achieved-rows/s ratio at 1x offered
-  load (higher is better, with an absolute floor: the network edge must
-  keep at least half of the in-process open-loop throughput), the HTTP
-  request latency p95 (lower is better), and the requests-per-connection
-  count (absolute floor — proves keep-alive reuse rather than a
-  connection per request). The pinned signals are the
-  end-to-end latency p95 of each sweep point (lower is better), the
-  closed-loop speedup-vs-sequential of each worker count (higher is
-  better; the ratio, not absolute rows/s, so co-tenant load on the bench
-  box cancels out), and the overload-phase goodput ratio (goodput at 2x
-  offered load over measured sequential capacity, higher is better, with
-  an absolute floor). Baselines written before the overload phase existed
-  simply skip that gate.
+* BENCH_serve.json — the report written by ``bench/bench_serve``: a list of
+  points (sequential, closed loop, open loop, overload, and HTTP with its
+  in-process twin), each with its blocks and the per-metric median over
+  them. Only the medians are compared. The pinned signals of every point
+  that has them are the speedup over sequential, the overload goodput
+  ratio and the HTTP/in-process rows/s ratio (higher is better; each is
+  formed per block against a block run just before it, so co-tenant load
+  on the bench box cancels out), and the p95 latency: end to end through
+  the service, or send to response over HTTP (lower is better). Absolute
+  floors hold whatever the baseline says: the overload goodput ratio at
+  2x offered load stays at or above 0.55 of the sequential rate, HTTP
+  keeps at least half of the in-process rows/s on the same schedule, a
+  keep-alive connection carries at least 16 requests, and completed work
+  finishes within twice its deadline.
 
 The check is direction-aware: only a change for the *worse* beyond the
-tolerance band fails; improvements are reported and pass. Keys present in
-only one file are reported but never fail the check, so adding or removing
-a benchmark does not require touching this script.
+tolerance band fails; improvements are reported and pass. Keys or points
+present in only one file are reported but never fail the check, so adding
+or removing a benchmark does not require touching this script.
 
-Multi-worker throughput gates are *skipped* (not failed) when either run
-was under-provisioned — the sweep point uses more workers than the box has
-cores (``hardware_concurrency`` in the report). A 1-core container cannot
-multiply compute with a worker pool, and failing the gate there would only
-punish the hardware, not the code.
+A serve point is *skipped* (not failed) when its busy threads — clients,
+serve workers and socket workers — outnumber the cores of either run
+(``hardware_concurrency`` in the report). Such a point measures the
+scheduler time-slicing the box, not the service, and failing the gate
+there would only punish the hardware, not the code.
 
 Usage:
     check_regression.py --kind micro --baseline BENCH_micro.json \
         --fresh build/bench/BENCH_micro.json [--tolerance 0.25]
     check_regression.py --kind serve --baseline BENCH_serve.json \
         --fresh build/bench/BENCH_serve.json
-    check_regression.py --kind http --baseline BENCH_http.json \
-        --fresh build/bench/BENCH_http.json
 
 Exit status: 0 = within tolerance, 1 = regression, 2 = usage/input error.
 """
@@ -67,19 +63,27 @@ PINNED_MICRO_PREFIXES = (
     "BM_SloUpdate",
 )
 
-# Overload-phase absolute floor: at 2x offered load with shedding on, the
-# service must still complete at least this fraction of its measured
-# sequential capacity. Deliberately below the ~0.7 the bench reports on an
-# idle box, so only a real overload-behavior collapse trips it, not
-# co-tenant noise.
-OVERLOAD_GOODPUT_FLOOR = 0.55
+# Serve medians compared with the baseline, higher is better. Each is a
+# ratio formed per block against a block run just before it, so co-tenant
+# load on the bench box cancels out.
+SERVE_RATIOS = ("speedup_vs_sequential", "goodput_ratio",
+                "http_vs_inproc_ratio")
 
-# HTTP frontend contract: achieved rows/s over HTTP at 1x offered load
-# must stay at or above this fraction of the in-process open-loop rate
-# measured in the same run (so box speed cancels out), and each of the
-# bench's keep-alive connections must carry many requests.
-HTTP_RATIO_FLOOR = 0.5
-HTTP_REQUESTS_PER_CONNECTION_FLOOR = 16
+# Serve medians compared with the baseline, lower is better: the p95
+# latency end to end through the service, and from send to response read
+# over HTTP.
+SERVE_LATENCIES = ("e2e_p95_us", "http_p95_us")
+
+# Serve floors, whatever the baseline says. The overload goodput ratio
+# (2x offered load, shedding on) sits below the ratio the bench reports on
+# an idle box, so only a real overload-behavior collapse trips it; the
+# HTTP edge must keep half the in-process rows/s of the same schedule; and
+# keep-alive reuse must carry many requests per connection.
+SERVE_FLOORS = {
+    "goodput_ratio": 0.55,
+    "http_vs_inproc_ratio": 0.5,
+    "requests_per_connection": 16,
+}
 
 
 def load(path):
@@ -153,36 +157,7 @@ def check_micro(baseline, fresh, tolerance):
     for key in sorted(set(fresh) - set(baseline)):
         if key.startswith(PINNED_MICRO_PREFIXES):
             comparison.skip(key, "new key, no baseline")
-    return comparison.report("micro")
-
-
-def serve_points(report):
-    """Yield (key, e2e p95) for every sweep point in a serve report."""
-    for point in report.get("closed_loop", []):
-        key = f"closed_loop[workers={point.get('workers')}].e2e_latency_us.p95"
-        yield key, point.get("e2e_latency_us", {}).get("p95")
-    for point in report.get("open_loop", []):
-        key = (
-            f"open_loop[rate={point.get('rate_multiplier')}]"
-            ".e2e_latency_us.p95"
-        )
-        yield key, point.get("e2e_latency_us", {}).get("p95")
-
-
-def serve_throughput_points(report):
-    """Yield (key, speedup, workers) for every closed-loop sweep point.
-
-    The gated number is ``speedup_vs_sequential``, not absolute rows/s:
-    both are measured in the same process run, so the ratio cancels out
-    how fast (or how loaded) the box happened to be — absolute rows/s
-    swings with co-tenant load even when the service is unchanged.
-    """
-    for point in report.get("closed_loop", []):
-        key = (
-            f"closed_loop[workers={point.get('workers')}]"
-            ".speedup_vs_sequential"
-        )
-        yield key, point.get("speedup_vs_sequential"), point.get("workers") or 0
+    return comparison
 
 
 def check_serve(baseline, fresh, tolerance):
@@ -195,123 +170,62 @@ def check_serve(baseline, fresh, tolerance):
         )
         sys.exit(2)
     comparison = Comparison(tolerance)
-    fresh_map = dict(serve_points(fresh))
-    for key, base_value in serve_points(baseline):
-        comparison.check(key, base_value, fresh_map.get(key))
-
-    # Closed-loop throughput, higher is better. A point is gated only when
-    # BOTH runs had at least as many cores as workers; otherwise the pool
-    # was time-slicing one core and the number measures the scheduler, not
-    # the service.
-    base_cores = baseline.get("hardware_concurrency") or 1
-    fresh_cores = fresh.get("hardware_concurrency") or 1
-    fresh_tp = {key: value for key, value, _ in serve_throughput_points(fresh)}
-    for key, base_value, workers in serve_throughput_points(baseline):
-        if workers > base_cores or workers > fresh_cores:
-            comparison.skip(
-                key,
-                f"under-provisioned: {workers} workers on "
-                f"min({base_cores}, {fresh_cores}) cores",
-            )
+    cores = min(baseline.get("hardware_concurrency") or 1,
+                fresh.get("hardware_concurrency") or 1)
+    fresh_points = {point["name"]: point for point in fresh.get("points", [])}
+    base_names = set()
+    for base in baseline.get("points", []):
+        name = base["name"]
+        base_names.add(name)
+        point = fresh_points.get(name)
+        if point is None:
+            comparison.skip(name, "missing from fresh report")
             continue
-        comparison.check_higher(key, base_value, fresh_tp.get(key))
+        # A point whose busy threads outnumber the cores of either run
+        # measures the scheduler's time-slicing, not the service.
+        busy = max(base.get("busy_threads", 0), point.get("busy_threads", 0))
+        if busy > cores:
+            comparison.skip(name, f"{busy} busy threads on {cores} cores")
+            continue
+        check_serve_point(comparison, name, base["median"], point)
+    for name in sorted(set(fresh_points) - base_names):
+        comparison.skip(name, "new point, no baseline")
+    return comparison
 
-    check_overload(comparison, baseline, fresh)
-    return comparison.report("serve")
 
-
-def check_overload(comparison, baseline, fresh):
-    """Gate the overload-phase goodput ratio (PR 7).
-
-    Relative: compared against the baseline like any throughput key.
-    Absolute: a fresh ratio below OVERLOAD_GOODPUT_FLOOR fails outright —
-    that is the overload-resilience contract, not a perf delta. Reports
-    written before the overload phase existed lack the key; those skip the
-    relative gate instead of failing, so old baselines stay usable.
-    """
-    key = "overload_goodput_ratio"
-    fresh_ratio = fresh.get(key)
-    base_ratio = baseline.get(key)
-    if fresh_ratio is None:
-        comparison.skip(key, "fresh report has no overload phase")
-        return
-    if fresh_ratio < OVERLOAD_GOODPUT_FLOOR:
-        comparison.regressions.append(
-            f"{key}: {fresh_ratio:.3f} below absolute floor "
-            f"{OVERLOAD_GOODPUT_FLOOR}"
-        )
-    if base_ratio is None:
-        comparison.skip(key, "baseline predates the overload phase")
-        return
-    comparison.check_higher(key, base_ratio, fresh_ratio)
-
-    # Deadline bound on completed work: p99 of what the overloaded service
-    # DID complete must stay within the configured deadline (plus one
-    # octave of histogram resolution — Log2Histogram percentiles are
+def check_serve_point(comparison, name, base_median, point):
+    """Gate one point's medians: absolute floors, then the baseline."""
+    median = point["median"]
+    for metric, floor in SERVE_FLOORS.items():
+        if metric in median and median[metric] < floor:
+            comparison.regressions.append(
+                f"{name}.{metric}: {median[metric]:.6g} below absolute "
+                f"floor {floor}"
+            )
+    # Completed work must finish within the deadline the point sets, plus
+    # one octave of histogram resolution (Log2Histogram percentiles are
     # bucket-interpolated).
-    overload = fresh.get("overload", {})
-    p99 = overload.get("e2e_latency_us", {}).get("p99")
-    deadline_ms = overload.get("deadline_ms")
-    if p99 is None or deadline_ms is None:
-        comparison.skip("overload.e2e_latency_us.p99", "not in fresh report")
-        return
-    bound_us = 2.0 * deadline_ms * 1000.0
-    if p99 > bound_us:
+    deadline_ms = point.get("config", {}).get("deadline_ms")
+    p99 = median.get("e2e_p99_us")
+    if deadline_ms and p99 is not None and p99 > 2.0 * deadline_ms * 1000.0:
         comparison.regressions.append(
-            f"overload.e2e_latency_us.p99: {p99:.0f}us exceeds "
-            f"{bound_us:.0f}us (2x the {deadline_ms}ms deadline)"
+            f"{name}.e2e_p99_us: {p99:.0f}us exceeds 2x the "
+            f"{deadline_ms:g}ms deadline"
         )
-
-
-def check_http(baseline, fresh, tolerance):
-    if baseline.get("scale") != fresh.get("scale"):
-        print(
-            f"error: scale mismatch: baseline is "
-            f"'{baseline.get('scale')}', fresh is '{fresh.get('scale')}' — "
-            "rerun bench_http at the baseline's scale",
-            file=sys.stderr,
-        )
-        sys.exit(2)
-    comparison = Comparison(tolerance)
-
-    # The contract gate: absolute floor on the HTTP/in-process ratio.
-    fresh_ratio = fresh.get("http_vs_inproc_ratio")
-    if fresh_ratio is None:
-        comparison.skip("http_vs_inproc_ratio", "missing from fresh report")
-    elif fresh_ratio < HTTP_RATIO_FLOOR:
-        comparison.regressions.append(
-            f"http_vs_inproc_ratio: {fresh_ratio:.3f} below absolute "
-            f"floor {HTTP_RATIO_FLOOR}"
-        )
-    comparison.check_higher(
-        "http_vs_inproc_ratio",
-        baseline.get("http_vs_inproc_ratio"),
-        fresh_ratio,
-    )
-
-    # Keep-alive reuse: connections must be amortized over many requests.
-    per_conn = fresh.get("requests_per_connection")
-    if per_conn is None:
-        comparison.skip("requests_per_connection", "missing from fresh report")
-    elif per_conn < HTTP_REQUESTS_PER_CONNECTION_FLOOR:
-        comparison.regressions.append(
-            f"requests_per_connection: {per_conn} below absolute floor "
-            f"{HTTP_REQUESTS_PER_CONNECTION_FLOOR} — keep-alive reuse broken"
-        )
-
-    # Latency of the HTTP path, lower is better.
-    comparison.check(
-        "http_open_loop.latency_us.p95",
-        baseline.get("http_open_loop", {}).get("latency_us", {}).get("p95"),
-        fresh.get("http_open_loop", {}).get("latency_us", {}).get("p95"),
-    )
-    return comparison.report("http")
+    for metric in SERVE_RATIOS:
+        if metric in base_median:
+            comparison.check_higher(
+                f"{name}.{metric}", base_median[metric], median.get(metric))
+    for metric in SERVE_LATENCIES:
+        if metric in base_median:
+            comparison.check(
+                f"{name}.{metric}", base_median[metric], median.get(metric))
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--kind", choices=("micro", "serve", "http"), required=True)
+        "--kind", choices=("micro", "serve"), required=True)
     parser.add_argument("--baseline", required=True)
     parser.add_argument("--fresh", required=True)
     parser.add_argument(
@@ -331,10 +245,9 @@ def main():
     for report in (baseline, fresh):
         if isinstance(report, dict):
             report.pop("meta", None)
-    checkers = {"micro": check_micro, "serve": check_serve,
-                "http": check_http}
-    ok = checkers[options.kind](baseline, fresh, options.tolerance)
-    sys.exit(0 if ok else 1)
+    checker = {"micro": check_micro, "serve": check_serve}[options.kind]
+    comparison = checker(baseline, fresh, options.tolerance)
+    sys.exit(0 if comparison.report(options.kind) else 1)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ namespace {
 
 constexpr const char* kTextPlain = "text/plain; charset=utf-8";
 constexpr const char* kJson = "application/json";
+/// Rows per request cap → 400 (bounds one request's batch footprint).
+constexpr std::size_t kMaxRequestRows = 1024;
 
 /// The statuses the score path can answer with; pre-registered so every
 /// labeled family exists (at zero) from the first /metrics scrape.
@@ -298,10 +300,10 @@ void ScoringFrontend::handle_score(obs::http::Request& request,
   BodyParseResult parsed;
   if (type == kJsonContentType) {
     parsed = parse_json_rows(request.body, service_.count_cols(),
-                             config_.max_request_rows);
+                             kMaxRequestRows);
   } else if (type == kBinaryContentType) {
     parsed = parse_binary_rows(request.body, service_.count_cols(),
-                               config_.max_request_rows);
+                               kMaxRequestRows);
   } else {
     bad_requests_.fetch_add(1, std::memory_order_relaxed);
     fail(415, "unsupported_media_type",
@@ -346,9 +348,8 @@ void ScoringFrontend::handle_score(obs::http::Request& request,
     sc.client->record_request(sc.parse_end_us, rows);
   }
 
-  // 4. Deadline: explicit header wins; otherwise the configured default.
+  // 4. Deadline: X-Deadline-Ms when present; none otherwise.
   serve::SubmitOptions options;
-  options.deadline_ms = config_.default_deadline_ms;
   options.trace = sc.trace;
   const std::string* deadline_header = request.header("X-Deadline-Ms");
   if (deadline_header != nullptr) {

@@ -65,12 +65,8 @@ struct FrontendConfig {
   std::size_t max_pipeline = 64;
   /// Request body cap → 413.
   std::size_t max_body_bytes = 1 << 20;
-  /// Rows per request cap → 400 (bounds one request's batch footprint).
-  std::size_t max_request_rows = 1024;
   /// API keys; empty = open endpoint (no auth, no rate limiting).
   std::vector<ApiKey> api_keys;
-  /// Deadline applied when a request carries no X-Deadline-Ms; 0 = none.
-  std::uint64_t default_deadline_ms = 0;
   /// Timing source; nullptr = the service's clock (shared deadlines).
   runtime::Clock* clock = nullptr;
   /// Log sink; nullptr = obs::default_logger().

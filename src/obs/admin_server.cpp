@@ -14,6 +14,8 @@ namespace mev::obs {
 namespace {
 
 constexpr const char* kTextPlain = "text/plain; charset=utf-8";
+/// Spans returned by /tracez (newest last).
+constexpr std::size_t kTracezSpans = 256;
 constexpr const char* kPromText = "text/plain; version=0.0.4; charset=utf-8";
 constexpr const char* kJson = "application/json";
 
@@ -133,7 +135,7 @@ std::string AdminServer::metrics_body() const {
 
 std::string AdminServer::tracez_body(const http::Request& request) const {
   // Filters narrow WITHIN the retained window (the per-thread rings keep
-  // the newest tracez_spans-ish events): ?name_prefix= and ?min_dur_us=
+  // the newest kTracezSpans-ish events): ?name_prefix= and ?min_dur_us=
   // drop non-matching spans, ?limit= keeps the newest N survivors.
   const auto params = http::parse_query(request.target);
   std::string_view name_prefix;
@@ -142,14 +144,13 @@ std::string AdminServer::tracez_body(const http::Request& request) const {
   std::uint64_t min_dur_us = 0;
   if (const std::string* v = http::query_param(params, "min_dur_us"))
     min_dur_us = std::strtoull(v->c_str(), nullptr, 10);
-  std::size_t limit = config_.tracez_spans;
+  std::size_t limit = kTracezSpans;
   if (const std::string* v = http::query_param(params, "limit")) {
     limit = std::strtoull(v->c_str(), nullptr, 10);
-    if (limit == 0 || limit > config_.tracez_spans)
-      limit = config_.tracez_spans;
+    if (limit == 0 || limit > kTracezSpans) limit = kTracezSpans;
   }
 
-  std::vector<TraceEvent> events = tracer_->recent(config_.tracez_spans);
+  std::vector<TraceEvent> events = tracer_->recent(kTracezSpans);
   std::erase_if(events, [&](const TraceEvent& e) {
     if (e.dur_us < min_dur_us) return true;
     return !name_prefix.empty() &&

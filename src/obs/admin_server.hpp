@@ -75,8 +75,6 @@ struct AdminServerConfig {
   /// Accepted-but-unserved connections held at once; beyond this new
   /// connections are shed (closed) immediately.
   std::size_t max_queued_connections = 16;
-  /// Spans returned by /tracez (newest last).
-  std::size_t tracez_spans = 256;
   /// Per-connection receive/send timeout.
   std::uint64_t io_timeout_ms = 2000;
   /// Sinks served by the endpoints; nullptr = the ambient

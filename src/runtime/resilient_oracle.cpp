@@ -14,7 +14,7 @@ ResilientOracle::ResilientOracle(CountOracle& inner, RetryPolicy retry,
       clock_(clock != nullptr ? clock : &SystemClock::instance()),
       breaker_(breaker, *(clock != nullptr ? clock
                                            : &SystemClock::instance())),
-      jitter_rng_(retry.jitter_seed) {
+      jitter_rng_(0x5eedULL) {
   if (retry_.max_attempts == 0) retry_.max_attempts = 1;
 }
 

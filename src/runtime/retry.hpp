@@ -20,10 +20,9 @@ struct RetryPolicy {
   std::uint64_t max_backoff_ms = 1000;
 
   /// Multiplicative jitter: the delay is scaled by a uniform factor in
-  /// [1 - jitter, 1 + jitter). Drawn from a seeded stream so a retried
-  /// run is exactly reproducible.
+  /// [1 - jitter, 1 + jitter). Drawn from a stream with a fixed seed
+  /// (0x5eed) so a retried run is exactly reproducible.
   double jitter = 0.1;
-  std::uint64_t jitter_seed = 0x5eedULL;
 
   /// Wall-clock budget for one label_counts call, including backoff and
   /// breaker-cooldown waits (0 = unlimited).

@@ -816,13 +816,10 @@ void ScoringService::score_batch(WorkerState& worker, Batch batch) {
   try {
     if (worker.pinned.get() != snapshot.get()) {
       // Model changed under us (hot swap) or first batch: bind a fresh
-      // pre-warmed session. This is the only allocating path; between
-      // swaps the steady state reuses every buffer.
-      const std::size_t warm = config_.session_max_batch != 0
-                                   ? config_.session_max_batch
-                                   : config_.max_batch_rows;
+      // session pre-warmed for max_batch_rows. This is the only allocating
+      // path; between swaps the steady state reuses every buffer.
       worker.session = std::make_unique<nn::InferenceSession>(
-          snapshot->detector.make_session(warm));
+          snapshot->detector.make_session(config_.max_batch_rows));
       worker.pinned = snapshot;
     }
 

@@ -113,10 +113,6 @@ struct ServiceConfig {
   /// rows already queued (rings + batchers) plus its own would exceed
   /// this.
   std::size_t max_queue_rows = 4096;
-  /// Pre-warm each worker's session for this batch size (0 = use
-  /// max_batch_rows), so the steady state is allocation-free from the
-  /// first batch.
-  std::size_t session_max_batch = 0;
   /// Start the service from the constructor (the common case). With
   /// autostart = false the service is built idle: submissions fail fast
   /// with kShuttingDown until start() is called.

@@ -203,24 +203,6 @@ TEST(Logger, ConcurrentWritersProduceWholeLines) {
   EXPECT_EQ(count, static_cast<std::size_t>(kThreads) * kLines);
 }
 
-TEST(Logger, ApiIsCallableInEveryBuildConfiguration) {
-  // In stub builds the logger is inert; either way this must compile and
-  // not crash — including the macros with brace-list fields.
-  std::ostringstream sink;
-  LoggerConfig config;
-  config.sink = &sink;
-  Logger logger{config};
-  logger.log(LogLevel::kError, "c", "smoke",
-             {LogField::u64_value("n", 1), LogField::string("s", "x")});
-  MEV_LOG(logger, LogLevel::kError, "c", "smoke");
-  MEV_LOG_EVERY(logger, LogLevel::kError, 1.0, 1.0, "c", "smoke",
-                {LogField::f64_value("v", 0.5)});
-  (void)logger.lines();
-  (void)logger.dropped();
-  (void)mev::obs::default_logger();
-  SUCCEED();
-}
-
 TEST(LogLevelParsing, RoundTripsAndFallsBack) {
   using mev::runtime::parse_log_level;
   EXPECT_EQ(parse_log_level("trace", LogLevel::kWarn), LogLevel::kTrace);

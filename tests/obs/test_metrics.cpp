@@ -345,21 +345,4 @@ TEST(MetricsRegistry, WindowedHistogramHandleExposesBothViews) {
                std::invalid_argument);
 }
 
-TEST(MetricsRegistry, ApiIsCallableInEveryBuildConfiguration) {
-  // In stub builds every call is an inert no-op; in full builds this is
-  // just a smoke pass. Either way it must compile and not crash.
-  MetricsRegistry registry;
-  registry.counter("mev.test.smoke").inc();
-  registry.gauge("mev.test.smoke_gauge").set(1.0);
-  registry.histogram("mev.test.smoke_hist").record(1);
-  mev::runtime::FakeClock clock;
-  mev::obs::WindowedHistogram windowed =
-      registry.windowed_histogram("mev.test.smoke_win", "", &clock);
-  windowed.record(1);
-  (void)windowed.lifetime();
-  (void)registry.prometheus();
-  (void)registry.json();
-  SUCCEED();
-}
-
 }  // namespace

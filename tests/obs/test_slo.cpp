@@ -132,8 +132,6 @@ TEST(SloTrackerTest, JsonCarriesBurnRatesAndBudget) {
   EXPECT_NE(json.find("\"slow_window_s\":20"), std::string::npos);
 }
 
-// The gauge mirror needs a real registry; in stub builds register_gauges
-// is a no-op and prometheus() serves nothing.
 TEST(SloTrackerTest, GaugesMirrorTheSnapshot) {
   MetricsRegistry registry;
   SloTracker tracker(tight_config());

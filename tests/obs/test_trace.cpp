@@ -1,8 +1,6 @@
 // Tracer behavior: ring overflow accounting, Chrome trace-event JSON
 // schema, FakeClock determinism, concurrent emission (exercised under
-// TSan in CI), and the null-safe helpers. The behavioral tests only exist
-// in full-obs builds; the stub build still compiles this file and checks
-// that the no-op surface stays callable.
+// TSan in CI), and the null-safe helpers.
 #include <string>
 #include <thread>
 #include <vector>
