@@ -1,12 +1,11 @@
 // Microbenchmarks for the resilience layer's clean-path overhead: what the
-// retry/breaker decorator and the query cache cost when the oracle is
-// healthy (the common case — fault handling should be pay-as-you-go) —
-// plus the serving-ingress concurrency primitives (MpscQueue, EventCount)
-// measured in isolation from the service.
+// retry/breaker decorator costs when the oracle is healthy (the common
+// case — fault handling should be pay-as-you-go) — plus the
+// serving-ingress concurrency primitives (MpscQueue, EventCount) measured
+// in isolation from the service.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "runtime/event_count.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/mpsc_queue.hpp"
-#include "runtime/query_cache.hpp"
 #include "runtime/resilient_oracle.hpp"
 
 using namespace mev;
@@ -80,32 +78,6 @@ void BM_ResilientOracleUnderFaults(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ResilientOracleUnderFaults)->Arg(64)->Arg(512);
-
-void BM_QueryCacheMissPath(benchmark::State& state) {
-  const math::Matrix counts =
-      random_counts(static_cast<std::size_t>(state.range(0)), 64, 2);
-  for (auto _ : state) {
-    state.PauseTiming();
-    ThresholdOracle inner;
-    runtime::CachingOracle oracle(inner);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(oracle.label_counts(counts));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_QueryCacheMissPath)->Arg(64)->Arg(512);
-
-void BM_QueryCacheHitPath(benchmark::State& state) {
-  ThresholdOracle inner;
-  runtime::CachingOracle oracle(inner);
-  const math::Matrix counts =
-      random_counts(static_cast<std::size_t>(state.range(0)), 64, 2);
-  (void)oracle.label_counts(counts);  // warm the cache
-  for (auto _ : state)
-    benchmark::DoNotOptimize(oracle.label_counts(counts));
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_QueryCacheHitPath)->Arg(64)->Arg(512);
 
 // --- Serving-ingress primitives (DESIGN.md §8) -------------------------
 

@@ -9,7 +9,7 @@
 //                      spans, trainer epochs, JSMA shards) — load it at
 //                      https://ui.perfetto.dev or chrome://tracing
 //   --metrics out.prom write a Prometheus text-format metrics snapshot
-//                      (oracle query/cache/retry counters, trainer loss,
+//                      (oracle query/retry counters, trainer loss,
 //                      serve latency histograms with --serve)
 //   --serve            route oracle queries through the src/serve/
 //                      ScoringService (same labels, realistic deployment)

@@ -17,14 +17,12 @@
 //
 // The oracle interface lives in src/runtime/ together with the resilience
 // decorators for flaky oracles (retry/backoff, circuit breaking, fault
-// injection, query caching — see runtime/resilient_oracle.hpp). Pass a
+// injection — see runtime/resilient_oracle.hpp). Pass a
 // runtime::ResilientOracle here and the per-round stats pick up its
-// retry/breaker counters; set BlackBoxConfig::checkpoint_path and an
-// interrupted run resumes bit-identically from the last completed round.
+// retry/breaker counters.
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -64,60 +62,41 @@ class DetectorOracle final : public CountOracle {
 
 struct BlackBoxConfig {
   std::size_t augmentation_rounds = 4;
-  float lambda = 0.1f;                 // augmentation step size
   nn::MlpConfig substitute_architecture;  // input dim must match vocab size
   nn::TrainConfig training_per_round;
   /// Stop augmenting when the dataset reaches this many rows. Must be at
   /// least the seed row count.
   std::size_t max_dataset_rows = 8192;
 
-  /// Dedup repeat oracle submissions across rounds through a
-  /// runtime::CachingOracle wrapped around the supplied oracle. Labels —
-  /// and therefore the trained substitute — are unchanged; only
-  /// oracle_queries/cache_hits in the stats differ.
-  bool use_query_cache = false;
-
-  /// When non-empty, a crash-safe checkpoint is written here (atomic
-  /// rename, checksummed) after every completed round.
-  std::string checkpoint_path;
-  /// When checkpoint_path exists on disk, continue from it instead of
-  /// starting over. The checkpoint stores a fingerprint of the config and
-  /// seed set; resuming with a different setup throws std::runtime_error.
-  bool resume = true;
-
-  /// Observability sinks (not part of the run fingerprint — traces never
-  /// affect the trajectory). Each round emits a mev.core.blackbox.round
-  /// span with label/train/augment sub-spans, and the oracle
-  /// query/cache/retry/breaker counters are folded into the registry.
-  /// nullptr = the ambient obs::current_tracer()/current_registry(); the
+  /// Observability sinks (traces never affect the trajectory). Each round
+  /// emits a mev.core.blackbox.round span with label/train/augment
+  /// sub-spans, and the oracle query/retry/breaker counters are folded
+  /// into the registry. nullptr = the ambient obs::current_tracer()/current_registry(); the
   /// resolved pair is also installed as the obs::Scope for the run, so
   /// nested trainer epochs and JSMA crafting land in the same trace.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   /// Structured log destination for round progress; nullptr =
-  /// obs::default_logger(). Not part of the run fingerprint.
+  /// obs::default_logger().
   obs::Logger* logger = nullptr;
   /// Embedded admin plane for the duration of the run: a multi-hour
   /// augmentation loop becomes scrapeable (/metrics shows round, queries,
   /// agreement; /tracez the recent spans). Disabled by default; the
-  /// server starts before round 0 and stops when the run returns. Not
-  /// part of the run fingerprint.
+  /// server starts before round 0 and stops when the run returns.
   obs::AdminServerConfig admin;
 };
 
 struct BlackBoxRoundStats {
   std::size_t dataset_rows = 0;
-  std::size_t oracle_queries = 0;   // cumulative
+  std::size_t oracle_queries = 0;   // cumulative over this run
   double oracle_agreement = 0.0;    // substitute vs oracle on this round's set
   /// Cumulative retry/breaker counters when the supplied oracle is a
   /// runtime::ResilientOracle; all-zero otherwise.
   runtime::ResilienceStats resilience;
-  /// Cumulative cache hits when use_query_cache is set; 0 otherwise.
-  std::size_t cache_hits = 0;
   /// Wall-clock duration of this round's phases, in microseconds, read
   /// from the tracer's clock (deterministic under an injected FakeClock;
   /// real time otherwise). augment_us is 0 for the final round, which
-  /// does not augment. Serialized in checkpoints (envelope version 2).
+  /// does not augment.
   std::uint64_t label_us = 0;
   std::uint64_t train_us = 0;
   std::uint64_t augment_us = 0;
@@ -128,9 +107,6 @@ struct BlackBoxResult {
   features::CountTransform attacker_transform;  // fit on the seed counts
   std::vector<BlackBoxRoundStats> rounds;
   std::size_t total_queries = 0;
-  /// Whether this run continued from a checkpoint, and from which round.
-  bool resumed = false;
-  std::size_t resumed_from_round = 0;
 };
 
 /// Inverts the attacker's count transform feature-wise, producing the

@@ -1,6 +1,5 @@
-// Persistence: trained detectors and black-box run checkpoints round-trip
-// through files so a deployment can load the exact model the evaluation
-// measured, and an interrupted run can resume where it stopped.
+// Persistence: trained detectors round-trip through files so a deployment
+// can load the exact model the evaluation measured.
 //
 // All files are written crash-safely (temp file + atomic rename) inside a
 // checksummed envelope (runtime/atomic_file.hpp): a magic/version header
@@ -11,9 +10,7 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "core/blackbox.hpp"
 #include "core/detector.hpp"
 
 namespace mev::core {
@@ -29,33 +26,5 @@ void save_detector(const MalwareDetector& detector,
 /// must have the same size the detector was trained with).
 std::unique_ptr<MalwareDetector> load_detector(const std::string& path_prefix,
                                                const data::ApiVocab& vocab);
-
-/// Everything run_blackbox_framework needs to continue from the end of a
-/// completed augmentation round: the grown dataset, the attacker
-/// transform, the substitute weights, per-round stats, the query-cache
-/// contents, and a fingerprint of (config, seed set) guarding against
-/// resuming under a different setup. There is no hidden cross-round RNG:
-/// substitute init and shuffling restart from config seeds each round, so
-/// this state is sufficient for a bit-identical resume.
-struct BlackBoxCheckpoint {
-  std::uint64_t config_fingerprint = 0;
-  std::size_t next_round = 0;  // first round not yet completed
-  bool finished = false;       // the run completed; result is final
-  std::size_t total_queries = 0;
-  math::Matrix counts;         // the attacker's dataset after augmentation
-  std::vector<BlackBoxRoundStats> rounds;
-  nn::Network substitute;
-  features::CountTransform attacker_transform;
-  math::Matrix cache_rows;     // realized-count query cache (may be empty)
-  std::vector<int> cache_labels;
-};
-
-/// Atomically writes the checkpoint (checksummed envelope).
-void save_blackbox_checkpoint(const BlackBoxCheckpoint& checkpoint,
-                              const std::string& path);
-
-/// Loads a checkpoint written by save_blackbox_checkpoint; throws
-/// std::runtime_error on missing/truncated/corrupted files.
-BlackBoxCheckpoint load_blackbox_checkpoint(const std::string& path);
 
 }  // namespace mev::core

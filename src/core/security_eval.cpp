@@ -154,7 +154,6 @@ SweepResult run_security_sweep(const nn::Network& craft_model,
   std::size_t failed = 0;
   for (std::size_t gi = 0; gi < grid_size; ++gi) {
     if (errors[gi] == nullptr) continue;
-    if (!sweep.isolate_failures) std::rethrow_exception(errors[gi]);
     ++failed;
     SweepResult::FailedPoint point;
     point.index = gi;

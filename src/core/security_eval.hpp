@@ -28,13 +28,6 @@ struct SweepConfig {
   double fixed_theta = 0.1;   // used when sweeping gamma
   double fixed_gamma = 0.025; // used when sweeping theta
 
-  /// Per-point failure isolation: a grid point that throws is recorded in
-  /// SweepResult::failed_points (its curve entries stay zero) instead of
-  /// aborting the whole sweep. If EVERY point fails the first error is
-  /// rethrown — a fully failed sweep is fatal either way. Set to false to
-  /// rethrow the first failure immediately.
-  bool isolate_failures = true;
-
   /// Paper Fig. 3(a) grid: theta=0.1, gamma in [0 : 0.005 : 0.030].
   static SweepConfig fig3a();
   /// Paper Fig. 3(b) grid: gamma=0.025, theta in [0 : 0.0125 : 0.15].
@@ -56,7 +49,9 @@ struct SweepResult {
   /// features are supplied).
   std::vector<eval::DistanceCurvePoint> distances;
 
-  /// Grid points that threw (only populated with isolate_failures).
+  /// Grid points that threw. A point that throws is recorded here (its
+  /// curve entries stay zero) instead of aborting the whole sweep; if
+  /// EVERY point fails, the first error is rethrown instead.
   struct FailedPoint {
     std::size_t index = 0;        // position in SweepConfig::grid
     double attack_strength = 0.0; // the swept value at that point

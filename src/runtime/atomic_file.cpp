@@ -67,17 +67,6 @@ void write_envelope_atomic(const std::string& path, std::uint32_t magic,
 std::string read_envelope(const std::string& path, std::uint32_t magic,
                           std::uint32_t expected_version,
                           const std::string& what) {
-  std::uint32_t version = 0;
-  return read_envelope_versioned(path, magic, expected_version,
-                                 expected_version, version, what);
-}
-
-std::string read_envelope_versioned(const std::string& path,
-                                    std::uint32_t magic,
-                                    std::uint32_t min_version,
-                                    std::uint32_t max_version,
-                                    std::uint32_t& version_out,
-                                    const std::string& what) {
   std::ifstream is(path, std::ios::binary);
   if (!is)
     throw std::runtime_error("load " + what + ": cannot open " + path);
@@ -90,16 +79,11 @@ std::string read_envelope_versioned(const std::string& path,
   if (file_magic != magic)
     throw std::runtime_error("load " + what + ": " + path +
                              " has wrong magic (not a " + what + " file)");
-  if (version < min_version || version > max_version)
-    throw std::runtime_error(
-        "load " + what + ": " + path + " has unsupported version " +
-        std::to_string(version) + " (expected " +
-        (min_version == max_version
-             ? std::to_string(min_version)
-             : std::to_string(min_version) + ".." +
-                   std::to_string(max_version)) +
-        ")");
-  version_out = version;
+  if (version != expected_version)
+    throw std::runtime_error("load " + what + ": " + path +
+                             " has unsupported version " +
+                             std::to_string(version) + " (expected " +
+                             std::to_string(expected_version) + ")");
   std::string payload(size, '\0');
   is.read(payload.data(), static_cast<std::streamsize>(size));
   if (static_cast<std::uint64_t>(is.gcount()) != size)

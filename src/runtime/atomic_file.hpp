@@ -33,14 +33,4 @@ std::string read_envelope(const std::string& path, std::uint32_t magic,
                           std::uint32_t expected_version,
                           const std::string& what);
 
-/// Like read_envelope, but accepts any version in [min_version,
-/// max_version] and reports which one the file carries — the hook for
-/// format evolution (the black-box checkpoint reads v1 and v2 payloads).
-std::string read_envelope_versioned(const std::string& path,
-                                    std::uint32_t magic,
-                                    std::uint32_t min_version,
-                                    std::uint32_t max_version,
-                                    std::uint32_t& version_out,
-                                    const std::string& what);
-
 }  // namespace mev::runtime

@@ -3,9 +3,9 @@
 // 0/1 labels, nothing else.
 //
 // The interface lives in the runtime layer (below core) so that the
-// resilience decorators — FaultInjectingOracle, ResilientOracle,
-// CachingOracle — can wrap any oracle without depending on the detector
-// stack. core/blackbox.hpp re-exports it as mev::core::CountOracle.
+// resilience decorators — FaultInjectingOracle and ResilientOracle — can
+// wrap any oracle without depending on the detector stack.
+// core/blackbox.hpp re-exports it as mev::core::CountOracle.
 //
 // Threading: like nn::InferenceSession, an oracle instance is a
 // per-thread object (the query counter is not atomic); share the

@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
 #include "runtime/fault_injection.hpp"
 
 namespace mev::core {
@@ -179,110 +179,32 @@ TEST(BlackBox, FaultProfilesLeaveResultBitIdentical) {
   }
 }
 
-TEST(BlackBox, CheckpointResumeIsBitIdentical) {
-  /// Simulates a crash: dies (plain std::runtime_error, not a retryable
-  /// OracleError) once the query budget is spent.
-  class CrashingOracle final : public CountOracle {
-   public:
-    explicit CrashingOracle(std::size_t budget) : budget_(budget) {}
-    std::vector<int> label_counts(const math::Matrix& counts) override {
-      if (queries() + counts.rows() > budget_)
-        throw std::runtime_error("simulated crash");
-      record_queries(counts.rows());
-      std::vector<int> labels(counts.rows());
-      for (std::size_t i = 0; i < counts.rows(); ++i)
-        labels[i] = counts(i, 0) > 5.0f ? 1 : 0;
-      return labels;
-    }
-
-   private:
-    std::size_t budget_;
-  };
-
+// perfbench reuses one oracle across runs, so every statistic the loop
+// reports must count only the current run's queries.
+TEST(BlackBox, ReusedOracleReportsPerRunQueries) {
   const math::Matrix seeds = seed_counts(16, 4, 2);
+  obs::MetricsRegistry registry;
   auto cfg = config(4);
-  cfg.checkpoint_path = ::testing::TempDir() + "/mev_bb_resume.ckpt";
-  std::filesystem::remove(cfg.checkpoint_path);
-
-  ThresholdOracle clean;
-  auto reference_cfg = cfg;
-  reference_cfg.checkpoint_path.clear();
-  const auto reference = run_blackbox_framework(clean, seeds, reference_cfg);
-
-  // Round 0 queries 16 rows and checkpoints; round 1 needs 32 more and
-  // dies mid-query. The checkpoint on disk holds the end-of-round-0 state.
-  CrashingOracle crashing(20);
-  EXPECT_THROW(run_blackbox_framework(crashing, seeds, cfg),
-               std::runtime_error);
-  ASSERT_TRUE(std::filesystem::exists(cfg.checkpoint_path));
-
-  ThresholdOracle fresh;
-  const auto resumed = run_blackbox_framework(fresh, seeds, cfg);
-  EXPECT_TRUE(resumed.resumed);
-  EXPECT_EQ(resumed.resumed_from_round, 1u);
-  expect_same_result(resumed, reference);
-  // The resumed process did not repeat round 0's queries.
-  EXPECT_EQ(fresh.queries(), reference.total_queries - 16u);
-  std::filesystem::remove(cfg.checkpoint_path);
-}
-
-TEST(BlackBox, FinishedCheckpointShortCircuits) {
-  const math::Matrix seeds = seed_counts(16, 4, 2);
-  auto cfg = config(4);
-  cfg.checkpoint_path = ::testing::TempDir() + "/mev_bb_done.ckpt";
-  std::filesystem::remove(cfg.checkpoint_path);
-
-  ThresholdOracle first;
-  const auto full = run_blackbox_framework(first, seeds, cfg);
-  ThresholdOracle second;
-  const auto replay = run_blackbox_framework(second, seeds, cfg);
-  EXPECT_TRUE(replay.resumed);
-  EXPECT_EQ(second.queries(), 0u);  // nothing left to do
-  expect_same_result(replay, full);
-  std::filesystem::remove(cfg.checkpoint_path);
-}
-
-TEST(BlackBox, ResumeRejectsMismatchedConfig) {
-  const math::Matrix seeds = seed_counts(16, 4, 2);
-  auto cfg = config(4);
-  cfg.checkpoint_path = ::testing::TempDir() + "/mev_bb_mismatch.ckpt";
-  std::filesystem::remove(cfg.checkpoint_path);
+  cfg.metrics = &registry;
+  const obs::Counter queries_counter =
+      registry.counter("mev.core.blackbox.oracle_queries");
   ThresholdOracle oracle;
-  (void)run_blackbox_framework(oracle, seeds, cfg);
 
-  auto other = cfg;
-  other.lambda = 0.2f;
-  ThresholdOracle oracle2;
-  EXPECT_THROW(run_blackbox_framework(oracle2, seeds, other),
-               std::runtime_error);
-  std::filesystem::remove(cfg.checkpoint_path);
-}
+  const auto first = run_blackbox_framework(oracle, seeds, cfg);
+  EXPECT_EQ(queries_counter.value(), first.total_queries);
+  const auto second = run_blackbox_framework(oracle, seeds, cfg);
+  EXPECT_EQ(queries_counter.value(), 2 * first.total_queries);
 
-TEST(BlackBox, QueryCacheCutsQueriesNotLabels) {
-  const math::Matrix seeds = seed_counts(16, 4, 2);
-  const auto cfg = config(4);
-  ThresholdOracle plain;
-  const auto uncached = run_blackbox_framework(plain, seeds, cfg);
-
-  auto cached_cfg = cfg;
-  cached_cfg.use_query_cache = true;
-  ThresholdOracle inner;
-  const auto cached = run_blackbox_framework(inner, seeds, cached_cfg);
-
-  // Same labels reach training, so the substitute is bit-identical...
-  EXPECT_EQ(network_bytes(*cached.substitute),
-            network_bytes(*uncached.substitute));
-  ASSERT_EQ(cached.rounds.size(), uncached.rounds.size());
-  for (std::size_t i = 0; i < cached.rounds.size(); ++i) {
-    EXPECT_EQ(cached.rounds[i].dataset_rows, uncached.rounds[i].dataset_rows);
-    EXPECT_EQ(cached.rounds[i].oracle_agreement,
-              uncached.rounds[i].oracle_agreement);
+  const std::vector<std::size_t> expected = {16u, 48u, 112u};
+  for (const auto* result : {&first, &second}) {
+    ASSERT_EQ(result->rounds.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+      EXPECT_EQ(result->rounds[i].oracle_queries, expected[i]) << i;
+    EXPECT_EQ(result->total_queries, expected.back());
   }
-  // ...but repeat submissions were deduped: later rounds re-query only new
-  // rows, so the budget shrinks and the hits show up in the stats.
-  EXPECT_LT(cached.total_queries, uncached.total_queries);
-  EXPECT_LT(inner.queries(), plain.queries());
-  EXPECT_GT(cached.rounds.back().cache_hits, 0u);
+  EXPECT_EQ(oracle.queries(), 2 * expected.back());
+  EXPECT_EQ(network_bytes(*second.substitute),
+            network_bytes(*first.substitute));
 }
 
 TEST(BlackBox, ResilienceStatsAreZeroForPlainOracles) {
@@ -292,7 +214,6 @@ TEST(BlackBox, ResilienceStatsAreZeroForPlainOracles) {
   for (const auto& round : result.rounds) {
     EXPECT_EQ(round.resilience.retries, 0u);
     EXPECT_EQ(round.resilience.calls, 0u);
-    EXPECT_EQ(round.cache_hits, 0u);
   }
 }
 

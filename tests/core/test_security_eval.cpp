@@ -173,17 +173,6 @@ TEST(SecuritySweep, FailedPointsAreIsolated) {
   EXPECT_GT(r.target_curve.points[1].detection_rate, 0.0);
 }
 
-TEST(SecuritySweep, IsolationOffRethrowsFirstFailure) {
-  auto& f = fixture();
-  SweepConfig sweep;
-  sweep.parameter = SweepParameter::kGamma;
-  sweep.grid = {-1.0, 0.1};
-  sweep.fixed_theta = 0.5;
-  sweep.isolate_failures = false;
-  EXPECT_THROW(run_security_sweep(f.net, f.net, f.malware, sweep),
-               std::invalid_argument);
-}
-
 TEST(SecuritySweep, FullyFailedSweepIsFatal) {
   auto& f = fixture();
   SweepConfig sweep;
