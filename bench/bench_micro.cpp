@@ -90,7 +90,7 @@ void BM_SessionBackward(benchmark::State& state) {
   for (std::size_t i = 0; i < batch; ++i) labels[i] = i % 2;
   for (auto _ : state) {
     session.zero_param_grads();
-    const math::Matrix& logits = session.forward(x, true);
+    const math::Matrix& logits = session.forward(x);
     const auto loss = nn::softmax_cross_entropy(logits, labels);
     session.backward_params(loss.grad_logits);  // the trainer's sweep
     benchmark::DoNotOptimize(weight_grad);
@@ -117,7 +117,7 @@ void BM_AdamStep(benchmark::State& state) {
       p.grad->data()[i] = static_cast<float>(rng.normal(0.0, 0.01));
     count += p.value->size();
   }
-  nn::Adam adam(nn::AdamConfig{});
+  nn::Adam adam(0.001f);
   float* weights = params.front().value->data();
   for (auto _ : state) {
     adam.step(params);

@@ -13,6 +13,22 @@ namespace {
 /// Jacobian augmentation step size (Papernot et al. 2017's lambda).
 constexpr float kLambda = 0.1f;
 
+/// What `now` counted since `base`, field by field (both cumulative).
+runtime::ResilienceStats since(const runtime::ResilienceStats& now,
+                               const runtime::ResilienceStats& base) {
+  runtime::ResilienceStats d;
+  d.calls = now.calls - base.calls;
+  d.attempts = now.attempts - base.attempts;
+  d.retries = now.retries - base.retries;
+  d.timeouts = now.timeouts - base.timeouts;
+  d.garbled_batches = now.garbled_batches - base.garbled_batches;
+  d.breaker_trips = now.breaker_trips - base.breaker_trips;
+  d.bisections = now.bisections - base.bisections;
+  d.failed_queries = now.failed_queries - base.failed_queries;
+  d.backoff_ms = now.backoff_ms - base.backoff_ms;
+  return d;
+}
+
 }  // namespace
 
 std::vector<int> DetectorOracle::label_counts(const math::Matrix& counts) {
@@ -107,12 +123,15 @@ BlackBoxResult run_blackbox_framework(CountOracle& oracle,
       nn::make_mlp(config.substitute_architecture));
 
   // The oracle may have answered queries before this run (perfbench reuses
-  // one across runs); stats count only this run's queries.
+  // one across runs); stats count only this run's queries and resilience
+  // events.
   const std::size_t query_base = oracle.queries();
   const auto queries_so_far = [&] { return oracle.queries() - query_base; };
+  const runtime::ResilienceStats resilience_base =
+      resilient != nullptr ? resilient->stats() : runtime::ResilienceStats{};
 
-  // Previous-round cumulative values, so the registry counters advance by
-  // per-round deltas (monotonic across runs on a pre-used oracle).
+  // Previous-round values (cumulative over this run), so the registry
+  // counters advance by per-round deltas.
   std::size_t prev_queries = 0;
   runtime::ResilienceStats prev_resilience;
 
@@ -152,7 +171,8 @@ BlackBoxResult run_blackbox_framework(CountOracle& oracle,
     stats.oracle_queries = queries_so_far();
     stats.oracle_agreement =
         nn::accuracy(*result.substitute, features, labels);
-    if (resilient != nullptr) stats.resilience = resilient->stats();
+    if (resilient != nullptr)
+      stats.resilience = since(resilient->stats(), resilience_base);
     stats.label_us = label_us;
     stats.train_us = train_us;
     result.rounds.push_back(stats);

@@ -90,8 +90,8 @@ struct BlackBoxRoundStats {
   std::size_t dataset_rows = 0;
   std::size_t oracle_queries = 0;   // cumulative over this run
   double oracle_agreement = 0.0;    // substitute vs oracle on this round's set
-  /// Cumulative retry/breaker counters when the supplied oracle is a
-  /// runtime::ResilientOracle; all-zero otherwise.
+  /// Retry/breaker counters, cumulative over this run, when the supplied
+  /// oracle is a runtime::ResilientOracle; all-zero otherwise.
   runtime::ResilienceStats resilience;
   /// Wall-clock duration of this round's phases, in microseconds, read
   /// from the tracer's clock (deterministic under an injected FakeClock;

@@ -41,9 +41,7 @@ std::unique_ptr<DimReductionClassifier> train_dim_reduction_defense(
   pca.fit(train_data.x, config.k);
 
   nn::MlpConfig arch;
-  arch.dims.push_back(config.k);
-  for (std::size_t h : config.hidden) arch.dims.push_back(h);
-  arch.dims.push_back(2);
+  arch.dims = {config.k, 64, 32, 2};
   arch.seed = config.seed;
   auto net = std::make_shared<nn::Network>(nn::make_mlp(arch));
 

@@ -2,7 +2,7 @@
 // inputs to the first k principal components (k << n; the paper uses
 // k = 19) and train the classifier in the reduced space. Adversarial
 // perturbations concentrated outside the kept components are discarded by
-// the projection.
+// the projection. The classifier on the k-dim projection is k-64-32-2.
 #pragma once
 
 #include <memory>
@@ -16,9 +16,6 @@ namespace mev::defense {
 
 struct DimReductionConfig {
   std::size_t k = 19;
-  /// Hidden widths of the classifier trained on the k-dim projection
-  /// (input k and output 2 are added automatically).
-  std::vector<std::size_t> hidden = {64, 32};
   nn::TrainConfig training;
   std::uint64_t seed = 11;
 };

@@ -30,7 +30,7 @@ ClientEntry* ClientStatsTracker::entry(std::string_view client) {
     if (overflow != index_.end()) return overflow->second;
     label = kOverflowLabel;
   }
-  auto fresh = std::make_unique<ClientEntry>(std::string(label), config_);
+  auto fresh = std::make_unique<ClientEntry>(std::string(label));
   fresh->psi_gauge = registry_->gauge(
       "mev.net.client_psi",
       "per-client score-distribution PSI vs the client's frozen reference",
@@ -54,7 +54,7 @@ std::string ClientStatsTracker::to_json(std::uint64_t now_us) {
     for (const auto& entry : entries_) snapshot.push_back(entry.get());
   }
   std::string out = "{\"window_s\":";
-  out += std::to_string(config_.window.span_us() / 1'000'000);
+  out += std::to_string(kClientWindow.span_us() / 1'000'000);
   out += ",\"clients\":[";
   bool first = true;
   for (ClientEntry* entry : snapshot) {

@@ -9,6 +9,9 @@
 // query mix moved"; the per-client PSI says *whose* — a probing client's
 // confidence distribution shifts while benign clients' stay flat.
 //
+// The rate windows span 60 s (kClientWindow). Each client's drift tracker
+// uses serve/drift.hpp's window and reference size, like the service's.
+//
 // Cardinality is bounded: at most `max_clients` tracked entries; callers
 // beyond the cap collapse into one synthetic "(overflow)" entry so a
 // key-churning attacker cannot balloon this table (the cap is logged via
@@ -32,13 +35,11 @@
 
 namespace mev::net {
 
+/// Geometry of the per-client rate windows (requests/rows/rejections):
+/// 12 x 5 s = 60 s.
+inline constexpr obs::WindowConfig kClientWindow{5'000'000, 12};
+
 struct ClientStatsConfig {
-  /// Geometry of the rate windows (requests/rows/rejections). Default
-  /// 12 x 5 s = 60 s.
-  obs::WindowConfig window{5'000'000, 12};
-  /// Per-client score drift: current-window geometry + the number of
-  /// verdicts that freeze each client's reference.
-  serve::DriftConfig drift;
   /// Tracked client labels before new ones collapse into "(overflow)".
   std::size_t max_clients = 64;
 };
@@ -46,12 +47,7 @@ struct ClientStatsConfig {
 /// One tracked client. Recording methods are lock-free (window adds +
 /// relaxed atomics); the tracker's mutex guards only entry creation.
 struct ClientEntry {
-  ClientEntry(std::string label, const ClientStatsConfig& config)
-      : client(std::move(label)),
-        requests(config.window),
-        rows(config.window),
-        rejected(config.window),
-        drift(config.drift) {}
+  explicit ClientEntry(std::string label) : client(std::move(label)) {}
 
   /// One admitted-or-rate-limited request reaching the limiter.
   void record_request(std::uint64_t now_us, std::uint64_t row_count) noexcept {
@@ -78,9 +74,9 @@ struct ClientEntry {
   }
 
   const std::string client;
-  obs::SlidingCounter requests;
-  obs::SlidingCounter rows;
-  obs::SlidingCounter rejected;
+  obs::SlidingCounter requests{kClientWindow};
+  obs::SlidingCounter rows{kClientWindow};
+  obs::SlidingCounter rejected{kClientWindow};
   serve::ScoreDrift drift;
   obs::Gauge psi_gauge;
   std::atomic<std::uint64_t> lifetime_requests{0};

@@ -1,6 +1,7 @@
 #include "net/frontend.hpp"
 
 #include <exception>
+#include <iterator>
 #include <utility>
 
 #include "obs/scope.hpp"
@@ -18,6 +19,7 @@ constexpr std::size_t kMaxRequestRows = 1024;
 /// labeled family exists (at zero) from the first /metrics scrape.
 constexpr int kStatuses[] = {200, 400, 401, 404, 405, 429, 500, 503, 504};
 
+/// Indexed by reject_index().
 constexpr const char* kRejectReasons[] = {"queue_full", "overloaded",
                                           "shutting_down", "deadline",
                                           "internal_error"};
@@ -91,11 +93,11 @@ ScoringFrontend::ScoringFrontend(serve::ScoringService& service,
     stage_hist_[i] = registry->histogram(
         "mev.net.stage_us", "score request stage duration (us)",
         {{"stage", obs::kFlightStageNames[i]}});
-  auth_failures_counter_ =
+  auth_failures_ =
       registry->counter("mev.net.auth_failures_total",
                         "requests rejected 401 (unknown/missing API key)");
-  rate_limited_counter_ = registry->counter(
-      "mev.net.rate_limited_total", "requests rejected 429 (over rate)");
+  rate_limited_ = registry->counter("mev.net.rate_limited_total",
+                                    "requests rejected 429 (over rate)");
   // Windowed: 1m/5m p50/p95/p99 gauges ride next to the lifetime
   // buckets on /metrics, timestamped by the frontend clock.
   latency_us_ = registry->windowed_histogram(
@@ -107,11 +109,12 @@ ScoringFrontend::ScoringFrontend(serve::ScoringService& service,
         registry->counter("mev.net.http_responses_total",
                           "HTTP responses by status",
                           {{"status", std::to_string(status)}}));
-  for (const char* reason : kRejectReasons)
-    reject_counters_.emplace_back(
-        reason, registry->counter("mev.net.rejected_total",
-                                  "score requests rejected by the service",
-                                  {{"reason", reason}}));
+  static_assert(std::size(kRejectReasons) ==
+                std::tuple_size_v<decltype(rejected_)>);
+  for (std::size_t i = 0; i < rejected_.size(); ++i)
+    rejected_[i] = registry->counter("mev.net.rejected_total",
+                                     "score requests rejected by the service",
+                                     {{"reason", kRejectReasons[i]}});
   if (config_.admin != nullptr)
     config_.admin->add_endpoint(
         "/clientz", "per-client windowed query stats + score PSI, JSON",
@@ -182,15 +185,14 @@ FrontendStats ScoringFrontend::stats() const noexcept {
   }
   stats.scored_requests = scored_requests_.load(std::memory_order_relaxed);
   stats.scored_rows = scored_rows_.load(std::memory_order_relaxed);
-  stats.auth_failures = auth_failures_.load(std::memory_order_relaxed);
-  stats.rate_limited = rate_limited_.load(std::memory_order_relaxed);
+  stats.auth_failures = auth_failures_.value();
+  stats.rate_limited = rate_limited_.value();
   stats.bad_requests = bad_requests_.load(std::memory_order_relaxed);
-  stats.rejected_queue_full = rejected_[0].load(std::memory_order_relaxed);
-  stats.rejected_overloaded = rejected_[1].load(std::memory_order_relaxed);
-  stats.rejected_shutting_down =
-      rejected_[2].load(std::memory_order_relaxed);
-  stats.rejected_deadline = rejected_[3].load(std::memory_order_relaxed);
-  stats.rejected_internal = rejected_[4].load(std::memory_order_relaxed);
+  stats.rejected_queue_full = rejected_[0].value();
+  stats.rejected_overloaded = rejected_[1].value();
+  stats.rejected_shutting_down = rejected_[2].value();
+  stats.rejected_deadline = rejected_[3].value();
+  stats.rejected_internal = rejected_[4].value();
   return stats;
 }
 
@@ -286,8 +288,7 @@ void ScoringFrontend::handle_score(obs::http::Request& request,
   //    count, so over-rate is decided after decode).
   const std::string* api_key = request.header("X-Api-Key");
   if (!limiter_.open() && api_key == nullptr) {
-    auth_failures_.fetch_add(1, std::memory_order_relaxed);
-    auth_failures_counter_.inc();
+    auth_failures_.inc();
     fail(401, "unauthorized", "missing X-Api-Key");
     return;
   }
@@ -328,8 +329,7 @@ void ScoringFrontend::handle_score(obs::http::Request& request,
     const ApiKeyLimiter::Decision decision =
         limiter_.check(*api_key, static_cast<double>(rows));
     if (decision.outcome == ApiKeyLimiter::Outcome::kUnknownKey) {
-      auth_failures_.fetch_add(1, std::memory_order_relaxed);
-      auth_failures_counter_.inc();
+      auth_failures_.inc();
       fail(401, "unauthorized", "unknown API key");
       return;
     }
@@ -337,8 +337,7 @@ void ScoringFrontend::handle_score(obs::http::Request& request,
     sc.client->record_request(sc.parse_end_us, rows);
     if (decision.outcome == ApiKeyLimiter::Outcome::kOverRate) {
       sc.client->record_reject(sc.parse_end_us);
-      rate_limited_.fetch_add(1, std::memory_order_relaxed);
-      rate_limited_counter_.inc();
+      rate_limited_.inc();
       fail(429, "rate_limited", "per-key row budget exhausted",
            decision.retry_after_s);
       return;
@@ -412,9 +411,7 @@ void ScoringFrontend::finish_score(PendingScore& pending,
   if (pending.sc.client != nullptr)
     pending.sc.client->record_reject(clock_->now_us());
   const HttpStatus mapped = status_for(result.rejected);
-  const std::size_t index = reject_index(result.rejected);
-  rejected_[index].fetch_add(1, std::memory_order_relaxed);
-  reject_counters_[index].second.inc();
+  rejected_[reject_index(result.rejected)].inc();
   // 503s are retryable backpressure — say when; 504/500 are not.
   respond_traced(pending.ticket, pending.sc, result.stages, mapped.status,
                  result.rejected,

@@ -73,6 +73,9 @@ struct FrontendConfig {
   obs::Logger* logger = nullptr;
   /// Registry for the mev.net.* series; nullptr = the service's
   /// (ScoringService::metrics()), so its admin /metrics exports them.
+  /// Frontends sharing one registry share its cells, so each one's
+  /// stats() reports their combined auth, rate-limit and rejection
+  /// counts.
   obs::MetricsRegistry* metrics = nullptr;
   /// Trace-id source and span sink; nullptr = ambient tracer. Correlation
   /// headers (X-Trace-Id, Server-Timing) are stamped on every score-path
@@ -89,7 +92,9 @@ struct FrontendConfig {
   obs::AdminServer* admin = nullptr;
 };
 
-/// Plain-counter mirror of the frontend's activity.
+/// A snapshot of the frontend's activity. auth_failures, rate_limited and
+/// the rejected_* fields read the registry's mev.net.* counters (see
+/// FrontendConfig::metrics); the other fields are this frontend's own.
 struct FrontendStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_shed = 0;
@@ -191,18 +196,17 @@ class ScoringFrontend {
 
   std::atomic<std::uint64_t> scored_requests_{0};
   std::atomic<std::uint64_t> scored_rows_{0};
-  std::atomic<std::uint64_t> auth_failures_{0};
-  std::atomic<std::uint64_t> rate_limited_{0};
   std::atomic<std::uint64_t> bad_requests_{0};
-  std::atomic<std::uint64_t> rejected_[6] = {};  // by RejectReason index
 
   obs::Counter rows_counter_;
-  obs::Counter auth_failures_counter_;
-  obs::Counter rate_limited_counter_;
+  obs::Counter auth_failures_;  // mev.net.auth_failures_total
+  obs::Counter rate_limited_;   // mev.net.rate_limited_total
+  /// mev.net.rejected_total by reason, in reject_index() order:
+  /// queue_full, overloaded, shutting_down, deadline, internal_error.
+  std::array<obs::Counter, 5> rejected_;
   obs::WindowedHistogram latency_us_;
   std::array<obs::Histogram, obs::kFlightStages> stage_hist_;
   std::vector<std::pair<int, obs::Counter>> status_counters_;
-  std::vector<std::pair<const char*, obs::Counter>> reject_counters_;
 
   std::unique_ptr<obs::http::SocketServer> server_;
 };

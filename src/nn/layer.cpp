@@ -27,8 +27,7 @@ DenseLayer::DenseLayer(math::Matrix weights, math::Matrix bias, Activation act)
     throw std::invalid_argument("DenseLayer: bias/weight shape mismatch");
 }
 
-void DenseLayer::forward(const math::Matrix& x, LayerWorkspace& ws,
-                         bool /*training*/) const {
+void DenseLayer::forward(const math::Matrix& x, LayerWorkspace& ws) const {
   if (x.cols() != weights_.rows())
     throw std::invalid_argument("DenseLayer::forward: dimension mismatch");
   math::matmul_into(x, weights_, ws.pre_activation);
@@ -69,48 +68,6 @@ std::vector<math::Matrix*> DenseLayer::param_values() {
 
 std::vector<const math::Matrix*> DenseLayer::param_values() const {
   return {&weights_, &bias_};
-}
-
-std::unique_ptr<Layer> DenseLayer::clone() const {
-  return std::make_unique<DenseLayer>(weights_, bias_, activation_);
-}
-
-DropoutLayer::DropoutLayer(std::size_t dim, float rate, std::uint64_t seed)
-    : dim_(dim), rate_(rate), seed_(seed), rng_(seed) {
-  if (rate < 0.0f || rate >= 1.0f)
-    throw std::invalid_argument("DropoutLayer: rate must be in [0, 1)");
-}
-
-void DropoutLayer::forward(const math::Matrix& x, LayerWorkspace& ws,
-                           bool training) const {
-  if (x.cols() != dim_)
-    throw std::invalid_argument("DropoutLayer::forward: dimension mismatch");
-  if (!training || rate_ == 0.0f) {
-    ws.mask.resize(0, 0);  // flags the pass as inference for backward
-    ws.output = x;
-    return;
-  }
-  const float keep = 1.0f - rate_;
-  const float scale = 1.0f / keep;
-  ws.mask.resize(x.rows(), x.cols());
-  ws.output = x;
-  for (std::size_t i = 0; i < ws.mask.size(); ++i) {
-    const float m = rng_.bernoulli(keep) ? scale : 0.0f;
-    ws.mask.data()[i] = m;
-    ws.output.data()[i] *= m;
-  }
-}
-
-void DropoutLayer::backward(math::Matrix& grad_output,
-                            const math::Matrix& /*input*/, LayerWorkspace& ws,
-                            Grads grads) const {
-  if (grads == Grads::kParams) return;  // no parameters
-  ws.grad_input = grad_output;
-  if (!ws.mask.empty()) ws.grad_input.hadamard(ws.mask);
-}
-
-std::unique_ptr<Layer> DropoutLayer::clone() const {
-  return std::make_unique<DropoutLayer>(dim_, rate_, seed_);
 }
 
 }  // namespace mev::nn

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace mev::nn {
 
@@ -11,7 +12,6 @@ namespace {
 constexpr std::uint32_t kMagic = 0x4d45564eu;  // "MEVN"
 constexpr std::uint32_t kVersion = 1;
 constexpr std::uint8_t kDenseTag = 1;
-constexpr std::uint8_t kDropoutTag = 2;
 
 template <typename T>
 void write_pod(std::ostream& os, const T& v) {
@@ -48,43 +48,31 @@ math::Matrix read_matrix(std::istream& is) {
 
 }  // namespace
 
-Network::Network(const Network& other) {
-  layers_.reserve(other.layers_.size());
-  for (const auto& layer : other.layers_) layers_.push_back(layer->clone());
-}
-
-Network& Network::operator=(const Network& other) {
-  if (this != &other) *this = Network(other);
-  return *this;
-}
-
-void Network::add(std::unique_ptr<Layer> layer) {
-  if (layer == nullptr) throw std::invalid_argument("Network::add: null layer");
-  if (!layers_.empty() && layers_.back()->output_dim() != layer->input_dim())
+void Network::add(DenseLayer layer) {
+  if (!layers_.empty() && layers_.back().output_dim() != layer.input_dim())
     throw std::invalid_argument("Network::add: layer dimension mismatch");
   layers_.push_back(std::move(layer));
 }
 
 std::size_t Network::input_dim() const {
   if (layers_.empty()) throw std::logic_error("Network: empty");
-  return layers_.front()->input_dim();
+  return layers_.front().input_dim();
 }
 
 std::size_t Network::output_dim() const {
   if (layers_.empty()) throw std::logic_error("Network: empty");
-  return layers_.back()->output_dim();
+  return layers_.back().output_dim();
 }
 
 std::string Network::architecture_string() const {
   std::ostringstream os;
   bool first = true;
-  for (const auto& layer : layers_) {
-    if (layer->name() != "dense") continue;
+  for (const DenseLayer& layer : layers_) {
     if (first) {
-      os << layer->input_dim();
+      os << layer.input_dim();
       first = false;
     }
-    os << "-" << layer->output_dim();
+    os << "-" << layer.output_dim();
   }
   return os.str();
 }
@@ -98,11 +86,7 @@ Network make_mlp(const MlpConfig& config) {
     const bool last = (i + 2 == config.dims.size());
     const Activation act =
         last ? Activation::kIdentity : config.hidden_activation;
-    net.add(std::make_unique<DenseLayer>(config.dims[i], config.dims[i + 1],
-                                         act, rng));
-    if (!last && config.dropout > 0.0f)
-      net.add(std::make_unique<DropoutLayer>(config.dims[i + 1],
-                                             config.dropout, rng.next()));
+    net.add(DenseLayer(config.dims[i], config.dims[i + 1], act, rng));
   }
   return net;
 }
@@ -112,20 +96,11 @@ void save_network(const Network& net, std::ostream& os) {
   write_pod(os, kVersion);
   write_pod<std::uint32_t>(os, static_cast<std::uint32_t>(net.num_layers()));
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    const Layer& layer = net.layer(i);
-    if (const auto* dense = dynamic_cast<const DenseLayer*>(&layer)) {
-      write_pod(os, kDenseTag);
-      write_pod<std::uint8_t>(os, static_cast<std::uint8_t>(dense->activation()));
-      write_matrix(os, dense->weights());
-      write_matrix(os, dense->bias());
-    } else if (const auto* drop = dynamic_cast<const DropoutLayer*>(&layer)) {
-      write_pod(os, kDropoutTag);
-      write_pod<std::uint64_t>(os, drop->input_dim());
-      write_pod<float>(os, drop->rate());
-    } else {
-      throw std::runtime_error("save_network: unknown layer type " +
-                               layer.name());
-    }
+    const DenseLayer& layer = net.layer(i);
+    write_pod(os, kDenseTag);
+    write_pod<std::uint8_t>(os, static_cast<std::uint8_t>(layer.activation()));
+    write_matrix(os, layer.weights());
+    write_matrix(os, layer.bias());
   }
   if (!os) throw std::runtime_error("save_network: write failure");
 }
@@ -144,21 +119,15 @@ Network load_network(std::istream& is) {
   const auto count = read_pod<std::uint32_t>(is);
   Network net;
   for (std::uint32_t i = 0; i < count; ++i) {
-    const auto tag = read_pod<std::uint8_t>(is);
-    if (tag == kDenseTag) {
-      const auto act = static_cast<Activation>(read_pod<std::uint8_t>(is));
-      math::Matrix weights = read_matrix(is);
-      math::Matrix bias = read_matrix(is);
-      net.add(std::make_unique<DenseLayer>(std::move(weights), std::move(bias),
-                                           act));
-    } else if (tag == kDropoutTag) {
-      const auto dim = read_pod<std::uint64_t>(is);
-      const auto rate = read_pod<float>(is);
-      net.add(std::make_unique<DropoutLayer>(static_cast<std::size_t>(dim),
-                                             rate, /*seed=*/0));
-    } else {
+    if (read_pod<std::uint8_t>(is) != kDenseTag)
       throw std::runtime_error("load_network: unknown layer tag");
-    }
+    const auto act = read_pod<std::uint8_t>(is);
+    if (act > static_cast<std::uint8_t>(Activation::kLeakyRelu))
+      throw std::runtime_error("load_network: unknown activation");
+    math::Matrix weights = read_matrix(is);
+    math::Matrix bias = read_matrix(is);
+    net.add(DenseLayer(std::move(weights), std::move(bias),
+                       static_cast<Activation>(act)));
   }
   return net;
 }

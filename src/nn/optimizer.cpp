@@ -29,12 +29,9 @@ void init_state(std::vector<math::Matrix>& state,
 
 }  // namespace
 
-Adam::Adam(AdamConfig config) : config_(config) {
-  if (config_.learning_rate <= 0.0f)
+Adam::Adam(float learning_rate) : learning_rate_(learning_rate) {
+  if (learning_rate_ <= 0.0f)
     throw std::invalid_argument("Adam: learning rate must be positive");
-  if (config_.beta1 < 0.0f || config_.beta1 >= 1.0f ||
-      config_.beta2 < 0.0f || config_.beta2 >= 1.0f)
-    throw std::invalid_argument("Adam: betas must be in [0, 1)");
 }
 
 void Adam::step(const std::vector<ParamRef>& params) {
@@ -42,19 +39,16 @@ void Adam::step(const std::vector<ParamRef>& params) {
   init_state(m_, params);
   init_state(v_, params);
   ++step_count_;
-  const double bc1 = 1.0 - std::pow(config_.beta1, step_count_);
-  const double bc2 = 1.0 - std::pow(config_.beta2, step_count_);
-  // Locals and __restrict pointers let GCC vectorize the update loop; the
+  const double bc1 = 1.0 - std::pow(kAdamBeta1, step_count_);
+  const double bc2 = 1.0 - std::pow(kAdamBeta2, step_count_);
+  // A local and __restrict pointers let GCC vectorize the update loop; the
   // sqrt needs -fno-math-errno, set on this file in CMakeLists.txt. Each
   // lane runs the scalar operations in the scalar order, and IEEE division
   // and sqrt round the same in a SIMD lane as in scalar code (contraction
   // is off), so the updated bits do not depend on the vector width.
-  const float lr = config_.learning_rate;
-  const float beta1 = config_.beta1;
-  const float beta2 = config_.beta2;
-  const float one_minus_beta1 = 1.0f - beta1;
-  const float one_minus_beta2 = 1.0f - beta2;
-  const float epsilon = config_.epsilon;
+  const float lr = learning_rate_;
+  constexpr float one_minus_beta1 = 1.0f - kAdamBeta1;
+  constexpr float one_minus_beta2 = 1.0f - kAdamBeta2;
   for (std::size_t i = 0; i < params.size(); ++i) {
     const std::size_t n = params[i].value->size();
     float* __restrict value = params[i].value->data();
@@ -63,11 +57,12 @@ void Adam::step(const std::vector<ParamRef>& params) {
     float* __restrict v = v_[i].data();
     for (std::size_t j = 0; j < n; ++j) {
       const float g = grad[j];
-      m[j] = beta1 * m[j] + one_minus_beta1 * g;
-      v[j] = beta2 * v[j] + one_minus_beta2 * g * g;
+      m[j] = kAdamBeta1 * m[j] + one_minus_beta1 * g;
+      v[j] = kAdamBeta2 * v[j] + one_minus_beta2 * g * g;
       const double mhat = m[j] / bc1;
       const double vhat = v[j] / bc2;
-      value[j] -= static_cast<float>(lr * mhat / (std::sqrt(vhat) + epsilon));
+      value[j] -=
+          static_cast<float>(lr * mhat / (std::sqrt(vhat) + kAdamEpsilon));
     }
   }
 }

@@ -21,10 +21,9 @@ InferenceSession::InferenceSession(const Network& net, std::size_t max_batch)
     grad_logits_.reserve(max_batch, net.output_dim());
     labels_.reserve(max_batch);
     for (std::size_t i = 0; i < ws_.size(); ++i) {
-      const Layer& layer = net.layer(i);
+      const DenseLayer& layer = net.layer(i);
       ws_[i].pre_activation.reserve(max_batch, layer.output_dim());
       ws_[i].output.reserve(max_batch, layer.output_dim());
-      ws_[i].mask.reserve(max_batch, layer.output_dim());
       ws_[i].grad_input.reserve(max_batch, layer.input_dim());
     }
     for (auto& g : class_grads_) g.reserve(max_batch, net.input_dim());
@@ -36,11 +35,10 @@ const math::Matrix& InferenceSession::layer_input(
   return layer_index == 0 ? input_ : ws_[layer_index - 1].output;
 }
 
-const math::Matrix& InferenceSession::forward(const math::Matrix& x,
-                                              bool training) {
+const math::Matrix& InferenceSession::forward(const math::Matrix& x) {
   input_ = x;  // capacity-reusing copy; backward may need it for param grads
   for (std::size_t i = 0; i < ws_.size(); ++i)
-    net_->layer(i).forward(layer_input(i), ws_[i], training);
+    net_->layer(i).forward(layer_input(i), ws_[i]);
   if (params_bound_)
     for (auto& ws : ws_) ws.weights_t.resize(0, 0);  // stale after a step
   return ws_.back().output;
@@ -52,7 +50,7 @@ const math::Matrix& InferenceSession::logits() const {
 
 const math::Matrix& InferenceSession::predict_proba(const math::Matrix& x,
                                                     float temperature) {
-  const math::Matrix& z = forward(x, /*training=*/false);
+  const math::Matrix& z = forward(x);
   probs_ = z;
   for (std::size_t i = 0; i < probs_.rows(); ++i)
     math::softmax_inplace(probs_.row(i), temperature);
@@ -60,7 +58,7 @@ const math::Matrix& InferenceSession::predict_proba(const math::Matrix& x,
 }
 
 std::span<const int> InferenceSession::predict(const math::Matrix& x) {
-  const math::Matrix& z = forward(x, /*training=*/false);
+  const math::Matrix& z = forward(x);
   labels_.resize(z.rows());
   for (std::size_t i = 0; i < z.rows(); ++i)
     labels_[i] = static_cast<int>(math::argmax(z.row(i)));

@@ -1,18 +1,16 @@
 // InferenceSession: a per-thread workspace/tape for evaluating one Network.
 //
 // The session owns every buffer a forward/backward sweep needs — layer
-// activations, pre-activations, dropout masks, the backward gradient
-// chain, the packed weight transposes backward multiplies by, and
-// parameter-gradient accumulators — sized once per
-// (network, max_batch) and reused across calls. After warm-up the steady
-// state performs ZERO heap allocations: all buffers are resized
-// capacity-preservingly per batch.
+// activations, pre-activations, the backward gradient chain, the packed
+// weight transposes backward multiplies by, and parameter-gradient
+// accumulators — sized once per (network, max_batch) and reused across
+// calls. After warm-up the steady state performs ZERO heap allocations:
+// all buffers are resized capacity-preservingly per batch.
 //
 // Threading model: share the Network (read-only), own a session per
-// thread. Concurrent inference-mode forward/predict/input_gradient calls
-// through distinct sessions are safe; training-mode forward on a network
-// with dropout layers is the one operation that must stay single-threaded
-// (the dropout rng stream lives in the layer for determinism).
+// thread. Concurrent forward/predict/input_gradient calls through
+// distinct sessions are safe. Training writes the parameters, so it needs
+// the network to itself.
 //
 // Returned references/spans point into session-owned buffers and stay
 // valid until the next call on the same session.
@@ -60,7 +58,7 @@ class InferenceSession {
 
   /// Forward pass over a batch; returns the logits buffer
   /// (batch x classes). Allocation-free once warm.
-  const math::Matrix& forward(const math::Matrix& x, bool training = false);
+  const math::Matrix& forward(const math::Matrix& x);
 
   /// The logits from the most recent forward.
   const math::Matrix& logits() const;
@@ -84,7 +82,7 @@ class InferenceSession {
 
   /// Gradient of the softmax probability of `target_class` with respect
   /// to the input, per sample (batch x input_dim). Runs its own forward
-  /// pass in inference mode; never touches parameter gradients.
+  /// pass; never touches parameter gradients.
   const math::Matrix& input_gradient(const math::Matrix& x, int target_class);
 
   /// Gradients of ALL class probabilities: result[c] is batch x

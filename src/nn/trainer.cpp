@@ -25,9 +25,7 @@ std::vector<double> run_training(Network& net, const math::Matrix& x,
   if (config.batch_size == 0)
     throw std::invalid_argument("train: batch_size must be positive");
 
-  AdamConfig adam_config;
-  adam_config.learning_rate = config.learning_rate;
-  Adam optimizer(adam_config);
+  Adam optimizer(config.learning_rate);
   // The session owns all activation and gradient buffers, reused across
   // batches; the network itself is only touched by the optimizer step.
   InferenceSession session(net, std::min(n, config.batch_size));
@@ -63,7 +61,7 @@ std::vector<double> run_training(Network& net, const math::Matrix& x,
                                                    end - start);
       math::gather_rows_into(x, batch_idx, batch_x);
       session.zero_param_grads();
-      const math::Matrix& logits = session.forward(batch_x, /*training=*/true);
+      const math::Matrix& logits = session.forward(batch_x);
       LossResult loss = loss_fn(logits, batch_idx);
       epoch_loss += loss.loss;
       ++batches;

@@ -6,7 +6,6 @@ FlightRecorder::FlightRecorder(FlightRecorderConfig config)
     : config_(config) {
   if (config_.slow_slots == 0) config_.slow_slots = 1;
   if (config_.error_slots == 0) config_.error_slots = 1;
-  if (config_.window_us == 0) config_.window_us = 1;
   slow_banks_[0] = std::vector<Slot>(config_.slow_slots);
   slow_banks_[1] = std::vector<Slot>(config_.slow_slots);
   error_ring_ = std::vector<Slot>(config_.error_slots);
@@ -44,7 +43,7 @@ void FlightRecorder::record_slow(const FlightRecord& record) noexcept {
   // Rotate banks when this record's start crosses into a new window. The
   // winner of the CAS clears the bank the new window maps to (the other
   // bank keeps the previous window's slowest until it is reused in turn).
-  const std::uint64_t window = record.start_us / config_.window_us;
+  const std::uint64_t window = record.start_us / kFlightWindowUs;
   std::uint64_t current = window_.load(std::memory_order_relaxed);
   if (window > current &&
       window_.compare_exchange_strong(current, window,

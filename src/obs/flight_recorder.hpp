@@ -23,14 +23,15 @@
 
 namespace mev::obs {
 
+/// Slow-bank rotation period: 10 s. Each record's own start timestamp
+/// drives rotation, so FakeClock tests control it exactly.
+inline constexpr std::uint64_t kFlightWindowUs = 10'000'000;
+
 struct FlightRecorderConfig {
   /// Slowest-request slots retained per window (per bank).
   std::size_t slow_slots = 16;
   /// Error/rejected-request ring size.
   std::size_t error_slots = 32;
-  /// Slow-bank rotation period. Each record's own start timestamp drives
-  /// rotation, so FakeClock tests control it exactly.
-  std::uint64_t window_us = 10'000'000;
 };
 
 /// The serving path's stage taxonomy — a telescoping partition of

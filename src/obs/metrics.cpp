@@ -66,6 +66,9 @@ constexpr struct {
   std::uint64_t window_us;
 } kExportWindows[] = {{"1m", 60'000'000}, {"5m", 300'000'000}};
 
+/// A windowed histogram's ring: 60 x 5 s, the span of the 5m window.
+constexpr WindowConfig kHistogramRing{5'000'000, 60};
+
 /// Prometheus metric names allow [a-zA-Z0-9_:]; map our dotted
 /// `mev.<layer>.<op>` convention (and any other byte) onto '_'.
 std::string sanitize_prometheus(std::string_view name) {
@@ -149,20 +152,18 @@ Histogram MetricsRegistry::histogram(std::string_view name,
 WindowedHistogram MetricsRegistry::windowed_histogram(std::string_view name,
                                                       std::string_view help,
                                                       runtime::Clock* clock,
-                                                      WindowConfig window,
                                                       Labels labels) {
   detail::Metric& cell = find_or_create(
       name, help, detail::MetricKind::kWindowedHistogram, labels);
   {
-    // First registration wires the ring (the geometry is part of the
-    // cell's identity); EVERY registration re-wires the clock, latest
-    // wins. The registry cell can outlive any one registrant, so a
-    // service that injected a short-lived FakeClock must be superseded
-    // by the next registrant before anyone dereferences the stale
-    // pointer — re-registering is what makes the cell safe again.
+    // First registration wires the ring; EVERY registration re-wires the
+    // clock, latest wins. The registry cell can outlive any one
+    // registrant, so a service that injected a short-lived FakeClock must
+    // be superseded by the next registrant before anyone dereferences the
+    // stale pointer — re-registering is what makes the cell safe again.
     std::lock_guard<std::mutex> lock(cell.histogram_mutex);
     if (cell.window == nullptr)
-      cell.window = std::make_unique<SlidingHistogram>(window);
+      cell.window = std::make_unique<SlidingHistogram>(kHistogramRing);
     cell.clock.store(
         clock != nullptr ? clock : &runtime::SystemClock::instance(),
         std::memory_order_release);

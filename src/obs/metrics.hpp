@@ -179,16 +179,14 @@ class MetricsRegistry {
   /// plus a `<name>_window{window="1m"|"5m",stat=...}` gauge family with
   /// windowed p50/p95/p99/count. `clock` timestamps records and scrapes
   /// (nullptr = the system clock; inject a FakeClock for deterministic
-  /// window tests); `window` sets the ring geometry (default 60 x 5 s).
-  /// The geometry is fixed by the first registration of a (name, labels)
-  /// cell; the clock is re-wired on EVERY registration (latest wins), so
+  /// window tests). The ring is 60 x 5 s, the span of the longest export
+  /// window. The clock is re-wired on EVERY registration (latest wins), so
   /// a registrant whose injected clock dies with it is superseded as
   /// soon as the next registrant constructs — required because the
   /// ambient process-global registry outlives any one service.
   WindowedHistogram windowed_histogram(std::string_view name,
                                        std::string_view help = "",
                                        runtime::Clock* clock = nullptr,
-                                       WindowConfig window = {},
                                        Labels labels = {});
 
   std::size_t size() const;

@@ -6,13 +6,6 @@ namespace mev::obs {
 
 namespace {
 
-WindowConfig ring_config(const SloConfig& config) noexcept {
-  WindowConfig w;
-  w.bucket_us = config.bucket_us;
-  w.buckets = config.buckets;
-  return w;
-}
-
 double burn(std::uint64_t bad, std::uint64_t total,
             double objective) noexcept {
   if (total == 0) return 0.0;
@@ -50,11 +43,6 @@ void append_objective_json(std::string& out, const char* name,
 
 }  // namespace
 
-SloTracker::SloTracker(SloConfig config)
-    : config_(config),
-      availability_(ring_config(config_)),
-      latency_(ring_config(config_)) {}
-
 void SloTracker::record(std::uint64_t now_us, bool ok,
                         std::uint64_t latency_us) noexcept {
   availability_.total.add(now_us);
@@ -66,7 +54,7 @@ void SloTracker::record(std::uint64_t now_us, bool ok,
   }
   latency_.total.add(now_us);
   latency_.lifetime_total.fetch_add(1, std::memory_order_relaxed);
-  if (latency_us > config_.latency_threshold_us) {
+  if (latency_us > kSloLatencyThresholdUs) {
     latency_.bad.add(now_us);
     latency_.lifetime_bad.fetch_add(1, std::memory_order_relaxed);
   }
@@ -77,10 +65,10 @@ SloTracker::Objective SloTracker::read(const WindowedObjective& w,
                                        std::uint64_t now_us) const noexcept {
   Objective o;
   o.objective = objective;
-  o.fast_total = w.total.total(now_us, config_.fast_window_us);
-  o.fast_bad = w.bad.total(now_us, config_.fast_window_us);
-  o.slow_total = w.total.total(now_us, config_.slow_window_us);
-  o.slow_bad = w.bad.total(now_us, config_.slow_window_us);
+  o.fast_total = w.total.total(now_us, kSloFastWindowUs);
+  o.fast_bad = w.bad.total(now_us, kSloFastWindowUs);
+  o.slow_total = w.total.total(now_us, kSloSlowWindowUs);
+  o.slow_bad = w.bad.total(now_us, kSloSlowWindowUs);
   o.fast_burn = burn(o.fast_bad, o.fast_total, objective);
   o.slow_burn = burn(o.slow_bad, o.slow_total, objective);
   o.lifetime_total = w.lifetime_total.load(std::memory_order_relaxed);
@@ -94,11 +82,10 @@ SloTracker::Objective SloTracker::read(const WindowedObjective& w,
 
 SloTracker::Snapshot SloTracker::snapshot(std::uint64_t now_us) const noexcept {
   Snapshot s;
-  s.availability =
-      read(availability_, config_.availability_objective, now_us);
-  s.latency = read(latency_, config_.latency_objective, now_us);
-  s.fast_burn_alert = s.availability.fast_burn > config_.fast_burn_alert ||
-                      s.latency.fast_burn > config_.fast_burn_alert;
+  s.availability = read(availability_, kSloAvailabilityObjective, now_us);
+  s.latency = read(latency_, kSloLatencyObjective, now_us);
+  s.fast_burn_alert = s.availability.fast_burn > kSloFastBurnAlert ||
+                      s.latency.fast_burn > kSloFastBurnAlert;
   return s;
 }
 
@@ -111,11 +98,11 @@ std::string SloTracker::to_json(std::uint64_t now_us) const {
   out += ",\"fast_burn_alert\":";
   out += s.fast_burn_alert ? "true" : "false";
   out += ",\"fast_window_s\":";
-  out += std::to_string(config_.fast_window_us / 1'000'000);
+  out += std::to_string(kSloFastWindowUs / 1'000'000);
   out += ",\"slow_window_s\":";
-  out += std::to_string(config_.slow_window_us / 1'000'000);
+  out += std::to_string(kSloSlowWindowUs / 1'000'000);
   out += ",\"latency_threshold_us\":";
-  out += std::to_string(config_.latency_threshold_us);
+  out += std::to_string(kSloLatencyThresholdUs);
   out += "}\n";
   return out;
 }

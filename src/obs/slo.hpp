@@ -11,19 +11,21 @@
 //
 // 1.0 burns exactly the budget over the SLO period; a 99.9% objective
 // with 1% of requests failing burns at 10x. Two windows are reported per
-// objective: fast (~5 min, catches an active incident in minutes) and
-// slow (~1 h, filters blips). One bucket ring answers both — the fast
+// objective: fast (5 min, catches an active incident in minutes) and
+// slow (1 h, filters blips). One bucket ring answers both — the fast
 // window is a sub-span query over the same slots. A fast burn above
-// `fast_burn_alert` (default 14.4 = the conventional 2%-budget-in-1h
-// page) raises an ADVISORY flag: /readyz appends it to the reason text
-// but never flips 503 on it — shedding is the overload controller's job,
-// and an SLO page must not amplify an incident by draining traffic.
+// kSloFastBurnAlert (14.4, the conventional 2%-budget-in-1h page) raises
+// an ADVISORY flag: /readyz appends it to the reason text but never flips
+// 503 on it — shedding is the overload controller's job, and an SLO page
+// must not amplify an incident by draining traffic.
 //
 // Error budget remaining is lifetime-based: 1 - (bad/total)/(1-objective)
 // over all requests since start, 1.0 when idle, negative when overspent.
 //
-// All timestamps come from the caller's runtime::Clock, so a FakeClock
-// test pins every burn rate exactly (tests/obs/test_slo.cpp).
+// The objectives (99.9% availability, 99% of completed requests under
+// 100 ms) and the windows are the constants below: no binary serves
+// under other ones. All timestamps come from the caller's runtime::Clock,
+// so a FakeClock test pins every burn rate exactly (tests/obs/test_slo.cpp).
 #pragma once
 
 #include <atomic>
@@ -35,27 +37,22 @@
 
 namespace mev::obs {
 
-struct SloConfig {
-  /// Objectives as target good-fractions.
-  double availability_objective = 0.999;
-  double latency_objective = 0.99;
-  /// A completed request slower than this counts against the latency
-  /// objective.
-  std::uint64_t latency_threshold_us = 100'000;
-  /// Shared bucket ring: 240 x 15 s = 1 h of history. The slow window is
-  /// the full span; the fast window queries a 5-minute sub-span.
-  std::uint64_t bucket_us = 15'000'000;
-  std::size_t buckets = 240;
-  std::uint64_t fast_window_us = 300'000'000;    // 5 min
-  std::uint64_t slow_window_us = 3'600'000'000;  // 1 h
-  /// Fast-burn advisory threshold (14.4 = 2% of a 30-day budget in 1 h).
-  double fast_burn_alert = 14.4;
-};
+/// The objectives, as target good-fractions.
+inline constexpr double kSloAvailabilityObjective = 0.999;
+inline constexpr double kSloLatencyObjective = 0.99;
+/// A completed request slower than this counts against the latency
+/// objective.
+inline constexpr std::uint64_t kSloLatencyThresholdUs = 100'000;
+/// Shared bucket ring: 240 x 15 s = 1 h of history. The slow window is
+/// the full span; the fast window queries a 5-minute sub-span.
+inline constexpr WindowConfig kSloRing{15'000'000, 240};
+inline constexpr std::uint64_t kSloFastWindowUs = 300'000'000;    // 5 min
+inline constexpr std::uint64_t kSloSlowWindowUs = 3'600'000'000;  // 1 h
+/// Fast-burn advisory threshold (14.4 = 2% of a 30-day budget in 1 h).
+inline constexpr double kSloFastBurnAlert = 14.4;
 
 class SloTracker {
  public:
-  explicit SloTracker(SloConfig config = {});
-
   /// One resolved request. `ok` = resolved without rejection; latency_us
   /// is consulted only when ok (rejections do not skew the latency
   /// objective — they already burned availability).
@@ -73,7 +70,7 @@ class SloTracker {
   struct Snapshot {
     Objective availability;
     Objective latency;
-    /// True when either objective's fast burn exceeds fast_burn_alert.
+    /// True when either objective's fast burn exceeds kSloFastBurnAlert.
     bool fast_burn_alert = false;
   };
 
@@ -91,12 +88,9 @@ class SloTracker {
   /// register_gauges was never called).
   void refresh_gauges(std::uint64_t now_us) noexcept;
 
-  const SloConfig& config() const noexcept { return config_; }
-
  private:
   struct WindowedObjective {
-    explicit WindowedObjective(const WindowConfig& w)
-        : total(w), bad(w) {}
+    WindowedObjective() : total(kSloRing), bad(kSloRing) {}
     SlidingCounter total;
     SlidingCounter bad;
     std::atomic<std::uint64_t> lifetime_total{0};
@@ -106,7 +100,6 @@ class SloTracker {
   Objective read(const WindowedObjective& w, double objective,
                  std::uint64_t now_us) const noexcept;
 
-  SloConfig config_;
   WindowedObjective availability_;
   WindowedObjective latency_;
 

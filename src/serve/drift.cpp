@@ -2,11 +2,6 @@
 
 namespace mev::serve {
 
-ScoreDrift::ScoreDrift(DriftConfig config)
-    : config_(config), current_(config.window) {
-  if (config_.reference_min_count == 0) config_.reference_min_count = 1;
-}
-
 void ScoreDrift::record(std::uint64_t now_us, double score) noexcept {
   current_.record(now_us, score);
   if (frozen_.load(std::memory_order_acquire)) return;
@@ -14,7 +9,7 @@ void ScoreDrift::record(std::uint64_t now_us, double score) noexcept {
                                                    std::memory_order_relaxed);
   const std::uint64_t n =
       reference_count_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (n >= config_.reference_min_count)
+  if (n >= kDriftReferenceMinCount)
     frozen_.store(true, std::memory_order_release);
 }
 
@@ -31,7 +26,7 @@ void ScoreDrift::reset_reference() noexcept {
 
 double ScoreDrift::psi(std::uint64_t now_us) const noexcept {
   if (!reference_frozen()) return 0.0;
-  return obs::psi(reference(), current_.bins(now_us, config_.window_us));
+  return obs::psi(reference(), current_.bins(now_us));
 }
 
 obs::ScoreBins ScoreDrift::reference() const noexcept {

@@ -12,6 +12,9 @@
 // per-client PSI (net/client_stats.hpp keys one ScoreDrift per API key)
 // surfaces which caller's mix moved.
 //
+// The window (60 s) and the reference size (256 scores) are the constants
+// below; the service and every per-client tracker use the same ones.
+//
 // Built on the obs/window.hpp primitives. Thread-safety is telemetry-grade:
 // record() is lock-free; a record racing reset_reference() may land in
 // the discarded baseline (bounded loss, never corruption).
@@ -24,28 +27,24 @@
 
 namespace mev::serve {
 
-struct DriftConfig {
-  /// Geometry of the current-side sliding window. Default 12 x 5 s.
-  obs::WindowConfig window{5'000'000, 12};
-  /// Trailing span compared against the reference (0 = the ring's full
-  /// span, i.e. 60 s by default).
-  std::uint64_t window_us = 0;
-  /// Scores accumulated before the reference freezes. Until frozen,
-  /// psi() reports 0 (no baseline = no evidence of drift).
-  std::uint64_t reference_min_count = 256;
-};
+/// The current-side sliding window: 12 x 5 s = 60 s, compared in full
+/// against the reference.
+inline constexpr obs::WindowConfig kDriftWindow{5'000'000, 12};
+/// Scores accumulated before the reference freezes. Until frozen, psi()
+/// reports 0 (no baseline = no evidence of drift).
+inline constexpr std::uint64_t kDriftReferenceMinCount = 256;
 
 /// One drift tracker: a frozen reference bin population plus a sliding
 /// current window of obs::kScoreBins linear bins over [0, 1].
 class ScoreDrift {
  public:
-  explicit ScoreDrift(DriftConfig config = {});
+  ScoreDrift() = default;
 
   ScoreDrift(const ScoreDrift&) = delete;
   ScoreDrift& operator=(const ScoreDrift&) = delete;
 
   /// Records one verdict confidence: always feeds the current window;
-  /// feeds the reference too until it freezes at reference_min_count.
+  /// feeds the reference too until it freezes at kDriftReferenceMinCount.
   void record(std::uint64_t now_us, double score) noexcept;
 
   /// Discards the frozen reference and starts re-capturing from the next
@@ -65,11 +64,8 @@ class ScoreDrift {
 
   obs::ScoreBins reference() const noexcept;
 
-  const DriftConfig& config() const noexcept { return config_; }
-
  private:
-  DriftConfig config_;
-  obs::SlidingScoreHistogram current_;
+  obs::SlidingScoreHistogram current_{kDriftWindow};
   std::array<std::atomic<std::uint64_t>, obs::kScoreBins> reference_bins_{};
   std::atomic<std::uint64_t> reference_count_{0};
   std::atomic<bool> frozen_{false};

@@ -56,9 +56,8 @@ void OverloadController::close_interval(std::uint64_t now_ms) {
     consecutive_good_ = 0;
     ++consecutive_bad_;
     shed_ = std::min(
-        config_.max_shed,
-        shed_ + config_.shed_step *
-                    std::sqrt(static_cast<double>(consecutive_bad_)));
+        kMaxShed,
+        shed_ + kShedStep * std::sqrt(static_cast<double>(consecutive_bad_)));
     state_.store(OverloadState::kBrownout, std::memory_order_relaxed);
   } else {
     consecutive_bad_ = 0;
@@ -69,7 +68,7 @@ void OverloadController::close_interval(std::uint64_t now_ms) {
     if (state == OverloadState::kBrownout)
       state_.store(OverloadState::kRecovering, std::memory_order_relaxed);
     else if (state == OverloadState::kRecovering && shed_ == 0.0 &&
-             consecutive_good_ >= config_.recover_intervals)
+             consecutive_good_ >= kRecoverIntervals)
       state_.store(OverloadState::kHealthy, std::memory_order_relaxed);
   }
   shed_ppm_.store(static_cast<std::uint32_t>(shed_ * 1e6),

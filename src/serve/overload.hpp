@@ -11,12 +11,14 @@
 // a deterministic fraction of admissions with RejectReason::kOverloaded.
 // (Batch formation needs no brownout posture: it is work-conserving, so a
 // worker never waits for co-riders in the first place.)
-// The fraction follows AIMD: additive increase while intervals stay bad
-// (ramping with the square root of the consecutive-bad count so a deep
-// overload sheds aggressively), halved on every good interval. Recovery
-// is hysteretic — the controller only reports healthy again after
-// `recover_intervals` consecutive good intervals with shedding fully off,
-// so readiness does not flap at the brownout boundary.
+// The fraction follows AIMD: additive increase of kShedStep while
+// intervals stay bad (ramping with the square root of the consecutive-bad
+// count so a deep overload sheds aggressively), capped at kMaxShed, and
+// halved on every good interval. Recovery is hysteretic — the controller
+// only reports healthy again after kRecoverIntervals consecutive good
+// intervals with shedding fully off, so readiness does not flap at the
+// brownout boundary. Those three steps are constants; what a deployment
+// sets is whether to shed at all, the target delay and the interval.
 //
 // Shedding is deterministic, not random: a fixed-point accumulator sheds
 // exactly ⌊N·fraction⌋..⌈N·fraction⌉ of any N consecutive admissions, so
@@ -59,16 +61,17 @@ struct OverloadConfig {
   std::uint64_t target_delay_ms = 5;
   /// Evaluation interval.
   std::uint64_t interval_ms = 100;
-  /// Additive shed increase per bad interval (scaled by sqrt of the
-  /// consecutive-bad count).
-  double shed_step = 0.05;
-  /// Shedding ceiling — some fraction is always admitted, so the
-  /// controller keeps receiving delay samples to recover on.
-  double max_shed = 0.90;
-  /// Consecutive good intervals (with shed already decayed to zero)
-  /// required to report kHealthy again.
-  std::size_t recover_intervals = 3;
 };
+
+/// Additive shed increase per bad interval (scaled by sqrt of the
+/// consecutive-bad count).
+inline constexpr double kShedStep = 0.05;
+/// Shedding ceiling — some fraction is always admitted, so the controller
+/// keeps receiving delay samples to recover on.
+inline constexpr double kMaxShed = 0.90;
+/// Consecutive good intervals (with shed already decayed to zero)
+/// required to report kHealthy again.
+inline constexpr std::size_t kRecoverIntervals = 3;
 
 class OverloadController {
  public:

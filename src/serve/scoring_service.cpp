@@ -40,9 +40,7 @@ ScoringService::ScoringService(features::FeaturePipeline pipeline,
                          : nullptr),
       metrics_(config.metrics != nullptr ? config.metrics
                                          : owned_metrics_.get()),
-      overload_(config.overload),
-      slo_(config.slo),
-      drift_(config.drift) {
+      overload_(config.overload) {
   obs::MetricsRegistry* registry = metrics_;
   slo_.register_gauges(registry);
   obs_.accepted_requests = registry->counter(

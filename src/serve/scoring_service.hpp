@@ -153,15 +153,6 @@ struct ServiceConfig {
   /// watchdog()->poll() by hand instead. A null watchdog clock inherits
   /// the service clock.
   WatchdogConfig watchdog;
-  /// SLO objectives + burn-rate windows (obs/slo.hpp). Every resolved
-  /// request feeds the tracker; /sloz and the mev.slo.* gauges read it.
-  /// A fast burn above the alert threshold only ANNOTATES /readyz
-  /// ("advisory"), never flips it — the overload controller owns 503.
-  obs::SloConfig slo;
-  /// Score-distribution drift (serve/drift.hpp): verdict confidences vs
-  /// a reference window frozen at startup and re-captured on
-  /// swap_model().
-  DriftConfig drift;
 };
 
 class ScoringService {
@@ -259,10 +250,14 @@ class ScoringService {
   Watchdog& watchdog() noexcept { return *watchdog_; }
   /// The load-shedding controller (inert unless config.overload.enabled).
   const OverloadController& overload() const noexcept { return overload_; }
-  /// The SLO tracker behind /sloz; fed by every resolved request.
+  /// The SLO tracker behind /sloz and the mev.slo.* gauges
+  /// (obs/slo.hpp); fed by every resolved request. A fast burn above the
+  /// alert threshold only ANNOTATES /readyz ("advisory"), never flips it —
+  /// the overload controller owns 503.
   const obs::SloTracker& slo() const noexcept { return slo_; }
-  /// The score-drift tracker (reference frozen after
-  /// config.drift.reference_min_count verdicts; reset on swap_model()).
+  /// The score-drift tracker (serve/drift.hpp): verdict confidences
+  /// against a reference frozen after kDriftReferenceMinCount verdicts
+  /// and re-captured on swap_model().
   const ScoreDrift& drift() const noexcept { return drift_; }
 
   const ServiceConfig& config() const noexcept { return config_; }

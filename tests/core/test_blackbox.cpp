@@ -207,6 +207,32 @@ TEST(BlackBox, ReusedOracleReportsPerRunQueries) {
             network_bytes(*first.substitute));
 }
 
+// The same holds for the resilience figures: ResilientOracle::stats() is
+// cumulative over the oracle's lifetime, the run reports its own share.
+TEST(BlackBox, ReusedResilientOracleReportsPerRunResilience) {
+  const math::Matrix seeds = seed_counts(16, 4, 2);
+  obs::MetricsRegistry registry;
+  auto cfg = config(4);
+  cfg.metrics = &registry;
+  const obs::Counter retries_counter =
+      registry.counter("mev.core.blackbox.oracle_retries");
+  ThresholdOracle inner;
+  runtime::FakeClock clock;
+  runtime::FaultInjectingOracle flaky(inner, runtime::FaultProfile::flaky(),
+                                      &clock);
+  runtime::ResilientOracle resilient(flaky, {}, {}, &clock);
+
+  const auto first = run_blackbox_framework(resilient, seeds, cfg);
+  const auto second = run_blackbox_framework(resilient, seeds, cfg);
+  const runtime::ResilienceStats& run1 = first.rounds.back().resilience;
+  const runtime::ResilienceStats& run2 = second.rounds.back().resilience;
+  ASSERT_GT(run1.retries + run2.retries, 0u) << "the profile injected no fault";
+  EXPECT_EQ(run1.retries + run2.retries, resilient.stats().retries);
+  EXPECT_EQ(retries_counter.value(), resilient.stats().retries);
+  EXPECT_EQ(run1.calls, first.rounds.size());
+  EXPECT_EQ(run2.calls, second.rounds.size());
+}
+
 TEST(BlackBox, ResilienceStatsAreZeroForPlainOracles) {
   ThresholdOracle oracle;
   const auto result =

@@ -30,7 +30,6 @@ TEST(DimReduction, TrainsAndClassifies) {
   const auto data = correlated_blobs(300, 12, 7);
   DimReductionConfig cfg;
   cfg.k = 3;
-  cfg.hidden = {16};
   cfg.training.epochs = 50;
   cfg.training.batch_size = 32;
   cfg.training.learning_rate = 0.01f;

@@ -28,17 +28,11 @@ namespace mev::net {
 namespace {
 
 constexpr std::uint64_t kSecond = 1'000'000;
-
-ClientStatsConfig small_config() {
-  ClientStatsConfig config;
-  config.window = {/*bucket_us=*/kSecond, /*buckets=*/4};
-  config.drift.window = {kSecond, 4};
-  config.drift.reference_min_count = 4;
-  return config;
-}
+/// Scores that freeze a client's drift reference.
+constexpr int kFreeze = static_cast<int>(serve::kDriftReferenceMinCount);
 
 TEST(ClientStatsTracker, EntriesAreStableAndBoundedByTheCap) {
-  ClientStatsConfig config = small_config();
+  ClientStatsConfig config;
   config.max_clients = 2;
   ClientStatsTracker tracker(config);
 
@@ -59,18 +53,18 @@ TEST(ClientStatsTracker, EntriesAreStableAndBoundedByTheCap) {
 }
 
 TEST(ClientStatsTracker, ToJsonCarriesWindowedRatesAndDrift) {
-  ClientStatsTracker tracker(small_config());
+  ClientStatsTracker tracker;
   ClientEntry* alpha = tracker.entry("alpha");
   // 10 requests x 4 rows over 2 s, 2 rejections, enough scores to freeze
-  // the 4-score reference.
+  // the reference.
   for (int i = 0; i < 10; ++i)
     alpha->record_request(static_cast<std::uint64_t>(i) * 200'000, 4);
   alpha->record_reject(kSecond);
   alpha->record_reject(kSecond);
-  for (int i = 0; i < 6; ++i) alpha->record_score(kSecond, 0.15);
+  for (int i = 0; i < kFreeze + 2; ++i) alpha->record_score(kSecond, 0.15);
 
   const std::string json = tracker.to_json(2 * kSecond);
-  EXPECT_NE(json.find("\"window_s\":4"), std::string::npos);
+  EXPECT_NE(json.find("\"window_s\":60,"), std::string::npos);
   EXPECT_NE(json.find("\"client\":\"alpha\""), std::string::npos);
   EXPECT_NE(json.find("\"reject_rate\":0.200000"), std::string::npos);
   EXPECT_NE(json.find("\"reference_frozen\":true"), std::string::npos);
@@ -84,7 +78,7 @@ TEST(ClientStatsTracker, ToJsonCarriesWindowedRatesAndDrift) {
 TEST(ClientStatsTracker, ToJsonEscapesQuotesAndControlBytesInLabels) {
   // Labels are caller-chosen API keys: a quote must not end the JSON
   // string and a control byte must survive as \u00XX, not vanish.
-  ClientStatsTracker tracker(small_config());
+  ClientStatsTracker tracker;
   tracker.entry("a\x01" "b\"c");
   const std::string json = tracker.to_json(kSecond);
   EXPECT_NE(json.find("\"client\":\"a\\u0001b\\\"c\""), std::string::npos)
@@ -92,28 +86,29 @@ TEST(ClientStatsTracker, ToJsonEscapesQuotesAndControlBytesInLabels) {
 }
 
 TEST(ClientStatsTracker, RatesUseTheSlidingWindowNotLifetime) {
-  ClientStatsTracker tracker(small_config());
+  ClientStatsTracker tracker;
   ClientEntry* alpha = tracker.entry("alpha");
   for (int i = 0; i < 8; ++i) alpha->record_request(kSecond, 1);
-  // 10 s later the burst left the 4 s window: windowed rate reads 0 while
-  // the lifetime counter remembers all 8.
-  EXPECT_EQ(alpha->requests.total(10 * kSecond), 0u);
+  EXPECT_EQ(alpha->requests.total(30 * kSecond), 8u);
+  // 100 s later the burst left the 60 s window: windowed rate reads 0
+  // while the lifetime counter remembers all 8.
+  EXPECT_EQ(alpha->requests.total(100 * kSecond), 0u);
   EXPECT_EQ(alpha->lifetime_requests.load(), 8u);
 }
 
 TEST(ClientStatsTracker, PsiGaugesAreMirroredPerClient) {
   obs::MetricsRegistry registry;
-  ClientStatsTracker tracker(small_config(), &registry);
+  ClientStatsTracker tracker({}, &registry);
   ClientEntry* alpha = tracker.entry("alpha");
-  for (int i = 0; i < 4; ++i) alpha->record_score(100, 0.1);  // freeze
+  for (int i = 0; i < kFreeze; ++i) alpha->record_score(100, 0.1);
   // The mix flips; once the capture-era scores expire the PSI is large.
-  for (int i = 0; i < 20; ++i) alpha->record_score(10 * kSecond, 0.95);
-  (void)tracker.to_json(10 * kSecond + 1);  // refreshes the gauges
+  for (int i = 0; i < 20; ++i) alpha->record_score(100 * kSecond, 0.95);
+  (void)tracker.to_json(100 * kSecond + 1);  // refreshes the gauges
   const std::string exposition = registry.prometheus();
   const std::size_t at = exposition.find("mev_net_client_psi{client=\"alpha\"} ");
   ASSERT_NE(at, std::string::npos) << exposition;
   // The sample value is the PSI itself — well past the 0.25 threshold.
-  EXPECT_GT(alpha->drift.psi(10 * kSecond + 1), 0.25);
+  EXPECT_GT(alpha->drift.psi(100 * kSecond + 1), 0.25);
 }
 
 // ---------------------------------------------------------------------------
@@ -240,7 +235,6 @@ TEST(ScoringFrontend, ProbingKeyDriftsWhileSteadyKeyStaysFlat) {
   config.io_timeout_ms = 3000;
   config.api_keys = {ApiKey{"steady-key", "steady", 1e9, 1e9},
                      ApiKey{"probe-key", "probe", 1e9, 1e9}};
-  config.client_stats.drift.reference_min_count = 8;
   config.admin = service.admin_server();
   {
     ScoringFrontend frontend(service, config);
@@ -248,18 +242,20 @@ TEST(ScoringFrontend, ProbingKeyDriftsWhileSteadyKeyStaysFlat) {
 
     Client client(frontend.port());
     ASSERT_TRUE(client.ok());
-    // Phase 1: both keys send the same benign batch; 8 verdicts freeze
-    // each key's reference on that mix.
-    const std::string benign = encode_binary_rows(constant_counts(8, 0.0f));
+    // Phase 1: both keys send the same benign batch, whose verdicts
+    // freeze each key's reference on that mix.
+    const std::size_t batch_rows = serve::kDriftReferenceMinCount;
+    const std::string benign =
+        encode_binary_rows(constant_counts(batch_rows, 0.0f));
     client.send_raw(post_score(benign, "steady-key"));
     ASSERT_EQ(status_of(client.read_response()), 200);
     client.send_raw(post_score(benign, "probe-key"));
     ASSERT_EQ(status_of(client.read_response()), 200);
 
-    // Phase 2: the probe key flips to an asymmetric high-count mix (5 x
-    // 8 rows) that drags the model's confidence out of the benign bin;
+    // Phase 2: the probe key flips to an asymmetric high-count mix (5
+    // batches) that drags the model's confidence out of the benign bin;
     // the steady key keeps sending the reference mix.
-    math::Matrix probe_rows(8, kDim);
+    math::Matrix probe_rows(batch_rows, kDim);
     for (std::size_t r = 0; r < probe_rows.rows(); ++r)
       for (std::size_t c = 0; c < kDim; ++c)
         probe_rows.data()[r * kDim + c] = c >= kDim / 2 ? 50'000.0f : 0.0f;

@@ -9,11 +9,10 @@ namespace {
 
 /// One-shot forward through a fresh workspace (the session owns workspaces
 /// in production; tests drive layers directly).
-math::Matrix forward_of(const Layer& layer, const math::Matrix& x,
-                        bool training = false) {
+math::Matrix forward_of(const DenseLayer& layer, const math::Matrix& x) {
   LayerWorkspace ws;
   layer.init_workspace(ws);
-  layer.forward(x, ws, training);
+  layer.forward(x, ws);
   return ws.output;
 }
 
@@ -43,8 +42,8 @@ TEST(DenseLayer, ForwardIsConstOnLayer) {
   LayerWorkspace a, b;
   layer.init_workspace(a);
   layer.init_workspace(b);
-  layer.forward(x, a, false);
-  layer.forward(x, b, false);
+  layer.forward(x, a);
+  layer.forward(x, b);
   EXPECT_EQ(a.output, b.output);
 }
 
@@ -53,7 +52,7 @@ TEST(DenseLayer, DimensionMismatchThrows) {
   DenseLayer layer(3, 2, Activation::kRelu, rng);
   LayerWorkspace ws;
   layer.init_workspace(ws);
-  EXPECT_THROW(layer.forward(math::Matrix(1, 4), ws, false),
+  EXPECT_THROW(layer.forward(math::Matrix(1, 4), ws),
                std::invalid_argument);
 }
 
@@ -79,7 +78,7 @@ TEST(DenseLayer, ParameterGradientsMatchFiniteDifference) {
   // Loss = sum of outputs; upstream gradient of ones.
   LayerWorkspace ws;
   layer.init_workspace(ws);
-  layer.forward(x, ws, false);
+  layer.forward(x, ws);
   math::Matrix upstream(2, 3, 1.0f);
   layer.backward(upstream, x, ws, Grads::kParamsAndInput);
 
@@ -113,7 +112,7 @@ TEST(DenseLayer, InputGradientMatchesFiniteDifference) {
 
   LayerWorkspace ws;
   layer.init_workspace(ws);
-  layer.forward(x, ws, false);
+  layer.forward(x, ws);
   math::Matrix upstream(1, 2, 1.0f);
   layer.backward(upstream, x, ws, Grads::kInput);
 
@@ -135,7 +134,7 @@ TEST(DenseLayer, GradientsAccumulateAcrossBackwards) {
   const math::Matrix x{{1, 1}};
   LayerWorkspace ws;
   layer.init_workspace(ws);
-  layer.forward(x, ws, false);
+  layer.forward(x, ws);
   math::Matrix upstream(1, 2, 1.0f);
   layer.backward(upstream, x, ws, Grads::kParamsAndInput);
   const float once = ws.param_grads[0].data()[0];
@@ -153,7 +152,7 @@ TEST(DenseLayer, SkippingParamGradsLeavesAccumulatorsZero) {
   const math::Matrix x{{1, 2, 3}};
   LayerWorkspace ws;
   layer.init_workspace(ws);
-  layer.forward(x, ws, false);
+  layer.forward(x, ws);
   math::Matrix upstream(1, 2, 1.0f);
   layer.backward(upstream, x, ws, Grads::kInput);
   for (const auto& g : ws.param_grads)
@@ -170,7 +169,7 @@ TEST(DenseLayer, BackwardPacksTransposedWeightsLazily) {
   const math::Matrix x{{1, 2, 3, 4, 5}};
   LayerWorkspace ws;
   layer.init_workspace(ws);
-  layer.forward(x, ws, false);
+  layer.forward(x, ws);
   EXPECT_TRUE(ws.weights_t.empty()) << "forward must not build the pack";
   math::Matrix upstream(1, 3, 1.0f);
   layer.backward(upstream, x, ws, Grads::kInput);
@@ -193,7 +192,7 @@ TEST(DenseLayer, ParamsOnlyBackwardSkipsTheInputGradient) {
   LayerWorkspace both, params_only;
   for (LayerWorkspace* ws : {&both, &params_only}) {
     layer.init_workspace(*ws);
-    layer.forward(x, *ws, false);
+    layer.forward(x, *ws);
   }
   math::Matrix upstream(2, 3, 0.75f);
   layer.backward(upstream, x, both, Grads::kParamsAndInput);
@@ -204,84 +203,6 @@ TEST(DenseLayer, ParamsOnlyBackwardSkipsTheInputGradient) {
   EXPECT_TRUE(params_only.weights_t.empty());
   EXPECT_TRUE(params_only.grad_input.empty());
   EXPECT_EQ(both.grad_input.cols(), 5u);
-}
-
-TEST(DenseLayer, CloneIsDeepCopy) {
-  math::Rng rng(6);
-  DenseLayer layer(2, 2, Activation::kRelu, rng);
-  auto clone = layer.clone();
-  auto* dense = dynamic_cast<DenseLayer*>(clone.get());
-  ASSERT_NE(dense, nullptr);
-  EXPECT_EQ(dense->weights(), layer.weights());
-  dense->mutable_weights()(0, 0) += 1.0f;
-  EXPECT_NE(dense->weights(), layer.weights());
-}
-
-TEST(DropoutLayer, InferenceModePassesThrough) {
-  DropoutLayer drop(3, 0.5f, 1);
-  const math::Matrix x{{1, 2, 3}};
-  EXPECT_EQ(forward_of(drop, x, false), x);
-}
-
-TEST(DropoutLayer, TrainingZeroesRoughlyRateFraction) {
-  DropoutLayer drop(1000, 0.4f, 2);
-  const math::Matrix x(1, 1000, 1.0f);
-  const math::Matrix y = forward_of(drop, x, true);
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < y.size(); ++i)
-    if (y.data()[i] == 0.0f) ++zeros;
-  EXPECT_NEAR(static_cast<double>(zeros) / 1000.0, 0.4, 0.06);
-  // Kept units are scaled by 1/(1-rate).
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y.data()[i] != 0.0f) {
-      EXPECT_NEAR(y.data()[i], 1.0f / 0.6f, 1e-5);
-    }
-  }
-}
-
-TEST(DropoutLayer, BackwardUsesSameMask) {
-  DropoutLayer drop(100, 0.5f, 3);
-  const math::Matrix x(1, 100, 1.0f);
-  LayerWorkspace ws;
-  drop.init_workspace(ws);
-  drop.forward(x, ws, true);
-  const math::Matrix y = ws.output;
-  math::Matrix upstream(1, 100, 1.0f);
-  drop.backward(upstream, x, ws, Grads::kInput);
-  for (std::size_t i = 0; i < 100; ++i) {
-    if (y.data()[i] == 0.0f) {
-      EXPECT_EQ(ws.grad_input.data()[i], 0.0f);
-    } else {
-      EXPECT_GT(ws.grad_input.data()[i], 0.0f);
-    }
-  }
-}
-
-TEST(DropoutLayer, InferenceBackwardIsIdentity) {
-  DropoutLayer drop(4, 0.5f, 5);
-  const math::Matrix x{{1, 2, 3, 4}};
-  LayerWorkspace ws;
-  drop.init_workspace(ws);
-  drop.forward(x, ws, false);  // inference: no mask recorded
-  math::Matrix upstream{{5, 6, 7, 8}};
-  drop.backward(upstream, x, ws, Grads::kInput);
-  EXPECT_EQ(ws.grad_input, (math::Matrix{{5, 6, 7, 8}}));
-}
-
-TEST(DropoutLayer, ParamsOnlyBackwardWritesNothing) {
-  DropoutLayer drop(4, 0.5f, 5);
-  const math::Matrix x{{1, 2, 3, 4}};
-  LayerWorkspace ws;
-  drop.init_workspace(ws);
-  drop.forward(x, ws, true);
-  math::Matrix upstream{{5, 6, 7, 8}};
-  drop.backward(upstream, x, ws, Grads::kParams);
-  EXPECT_TRUE(ws.grad_input.empty());
-}
-
-TEST(DropoutLayer, InvalidRateThrows) {
-  EXPECT_THROW(DropoutLayer(3, 1.0f, 1), std::invalid_argument);
-  EXPECT_THROW(DropoutLayer(3, -0.1f, 1), std::invalid_argument);
 }
 
 }  // namespace

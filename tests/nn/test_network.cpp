@@ -42,15 +42,6 @@ TEST(Network, MakeMlpRequiresTwoDims) {
   EXPECT_THROW(make_mlp(cfg), std::invalid_argument);
 }
 
-TEST(Network, MakeMlpWithDropoutAddsLayers) {
-  MlpConfig cfg;
-  cfg.dims = {4, 8, 2};
-  cfg.dropout = 0.3f;
-  Network net = make_mlp(cfg);
-  EXPECT_EQ(net.num_layers(), 3u);  // dense, dropout, dense
-  EXPECT_EQ(net.layer(1).name(), "dropout");
-}
-
 TEST(Network, ForwardShapeAndDeterminism) {
   Network net = small_net();
   InferenceSession session(net);
@@ -83,11 +74,9 @@ TEST(Network, PredictMatchesArgmaxOfProba) {
 TEST(Network, AddLayerDimensionMismatchThrows) {
   Network net;
   math::Rng rng(1);
-  net.add(std::make_unique<DenseLayer>(3, 5, Activation::kRelu, rng));
-  EXPECT_THROW(
-      net.add(std::make_unique<DenseLayer>(4, 2, Activation::kRelu, rng)),
-      std::invalid_argument);
-  EXPECT_THROW(net.add(nullptr), std::invalid_argument);
+  net.add(DenseLayer(3, 5, Activation::kRelu, rng));
+  EXPECT_THROW(net.add(DenseLayer(4, 2, Activation::kRelu, rng)),
+               std::invalid_argument);
 }
 
 TEST(Network, EmptyNetworkThrows) {
@@ -160,7 +149,6 @@ TEST(Network, CopyIsDeep) {
 TEST(Network, SaveLoadRoundTrip) {
   MlpConfig cfg;
   cfg.dims = {4, 8, 2};
-  cfg.dropout = 0.25f;
   cfg.seed = 55;
   Network net = make_mlp(cfg);
   std::stringstream buffer;
@@ -187,6 +175,46 @@ TEST(Network, LoadRejectsTruncated) {
   bytes.resize(bytes.size() / 2);
   std::stringstream truncated(bytes);
   EXPECT_THROW(load_network(truncated), std::runtime_error);
+}
+
+/// save_network bytes of a small network, for tests that corrupt one field.
+/// Layout: magic, version and layer count (4 bytes each), then layer 0's
+/// tag byte at offset 12 and its activation byte at offset 13.
+std::string saved_bytes() {
+  std::stringstream buffer;
+  save_network(small_net(), buffer);
+  return buffer.str();
+}
+
+/// The what() of the runtime_error load_network throws on `bytes`.
+std::string load_error(const std::string& bytes) {
+  std::stringstream stream(bytes);
+  try {
+    load_network(stream);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Network, LoadRejectsUnknownActivation) {
+  // An activation byte past kLeakyRelu must fail at load time, not later
+  // in every forward pass.
+  std::string bytes = saved_bytes();
+  ASSERT_EQ(bytes[13], static_cast<char>(Activation::kRelu));
+  bytes[13] = static_cast<char>(static_cast<int>(Activation::kLeakyRelu) + 1);
+  EXPECT_EQ(load_error(bytes), "load_network: unknown activation");
+  bytes[13] = static_cast<char>(0xff);
+  EXPECT_EQ(load_error(bytes), "load_network: unknown activation");
+}
+
+TEST(Network, LoadRejectsTheDroppedDropoutTag) {
+  // Tag 2 once marked a dropout layer; the format now has dense layers
+  // (tag 1) only, so such a stream is rejected rather than misparsed.
+  std::string bytes = saved_bytes();
+  ASSERT_EQ(bytes[12], 1);
+  bytes[12] = 2;
+  EXPECT_EQ(load_error(bytes), "load_network: unknown layer tag");
 }
 
 }  // namespace

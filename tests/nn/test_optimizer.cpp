@@ -36,9 +36,7 @@ struct Quadratic {
 
 TEST(Adam, ConvergesOnQuadratic) {
   Quadratic q;
-  AdamConfig cfg;
-  cfg.learning_rate = 0.1f;
-  Adam adam(cfg);
+  Adam adam(0.1f);
   auto params = q.params();
   for (int i = 0; i < 500; ++i) {
     q.compute_grad();
@@ -49,9 +47,7 @@ TEST(Adam, ConvergesOnQuadratic) {
 
 TEST(Adam, FirstStepIsApproximatelyLearningRate) {
   // With bias correction the first Adam step is ~lr * sign(grad).
-  AdamConfig cfg;
-  cfg.learning_rate = 0.01f;
-  Adam adam(cfg);
+  Adam adam(0.01f);
   math::Matrix w(1, 1, 0.0f), g(1, 1, 123.0f);
   std::vector<ParamRef> params{{&w, &g}};
   adam.step(params);
@@ -61,7 +57,7 @@ TEST(Adam, FirstStepIsApproximatelyLearningRate) {
 /// Adam as one scalar loop: the update Adam::step must reproduce bit for
 /// bit, however wide the vector lanes it runs in.
 struct ScalarAdam {
-  AdamConfig config;
+  float learning_rate;
   std::vector<float> m, v;
   long t = 0;
 
@@ -69,16 +65,16 @@ struct ScalarAdam {
     m.resize(value.size(), 0.0f);
     v.resize(value.size(), 0.0f);
     ++t;
-    const double bc1 = 1.0 - std::pow(config.beta1, t);
-    const double bc2 = 1.0 - std::pow(config.beta2, t);
+    const double bc1 = 1.0 - std::pow(kAdamBeta1, t);
+    const double bc2 = 1.0 - std::pow(kAdamBeta2, t);
     for (std::size_t j = 0; j < value.size(); ++j) {
       const float g = grad[j];
-      m[j] = config.beta1 * m[j] + (1.0f - config.beta1) * g;
-      v[j] = config.beta2 * v[j] + (1.0f - config.beta2) * g * g;
+      m[j] = kAdamBeta1 * m[j] + (1.0f - kAdamBeta1) * g;
+      v[j] = kAdamBeta2 * v[j] + (1.0f - kAdamBeta2) * g * g;
       const double mhat = m[j] / bc1;
       const double vhat = v[j] / bc2;
-      value[j] -= static_cast<float>(config.learning_rate * mhat /
-                                     (std::sqrt(vhat) + config.epsilon));
+      value[j] -= static_cast<float>(learning_rate * mhat /
+                                     (std::sqrt(vhat) + kAdamEpsilon));
     }
   }
 };
@@ -86,9 +82,8 @@ struct ScalarAdam {
 TEST(Adam, StepMatchesScalarReferenceBitExact) {
   // 3 x 13 = 39 elements, then 1 x 5: neither fills whole vectors, so the
   // vector tail runs too. Gradients span signs, zeros and magnitudes.
-  AdamConfig cfg;
-  cfg.learning_rate = 0.003f;
-  Adam adam(cfg);
+  constexpr float kLearningRate = 0.003f;
+  Adam adam(kLearningRate);
   math::Rng rng(21);
   math::Matrix w0(3, 13), g0(3, 13), w1(1, 5), g1(1, 5);
   for (math::Matrix* w : {&w0, &w1})
@@ -96,7 +91,8 @@ TEST(Adam, StepMatchesScalarReferenceBitExact) {
       w->data()[i] = static_cast<float>(rng.normal());
   const std::vector<ParamRef> params{{&w0, &g0}, {&w1, &g1}};
   // One scalar reference per tensor (Adam keeps m and v per tensor).
-  ScalarAdam want0{cfg, {}, {}, 0}, want1{cfg, {}, {}, 0};
+  ScalarAdam want0{kLearningRate, {}, {}, 0},
+      want1{kLearningRate, {}, {}, 0};
   std::vector<float> ref0(w0.data(), w0.data() + w0.size());
   std::vector<float> ref1(w1.data(), w1.data() + w1.size());
   for (int step = 0; step < 25; ++step) {
@@ -120,29 +116,25 @@ TEST(Adam, StepMatchesScalarReferenceBitExact) {
 }
 
 TEST(Optimizer, InvalidConfigsThrow) {
-  AdamConfig a;
-  a.learning_rate = -1.0f;
-  EXPECT_THROW(Adam{a}, std::invalid_argument);
-  AdamConfig b;
-  b.beta1 = 1.0f;
-  EXPECT_THROW(Adam{b}, std::invalid_argument);
+  EXPECT_THROW(Adam{-1.0f}, std::invalid_argument);
+  EXPECT_THROW(Adam{0.0f}, std::invalid_argument);
 }
 
 TEST(Optimizer, NullParamThrows) {
-  Adam adam(AdamConfig{});
+  Adam adam(0.001f);
   std::vector<ParamRef> params{{nullptr, nullptr}};
   EXPECT_THROW(adam.step(params), std::invalid_argument);
 }
 
 TEST(Optimizer, ShapeMismatchThrows) {
-  Adam adam(AdamConfig{});
+  Adam adam(0.001f);
   math::Matrix w(1, 2), g(1, 3);
   std::vector<ParamRef> params{{&w, &g}};
   EXPECT_THROW(adam.step(params), std::invalid_argument);
 }
 
 TEST(Optimizer, ParameterSetChangeThrows) {
-  Adam adam(AdamConfig{});
+  Adam adam(0.001f);
   math::Matrix w(1, 2), g(1, 2);
   std::vector<ParamRef> params{{&w, &g}};
   adam.step(params);

@@ -116,7 +116,7 @@ TEST(InferenceSession, BackwardMatchesSeedBuildBitExact) {
   session.bind_params(net);  // workspace must exist; grads start zeroed
   const math::Matrix x = random_input(3, 4, 9);
   session.zero_param_grads();
-  session.forward(x, false);
+  session.forward(x);
   // The seed build formed both results in one sweep; the attack sweep now
   // forms dLoss/dInput and the training sweep the parameter gradients.
   const math::Matrix& gin = session.backward_input(math::Matrix(3, 2, 1.0f));
@@ -212,12 +212,12 @@ TEST(InferenceSession, SteadyStateForwardAllocatesNothing) {
   trainer.bind_params(net);
   const math::Matrix grad_logits(8, 2, 0.5f);
   for (int i = 0; i < 3; ++i) {
-    trainer.forward(x, /*training=*/true);
+    trainer.forward(x);
     trainer.backward_params(grad_logits);
   }
   const std::size_t before_train = g_allocations.load();
   for (int i = 0; i < 50; ++i) {
-    trainer.forward(x, /*training=*/true);
+    trainer.forward(x);
     trainer.backward_params(grad_logits);
   }
   EXPECT_EQ(g_allocations.load() - before_train, 0u)
@@ -236,9 +236,7 @@ TEST(InferenceSession, BoundSessionBackwardSeesEveryOptimizerStep) {
   Network net = make_mlp(cfg);
   InferenceSession session(net, 8);
   const std::vector<ParamRef> params = session.bind_params(net);
-  AdamConfig adam_cfg;
-  adam_cfg.learning_rate = 0.5f;
-  Adam adam(adam_cfg);
+  Adam adam(0.5f);
   const math::Matrix x = random_input(8, 16, 11);
   const math::Matrix grad_logits = random_input(8, 2, 12);
   const auto same_bytes = [](const math::Matrix& a, const math::Matrix& b) {
@@ -247,14 +245,14 @@ TEST(InferenceSession, BoundSessionBackwardSeesEveryOptimizerStep) {
   };
   for (int step = 0; step < 3; ++step) {
     session.zero_param_grads();
-    session.forward(x, /*training=*/true);
+    session.forward(x);
     session.backward_params(grad_logits);
     const math::Matrix& got = session.backward_input(grad_logits);
 
     InferenceSession fresh(net, 8);
     const std::vector<ParamRef> fresh_params = fresh.bind_params(net);
     fresh.zero_param_grads();
-    fresh.forward(x, /*training=*/true);
+    fresh.forward(x);
     fresh.backward_params(grad_logits);
     const math::Matrix& want = fresh.backward_input(grad_logits);
     EXPECT_TRUE(same_bytes(got, want))
@@ -284,7 +282,7 @@ TEST(InferenceSession, ParamSweepNeverPacksLayerZero) {
   g_watched_size.store(8 * 64 * sizeof(float));
   for (int step = 0; step < 3; ++step) {
     trainer.zero_param_grads();
-    trainer.forward(x, /*training=*/true);
+    trainer.forward(x);
     trainer.backward_params(grad_logits);
   }
   EXPECT_EQ(g_watched_hits.load(), 0u)

@@ -483,13 +483,7 @@ TEST(AdminServer, SlozWithoutATrackerExplainsItself) {
 
 TEST(AdminServer, SlozServesPinnedBurnRates) {
   AdminFixture f;
-  mev::obs::SloConfig slo_config;
-  slo_config.availability_objective = 0.999;
-  slo_config.bucket_us = 1'000'000;
-  slo_config.buckets = 20;
-  slo_config.fast_window_us = 5'000'000;
-  slo_config.slow_window_us = 20'000'000;
-  mev::obs::SloTracker tracker(slo_config);
+  mev::obs::SloTracker tracker;
   // 1% errors against a 0.1% budget: burn = 10.0 exactly.
   for (int i = 0; i < 99; ++i) tracker.record(100, true, 1'000);
   tracker.record(100, false, 0);

@@ -17,6 +17,7 @@ namespace {
 using mev::obs::FlightRecord;
 using mev::obs::FlightRecorder;
 using mev::obs::FlightRecorderConfig;
+using mev::obs::kFlightWindowUs;
 
 FlightRecord make_record(std::uint64_t trace_id, std::uint64_t start_us,
                          std::uint64_t duration_us, bool error = false) {
@@ -39,9 +40,8 @@ std::vector<std::uint64_t> sorted_durations(const FlightRecorder& recorder) {
 }
 
 TEST(FlightRecorder, KeepsTheSlowestRequestsOfAWindow) {
-  FlightRecorder recorder(FlightRecorderConfig{.slow_slots = 4,
-                                               .error_slots = 4,
-                                               .window_us = 1'000'000});
+  FlightRecorder recorder(
+      FlightRecorderConfig{.slow_slots = 4, .error_slots = 4});
   // 10 requests, durations 10..100; only the 4 slowest survive.
   for (std::uint64_t i = 1; i <= 10; ++i)
     recorder.record(make_record(i, /*start_us=*/i, /*duration_us=*/i * 10));
@@ -52,9 +52,8 @@ TEST(FlightRecorder, KeepsTheSlowestRequestsOfAWindow) {
 }
 
 TEST(FlightRecorder, SlowArrivalOrderDoesNotMatter) {
-  FlightRecorder recorder(FlightRecorderConfig{.slow_slots = 2,
-                                               .error_slots = 2,
-                                               .window_us = 1'000'000});
+  FlightRecorder recorder(
+      FlightRecorderConfig{.slow_slots = 2, .error_slots = 2});
   // Slowest first: later faster requests must NOT evict it.
   recorder.record(make_record(1, 1, 500));
   recorder.record(make_record(2, 2, 10));
@@ -65,9 +64,8 @@ TEST(FlightRecorder, SlowArrivalOrderDoesNotMatter) {
 }
 
 TEST(FlightRecorder, ErrorsAlwaysRetainRegardlessOfDuration) {
-  FlightRecorder recorder(FlightRecorderConfig{.slow_slots = 2,
-                                               .error_slots = 8,
-                                               .window_us = 1'000'000});
+  FlightRecorder recorder(
+      FlightRecorderConfig{.slow_slots = 2, .error_slots = 8});
   recorder.record(make_record(1, 1, 900));
   recorder.record(make_record(2, 2, 800));
   // A FAST error still lands in the ring even though the slow bank is
@@ -81,9 +79,8 @@ TEST(FlightRecorder, ErrorsAlwaysRetainRegardlessOfDuration) {
 }
 
 TEST(FlightRecorder, ErrorRingOverwritesOldestBeyondCapacity) {
-  FlightRecorder recorder(FlightRecorderConfig{.slow_slots = 2,
-                                               .error_slots = 3,
-                                               .window_us = 1'000'000});
+  FlightRecorder recorder(
+      FlightRecorderConfig{.slow_slots = 2, .error_slots = 3});
   for (std::uint64_t i = 1; i <= 7; ++i)
     recorder.record(make_record(i, i, i, /*error=*/true));
   std::vector<std::uint64_t> ids;
@@ -93,18 +90,19 @@ TEST(FlightRecorder, ErrorRingOverwritesOldestBeyondCapacity) {
 }
 
 TEST(FlightRecorder, WindowRotationKeepsThePreviousBankReadable) {
-  FlightRecorder recorder(FlightRecorderConfig{.slow_slots = 2,
-                                               .error_slots = 2,
-                                               .window_us = 100});
+  FlightRecorder recorder(
+      FlightRecorderConfig{.slow_slots = 2, .error_slots = 2});
+  constexpr std::uint64_t kWindow = kFlightWindowUs;
   // Window 0: two slow requests.
-  recorder.record(make_record(1, 10, 1000));
-  recorder.record(make_record(2, 20, 2000));
-  // Window 1 (start >= 100): the bank rotates; window 0's records remain.
-  recorder.record(make_record(3, 150, 30));
+  recorder.record(make_record(1, kWindow / 10, 1000));
+  recorder.record(make_record(2, kWindow / 5, 2000));
+  // Window 1 (start >= kWindow): the bank rotates; window 0's records
+  // remain.
+  recorder.record(make_record(3, kWindow + kWindow / 2, 30));
   EXPECT_EQ(sorted_durations(recorder),
             (std::vector<std::uint64_t>{30, 1000, 2000}));
   // Window 2 reclaims the bank window 0 used; its records age out.
-  recorder.record(make_record(4, 250, 40));
+  recorder.record(make_record(4, 2 * kWindow + kWindow / 2, 40));
   EXPECT_EQ(sorted_durations(recorder),
             (std::vector<std::uint64_t>{30, 40}));
 }
@@ -131,9 +129,8 @@ TEST(FlightRecorder, SnapshotCopiesSpanPayloads) {
 // snapshotting mid-flight. The assertions are liveness + accounting; the
 // real check is the absence of data-race reports.
 TEST(FlightRecorder, ConcurrentWritersAndSnapshotsAreRaceFree) {
-  FlightRecorder recorder(FlightRecorderConfig{.slow_slots = 4,
-                                               .error_slots = 8,
-                                               .window_us = 1000});
+  FlightRecorder recorder(
+      FlightRecorderConfig{.slow_slots = 4, .error_slots = 8});
   constexpr int kWriters = 4;
   constexpr int kPerWriter = 2000;
   std::atomic<bool> stop{false};
@@ -149,8 +146,9 @@ TEST(FlightRecorder, ConcurrentWritersAndSnapshotsAreRaceFree) {
     writers.emplace_back([&recorder, w] {
       for (int i = 0; i < kPerWriter; ++i) {
         const auto id = static_cast<std::uint64_t>(w * kPerWriter + i + 1);
-        recorder.record(make_record(id, /*start_us=*/id,
-                                    /*duration_us=*/1 + id % 97,
+        // Starts span eight windows, so the banks rotate mid-race.
+        const std::uint64_t start_us = id * (kFlightWindowUs / 1000);
+        recorder.record(make_record(id, start_us, /*duration_us=*/1 + id % 97,
                                     /*error=*/i % 5 == 0));
       }
     });

@@ -18,67 +18,62 @@ namespace mev::serve {
 namespace {
 
 constexpr std::uint64_t kSecond = 1'000'000;
-
-DriftConfig small_config() {
-  DriftConfig config;
-  config.window = {/*bucket_us=*/kSecond, /*buckets=*/4};
-  config.reference_min_count = 10;
-  return config;
-}
+/// Scores that freeze the reference.
+constexpr int kFreeze = static_cast<int>(kDriftReferenceMinCount);
 
 TEST(ScoreDriftTest, PsiIsZeroWhileTheReferenceCaptures) {
-  ScoreDrift drift(small_config());
-  for (int i = 0; i < 9; ++i) drift.record(100, 0.1);
+  ScoreDrift drift;
+  for (int i = 0; i < kFreeze - 1; ++i) drift.record(100, 0.1);
   EXPECT_FALSE(drift.reference_frozen());
-  EXPECT_EQ(drift.reference_count(), 9u);
+  EXPECT_EQ(drift.reference_count(), kDriftReferenceMinCount - 1);
   // No baseline yet: even a wildly different current window reads 0.
   EXPECT_EQ(drift.psi(200), 0.0);
 }
 
 TEST(ScoreDriftTest, ReferenceFreezesAtMinCount) {
-  ScoreDrift drift(small_config());
-  for (int i = 0; i < 10; ++i) drift.record(100, 0.1);
+  ScoreDrift drift;
+  for (int i = 0; i < kFreeze; ++i) drift.record(100, 0.1);
   EXPECT_TRUE(drift.reference_frozen());
-  EXPECT_EQ(drift.reference_count(), 10u);
+  EXPECT_EQ(drift.reference_count(), kDriftReferenceMinCount);
   // Later records feed only the current window.
   drift.record(200, 0.9);
-  EXPECT_EQ(drift.reference_count(), 10u);
+  EXPECT_EQ(drift.reference_count(), kDriftReferenceMinCount);
   const obs::ScoreBins reference = drift.reference();
-  EXPECT_EQ(reference[obs::score_bin(0.1)], 10u);
+  EXPECT_EQ(reference[obs::score_bin(0.1)], kDriftReferenceMinCount);
   EXPECT_EQ(reference[obs::score_bin(0.9)], 0u);
 }
 
 TEST(ScoreDriftTest, StableTrafficStaysBelowTheMinorThreshold) {
-  ScoreDrift drift(small_config());
-  for (int i = 0; i < 10; ++i) drift.record(100, 0.1);
+  ScoreDrift drift;
+  for (int i = 0; i < kFreeze; ++i) drift.record(100, 0.1);
   // Same mix keeps flowing: PSI stays in the "stable" band (< 0.1).
-  for (int i = 0; i < 50; ++i) drift.record(2 * kSecond, 0.1);
-  EXPECT_LT(drift.psi(2 * kSecond + 1), 0.1);
+  for (int i = 0; i < 50; ++i) drift.record(20 * kSecond, 0.1);
+  EXPECT_LT(drift.psi(20 * kSecond + 1), 0.1);
 }
 
 TEST(ScoreDriftTest, ShiftedTrafficCrossesTheMajorThreshold) {
-  ScoreDrift drift(small_config());
-  for (int i = 0; i < 10; ++i) drift.record(100, 0.1);
+  ScoreDrift drift;
+  for (int i = 0; i < kFreeze; ++i) drift.record(100, 0.1);
   // The probe mix flips to high-confidence scores; once the capture-era
-  // records slide out of the 4 s current window, only the shifted
+  // records slide out of the 60 s current window, only the shifted
   // population remains.
-  for (int i = 0; i < 50; ++i) drift.record(10 * kSecond, 0.95);
-  EXPECT_GT(drift.psi(10 * kSecond + 1), 0.25);
+  for (int i = 0; i < 50; ++i) drift.record(100 * kSecond, 0.95);
+  EXPECT_GT(drift.psi(100 * kSecond + 1), 0.25);
 }
 
 TEST(ScoreDriftTest, ResetReferenceRecapturesFromFreshTraffic) {
-  ScoreDrift drift(small_config());
-  for (int i = 0; i < 10; ++i) drift.record(100, 0.1);
+  ScoreDrift drift;
+  for (int i = 0; i < kFreeze; ++i) drift.record(100, 0.1);
   ASSERT_TRUE(drift.reference_frozen());
   drift.reset_reference();
   EXPECT_FALSE(drift.reference_frozen());
   EXPECT_EQ(drift.reference_count(), 0u);
   EXPECT_EQ(drift.psi(200), 0.0);
   // The new baseline is the post-reset mix; matching traffic is no drift.
-  for (int i = 0; i < 10; ++i) drift.record(20 * kSecond, 0.9);
+  for (int i = 0; i < kFreeze; ++i) drift.record(200 * kSecond, 0.9);
   EXPECT_TRUE(drift.reference_frozen());
-  for (int i = 0; i < 20; ++i) drift.record(21 * kSecond, 0.9);
-  EXPECT_LT(drift.psi(21 * kSecond + 1), 0.1);
+  for (int i = 0; i < 20; ++i) drift.record(210 * kSecond, 0.9);
+  EXPECT_LT(drift.psi(210 * kSecond + 1), 0.1);
 }
 
 // ---------------------------------------------------------------------------
@@ -113,13 +108,12 @@ TEST(ServiceDriftTest, StatsCarryDriftAndSloFields) {
   ServiceConfig cfg;
   cfg.workers = 0;
   cfg.clock = &clock;
-  cfg.drift.reference_min_count = 8;
   ScoringService service(make_pipeline(7), make_network(11), cfg);
 
-  // The first request freezes the 8-score reference; replaying the exact
-  // same rows makes the current window a 2x copy of the reference, so the
+  // The first request freezes the reference; replaying the exact same
+  // rows makes the current window a 2x copy of the reference, so the
   // proportions match and PSI is pinned at 0.
-  const math::Matrix rows = random_counts(8, 42);
+  const math::Matrix rows = random_counts(kDriftReferenceMinCount, 42);
   for (int i = 0; i < 2; ++i) {
     ScoreFuture future = service.submit(rows);
     while (service.pump() > 0) {
@@ -142,10 +136,10 @@ TEST(ServiceDriftTest, SwapModelResetsTheReference) {
   ServiceConfig cfg;
   cfg.workers = 0;
   cfg.clock = &clock;
-  cfg.drift.reference_min_count = 4;
   ScoringService service(make_pipeline(7), make_network(11), cfg);
 
-  ScoreFuture future = service.submit(random_counts(8, 42));
+  ScoreFuture future =
+      service.submit(random_counts(kDriftReferenceMinCount, 42));
   while (service.pump() > 0) {
   }
   ASSERT_TRUE(future.get().ok());
@@ -156,7 +150,8 @@ TEST(ServiceDriftTest, SwapModelResetsTheReference) {
   EXPECT_FALSE(service.drift().reference_frozen());
   EXPECT_EQ(service.drift().reference_count(), 0u);
 
-  ScoreFuture after = service.submit(random_counts(8, 43));
+  ScoreFuture after =
+      service.submit(random_counts(kDriftReferenceMinCount, 43));
   while (service.pump() > 0) {
   }
   ASSERT_TRUE(after.get().ok());

@@ -47,8 +47,6 @@ OverloadConfig enabled_config() {
   cfg.enabled = true;
   cfg.target_delay_ms = 5;
   cfg.interval_ms = 100;
-  cfg.shed_step = 0.05;
-  cfg.recover_intervals = 2;
   return cfg;
 }
 
@@ -69,7 +67,7 @@ TEST(OverloadController, SustainedDelayEntersBrownoutAndRampsShed) {
   controller.tick(100);  // closes bad interval #1
   EXPECT_EQ(controller.state(), OverloadState::kBrownout);
   const double shed1 = controller.shed_fraction();
-  EXPECT_NEAR(shed1, 0.05, 1e-6);
+  EXPECT_NEAR(shed1, kShedStep, 1e-6);
 
   controller.record_delay(50);
   controller.tick(200);  // bad interval #2: additive increase, sqrt ramp
@@ -94,7 +92,7 @@ TEST(OverloadController, ShedFractionIsDeterministicAndExact) {
   controller.tick(0);
   controller.record_delay(50);
   controller.tick(100);
-  ASSERT_NEAR(controller.shed_fraction(), 0.05, 1e-6);
+  ASSERT_NEAR(controller.shed_fraction(), kShedStep, 1e-6);
   // Fixed-point accumulator: exactly 5% of any 1000 consecutive calls.
   int shed = 0;
   for (int i = 0; i < 1000; ++i) shed += controller.should_shed() ? 1 : 0;
@@ -102,16 +100,14 @@ TEST(OverloadController, ShedFractionIsDeterministicAndExact) {
 }
 
 TEST(OverloadController, ShedIsCappedAtMaxShed) {
-  OverloadConfig cfg = enabled_config();
-  cfg.max_shed = 0.90;
-  OverloadController controller{cfg};
+  OverloadController controller{enabled_config()};
   controller.tick(0);
   for (int i = 1; i <= 200; ++i) {
     controller.record_delay(1000);
     controller.tick(static_cast<std::uint64_t>(i) * 100);
   }
-  EXPECT_LE(controller.shed_fraction(), 0.90 + 1e-9);
-  EXPECT_GT(controller.shed_fraction(), 0.80);
+  EXPECT_LE(controller.shed_fraction(), kMaxShed + 1e-9);
+  EXPECT_GT(controller.shed_fraction(), kMaxShed - 0.1);
 }
 
 TEST(OverloadController, HystereticRecoveryHealthyOnlyAfterGoodRun) {
@@ -262,7 +258,6 @@ TEST(ServiceOverload, ThreadedShutdownDuringBrownoutIsClean) {
   cfg.overload.enabled = true;
   cfg.overload.target_delay_ms = 3;
   cfg.overload.interval_ms = 25;
-  cfg.overload.shed_step = 0.2;
   auto service = f.make_service(cfg);
   ModelFaultProfile slow_model;
   slow_model.name = "slow";
