@@ -5,18 +5,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "attack/jsma.hpp"
 #include "math/rng.hpp"
 #include "nn/network.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/trainer.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation counting hook: replaces global operator new/delete for this
@@ -378,6 +387,186 @@ TEST(JsmaSessionParity, OutcomesMatchSeedBuildOn491FeatureDetector) {
     EXPECT_EQ(res.features_changed[i], want_changed[i]) << "sample " << i;
   }
   EXPECT_NEAR(res.mean_l2(), 0.298181068336209, 1e-12);
+}
+
+/// FNV-1a over the bytes of `n` values, as hex: pins a float or double
+/// buffer bit for bit in one short literal.
+template <typename T>
+std::string hash_hex(const T* data, std::size_t n) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n * sizeof(T); ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ull;
+  }
+  char out[17];
+  std::snprintf(out, sizeof(out), "%016llx",
+                static_cast<unsigned long long>(h));
+  return out;
+}
+
+/// One crafting outcome in comparable form: evaded as a '0'/'1' string,
+/// features_changed comma-joined, adversarial and l2 as byte hashes.
+struct CraftPin {
+  std::string evaded;
+  std::string features_changed;
+  std::string adversarial_hash;
+  std::string l2_hash;
+};
+
+CraftPin pin_of(const attack::AttackResult& r) {
+  CraftPin pin;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    pin.evaded += r.evaded[i] ? '1' : '0';
+    if (i > 0) pin.features_changed += ',';
+    pin.features_changed += std::to_string(r.features_changed[i]);
+  }
+  pin.adversarial_hash =
+      hash_hex(r.adversarial.data(), r.adversarial.size());
+  pin.l2_hash = hash_hex(r.l2_perturbation.data(), r.l2_perturbation.size());
+  return pin;
+}
+
+/// Crafts under OpenMP teams of 1 and 3 (one and three shards) and
+/// compares each outcome with `want`, captured from the craft loop that ran
+/// a predict before and after its budget loop.
+void expect_pinned(const Network& net, const math::Matrix& x,
+                   const attack::JsmaConfig& config, const CraftPin& want) {
+#ifdef _OPENMP
+  const int saved_team = omp_get_max_threads();
+  for (const int team : {1, 3}) {
+    omp_set_num_threads(team);
+#else
+  for (const int team : {1}) {
+#endif
+    const CraftPin got = pin_of(attack::Jsma(config).craft(net, x));
+    EXPECT_EQ(got.evaded, want.evaded) << "team " << team;
+    EXPECT_EQ(got.features_changed, want.features_changed) << "team " << team;
+    EXPECT_EQ(got.adversarial_hash, want.adversarial_hash) << "team " << team;
+    EXPECT_EQ(got.l2_hash, want.l2_hash) << "team " << team;
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved_team);
+#endif
+}
+
+/// A 40-feature detector trained on synthetic rows where features 0..19
+/// run high in malware and 20..39 in clean ones, and the first 48 malware
+/// rows of its training set. Most of them evade after a few added
+/// features, so the craft loop stops rows partway through its budget.
+struct TrainedDetector {
+  Network net;
+  math::Matrix malware;
+};
+
+const TrainedDetector& trained_detector() {
+  static const TrainedDetector detector = [] {
+    constexpr std::size_t kRows = 400, kCols = 40;
+    TrainedDetector d;
+    MlpConfig cfg;
+    cfg.dims = {kCols, 16, 2};
+    cfg.seed = 13;
+    d.net = make_mlp(cfg);
+    math::Rng rng(14);
+    LabeledData data;
+    data.x = math::Matrix(kRows, kCols);
+    data.labels.resize(kRows);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      const int label = static_cast<int>(i % 2);  // 1 = malware
+      for (std::size_t j = 0; j < kCols; ++j) {
+        const bool hot = label == 1 ? j < kCols / 2 : j >= kCols / 2;
+        data.x(i, j) = static_cast<float>(
+            std::clamp(hot ? 0.5 + 0.2 * rng.normal()
+                           : 0.1 + 0.08 * rng.normal(),
+                       0.0, 1.0));
+      }
+      data.labels[i] = label;
+    }
+    TrainConfig tc;
+    tc.epochs = 20;
+    tc.batch_size = 64;
+    tc.learning_rate = 0.01f;
+    train(d.net, data, tc);
+    d.malware = math::Matrix(0, kCols);
+    for (std::size_t i = 1; d.malware.rows() < 48; i += 2)
+      d.malware.append_row(data.x.row(i));
+    return d;
+  }();
+  return detector;
+}
+
+TEST(JsmaSessionParity, TrainedDetectorEarlyStopIsPinned) {
+  // Most rows evade partway through the 14-feature budget; the rest
+  // spend all of it.
+  const TrainedDetector& d = trained_detector();
+  attack::JsmaConfig cfg;
+  cfg.theta = 0.5f;
+  cfg.gamma = 0.35f;
+  expect_pinned(d.net, d.malware, cfg,
+                {"001111110111111111110010011101111100101111110111",
+                 "14,14,12,13,14,14,11,11,14,14,11,12,10,14,14,12,12,13,"
+                 "11,10,14,14,13,14,14,14,12,11,14,12,12,12,9,11,14,14,14,"
+                 "14,12,11,14,12,12,12,14,13,12,14",
+                 "0111b66a7173e4e3", "73d6848eeb3ade88"});
+}
+
+TEST(JsmaSessionParity, TrainedDetectorFullBudgetIsPinned) {
+  const TrainedDetector& d = trained_detector();
+  attack::JsmaConfig cfg;
+  cfg.theta = 0.5f;
+  cfg.gamma = 0.3f;
+  cfg.early_stop = false;
+  expect_pinned(d.net, d.malware, cfg,
+                {"001000110011100110110000001101111100001101110010",
+                 "12,12,12,12,12,12,12,12,12,12,12,12,12,12,12,12,12,12,"
+                 "12,12,12,12,12,12,12,12,12,12,12,12,12,12,12,12,12,12,"
+                 "12,12,12,12,12,12,12,12,12,12,12,12",
+                 "ddec7e6d480dc6fe", "779c6d6310b56c2a"});
+}
+
+TEST(JsmaSessionParity, TrainedDetectorExhaustedSaliencyIsPinned) {
+  // A 30-feature budget at theta 0.25: every row runs out of admissible
+  // features before its budget.
+  const TrainedDetector& d = trained_detector();
+  attack::JsmaConfig cfg;
+  cfg.theta = 0.25f;
+  cfg.gamma = 0.75f;
+  cfg.early_stop = false;
+  expect_pinned(d.net, d.malware, cfg,
+                {"000000000000000000000000000000000000000000000000",
+                 "19,19,19,19,19,19,19,19,19,19,19,19,19,19,19,19,19,19,"
+                 "19,19,19,19,19,19,19,19,19,19,19,19,19,19,19,19,19,19,"
+                 "19,19,19,19,19,19,19,19,19,19,19,19",
+                 "ffc6718792f08798", "3ab74561a31629a6"});
+}
+
+TEST(JsmaSessionParity, TrainedDetectorAllowRepeatIsPinned) {
+  const TrainedDetector& d = trained_detector();
+  attack::JsmaConfig cfg;
+  cfg.theta = 0.25f;
+  cfg.gamma = 0.75f;
+  cfg.allow_repeat = true;
+  expect_pinned(d.net, d.malware, cfg,
+                {"111111111111111111111111011111111111111111111111",
+                 "7,7,6,7,7,8,5,5,7,7,5,6,6,7,7,6,6,7,6,5,8,7,6,8,8,7,6,6,"
+                 "8,5,6,6,5,5,7,7,7,7,7,5,7,6,7,6,7,6,6,8",
+                 "f84f458a78cdf8f0", "7affaa42c25e1093"});
+}
+
+TEST(JsmaSessionParity, ThreeClassNetworkIsPinned) {
+  // More than two classes takes the per-class Jacobian saliency map.
+  MlpConfig net_cfg;
+  net_cfg.dims = {40, 16, 3};
+  net_cfg.seed = 21;
+  const Network net = make_mlp(net_cfg);
+  attack::JsmaConfig cfg;
+  cfg.theta = 0.6f;
+  cfg.gamma = 0.2f;
+  cfg.target_class = 1;
+  expect_pinned(net, random_input(24, 40, 22), cfg,
+                {"110111111111111111011111",
+                 "4,0,8,0,1,1,2,4,5,0,5,3,4,1,6,0,2,6,8,1,2,4,0,0",
+                 "0dda1f8091ad2bf3", "d4fc4fa2855f74d0"});
 }
 
 }  // namespace
