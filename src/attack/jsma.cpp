@@ -1,6 +1,7 @@
 #include "attack/jsma.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <exception>
@@ -20,6 +21,15 @@ namespace mev::attack {
 
 namespace {
 
+/// `v` if `keep`, else +0, through an integer mask. GCC compiles a select
+/// with a 0 arm (`keep ? v : 0.0f`, `std::max(0.0f, v)` before a square)
+/// into a compare-and-branch, and the branch on a gradient's sign or a
+/// feature's state mispredicts about every other element.
+inline float zero_unless(bool keep, float v) {
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(v) &
+                              (0u - static_cast<std::uint32_t>(keep)));
+}
+
 /// Destination-passing saliency kernel so the craft loop can reuse one
 /// buffer across budget iterations.
 void saliency_map_into(std::span<const math::Matrix> grads, int target_class,
@@ -38,125 +48,133 @@ void saliency_map_into(std::span<const math::Matrix> grads, int target_class,
         if (c != t) other += grads[c](i, j);
       // Admissible iff increasing X_j raises the target class and lowers
       // the others.
-      saliency(i, j) =
-          (target_grad < 0.0f || other > 0.0f) ? 0.0f
-                                               : target_grad * std::abs(other);
+      const bool admissible = !((target_grad < 0.0f) | (other > 0.0f));
+      saliency(i, j) = zero_unless(admissible, target_grad * std::abs(other));
     }
   }
 }
 
-/// Runs the full budget loop for rows [begin, end). All writes land in
-/// row-disjoint slices of the shared output buffers, so shards can run
-/// concurrently without synchronization (`evaded` is uint8_t, not
-/// vector<bool>, precisely so adjacent shards never share a word).
+/// The binary saliency of Eq. 1, g^2 where g > 0 and +0 elsewhere (NaN
+/// included), for a 2-class softmax: the off-target probability gradient
+/// is the exact negation of the target's (P0 + P1 = 1), so one backward
+/// pass suffices.
+void binary_saliency_into(const math::Matrix& grad, math::Matrix& saliency) {
+  saliency.resize(grad.rows(), grad.cols());
+  const float* g = grad.data();
+  float* out = saliency.data();
+  for (std::size_t k = 0; k < grad.size(); ++k)
+    out[k] = zero_unless(g[k] > 0.0f, g[k] * g[k]);
+}
+
+/// The feature to raise next: the first j with the largest positive
+/// saliency among the open features, or `saliency.size()` when there is
+/// none. That is the j a strict `>` scan in j order keeps. The scan runs
+/// as kLanes interleaved scans (lane l sees j = l mod kLanes), so that no
+/// compare waits on the one before it; each lane keeps its own first
+/// maximum, and of the lanes that reach the overall maximum the lowest j
+/// wins. No branch depends on the data.
+std::size_t pick_feature(std::span<const float> saliency,
+                         const std::uint8_t* open) {
+  constexpr std::size_t kLanes = 4;
+  const std::size_t m = saliency.size();
+  float best[kLanes] = {};
+  std::size_t best_j[kLanes];
+  std::fill_n(best_j, kLanes, m);
+  const auto scan = [&](std::size_t lane, std::size_t j) {
+    const float s = zero_unless(open[j] != 0, saliency[j]);
+    const bool better = s > best[lane];
+    best[lane] = better ? s : best[lane];
+    best_j[lane] = better ? j : best_j[lane];
+  };
+  std::size_t j = 0;
+  for (; j + kLanes <= m; j += kLanes)
+    for (std::size_t lane = 0; lane < kLanes; ++lane) scan(lane, j + lane);
+  for (; j < m; ++j) scan(0, j);  // past every j lane 0 has seen
+  float top = 0.0f;
+  std::size_t top_j = m;
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    if (best[lane] > top || (best[lane] == top && best_j[lane] < top_j)) {
+      top = best[lane];
+      top_j = best_j[lane];
+    }
+  }
+  return top_j;
+}
+
+/// Runs the attack on rows [begin, end), one forward per perturbation.
+/// Each pass forwards the rows still attacking and records each row's
+/// verdict from its logits; a row stops when it evades (early_stop), when
+/// it has spent the budget, or when no feature is admissible, so its last
+/// forward saw its final values and that verdict is final. The session's
+/// tape is then compacted to the rows that go on, and only they are
+/// differentiated and perturbed. All writes land in row-disjoint slices of
+/// the shared output buffers, so shards can run concurrently without
+/// synchronization (`evaded` is uint8_t, not vector<bool>, precisely so
+/// adjacent shards never share a word).
 void craft_rows(const JsmaConfig& config, std::size_t budget,
                 nn::InferenceSession& session, const math::Matrix& x,
                 std::size_t begin, std::size_t end, math::Matrix& adversarial,
                 std::uint8_t* evaded, std::size_t* features_changed,
                 double* l2) {
   const std::size_t m = x.cols();
-  const std::size_t count = end - begin;
-
-  // Per-sample bookkeeping, indexed locally (0..count).
-  std::vector<std::vector<bool>> perturbed(count, std::vector<bool>(m, false));
-  std::vector<bool> active(count, true);
-  std::vector<std::size_t> rows;  // absolute row indices, reused
-  math::Matrix batch;             // gathered active rows, reused
-  math::Matrix saliency;          // reused across iterations
-
-  if (config.early_stop) {
-    rows.resize(count);
-    std::iota(rows.begin(), rows.end(), begin);
-    math::gather_rows_into(adversarial, rows, batch);
-    const auto preds = session.predict(batch);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (preds[i] == config.target_class) {
-        evaded[begin + i] = 1;
-        active[i] = false;
-      }
-    }
-  }
-
   const bool binary = session.network().output_dim() == 2;
 
-  for (std::size_t iter = 0; iter < budget; ++iter) {
-    // Gather the still-active rows into one batch for a single
-    // forward/backward sweep.
-    rows.clear();
-    for (std::size_t i = 0; i < count; ++i)
-      if (active[i]) rows.push_back(begin + i);
-    if (rows.empty()) break;
+  // Per feature j of local row i, at [i * m + j]: whether it was raised,
+  // and whether it may still be. A feature closes once it reaches 1
+  // (add-only) and, unless repeats are allowed, once it has been raised.
+  std::vector<std::uint8_t> perturbed((end - begin) * m, 0);
+  std::vector<std::uint8_t> open((end - begin) * m);
+  for (std::size_t i = 0; i < end - begin; ++i)
+    for (std::size_t j = 0; j < m; ++j)
+      open[i * m + j] = !(x(begin + i, j) >= 1.0f);
+  std::vector<std::size_t> rows(end - begin);  // absolute, still attacking
+  std::iota(rows.begin(), rows.end(), begin);
+  std::vector<std::size_t> keep;  // batch positions that go on, reused
+  math::Matrix batch;             // gathered rows, reused
+  math::Matrix saliency;          // reused across iterations
 
+  for (std::size_t iter = 0; !rows.empty(); ++iter) {
     math::gather_rows_into(adversarial, rows, batch);
-    if (binary) {
-      // Binary classifier: the off-target probability gradient is the
-      // exact negation of the target's (P0 + P1 = 1), so one backward
-      // pass suffices and the saliency reduces to max(g, 0)^2.
-      const math::Matrix& g =
-          session.input_gradient(batch, config.target_class);
-      saliency.resize(g.rows(), g.cols());
-      for (std::size_t k = 0; k < g.size(); ++k) {
-        const float v = g.data()[k];
-        saliency.data()[k] = v > 0.0f ? v * v : 0.0f;
-      }
-    } else {
-      const auto grads = session.input_gradients_all(batch);
-      saliency_map_into(grads, config.target_class, saliency);
-    }
-
-    // Early-stop: the gradient sweep above ran a forward pass on the
-    // current (post-previous-perturbation) values, so its logits double
-    // as the evasion check that used to cost a separate predict per
-    // iteration. Iteration 0 was already checked before the loop.
-    if (config.early_stop && iter > 0) {
-      const math::Matrix& logits = session.logits();
-      for (std::size_t bi = 0; bi < rows.size(); ++bi) {
-        if (static_cast<int>(math::argmax(logits.row(bi))) ==
-            config.target_class)
-          active[rows[bi] - begin] = false;
+    const math::Matrix& logits = session.forward(batch);
+    keep.clear();
+    for (std::size_t bi = 0; bi < rows.size(); ++bi) {
+      const bool clean = static_cast<int>(math::argmax(logits.row(bi))) ==
+                         config.target_class;
+      evaded[rows[bi]] = clean ? 1 : 0;
+      if (iter < budget && !(clean && config.early_stop)) {
+        rows[keep.size()] = rows[bi];
+        keep.push_back(bi);
       }
     }
+    rows.resize(keep.size());
+    if (rows.empty()) break;
+    session.retain_rows(keep);
 
+    if (binary)
+      binary_saliency_into(session.input_gradient(config.target_class),
+                           saliency);
+    else
+      saliency_map_into(session.input_gradients_all(), config.target_class,
+                        saliency);
+
+    std::size_t next = 0;
     for (std::size_t bi = 0; bi < rows.size(); ++bi) {
       const std::size_t row = rows[bi];
-      const std::size_t i = row - begin;
-      if (!active[i]) continue;  // evaded on this iteration's forward
-      // Pick the admissible feature with the maximum saliency. Add-only:
-      // a feature already at 1 cannot be increased further.
-      float best = 0.0f;
-      std::size_t best_j = m;  // sentinel: none admissible
-      for (std::size_t j = 0; j < m; ++j) {
-        if (!config.allow_repeat && perturbed[i][j]) continue;
-        if (adversarial(row, j) >= 1.0f) continue;
-        const float s = saliency(bi, j);
-        if (s > best) {
-          best = s;
-          best_j = j;
-        }
-      }
-      if (best_j == m) {
-        active[i] = false;  // saliency map exhausted
-        continue;
-      }
-      float& value = adversarial(row, best_j);
+      const std::size_t at = (row - begin) * m;
+      const std::size_t j = pick_feature(saliency.row(bi), open.data() + at);
+      if (j == m) continue;  // saliency map exhausted: the row stops
+      float& value = adversarial(row, j);
       value = std::min(1.0f, value + config.theta);
-      if (!perturbed[i][best_j]) {
-        perturbed[i][best_j] = true;
-        ++features_changed[row];
-      }
+      features_changed[row] += perturbed[at + j] == 0 ? 1 : 0;
+      perturbed[at + j] = 1;
+      if (value >= 1.0f || !config.allow_repeat) open[at + j] = 0;
+      rows[next++] = row;
     }
+    rows.resize(next);
   }
 
-  // Final verdicts and perturbation sizes for the whole shard.
-  rows.resize(count);
-  std::iota(rows.begin(), rows.end(), begin);
-  math::gather_rows_into(adversarial, rows, batch);
-  const auto preds = session.predict(batch);
-  for (std::size_t i = 0; i < count; ++i) {
-    evaded[begin + i] = preds[i] == config.target_class ? 1 : 0;
-    l2[begin + i] =
-        math::l2_distance(x.row(begin + i), adversarial.row(begin + i));
-  }
+  for (std::size_t i = begin; i < end; ++i)
+    l2[i] = math::l2_distance(x.row(i), adversarial.row(i));
 }
 
 }  // namespace
@@ -189,7 +207,8 @@ AttackResult Jsma::craft(const nn::Network& model,
   result.evaded.assign(n, false);
   result.features_changed.assign(n, 0);
   result.l2_perturbation.assign(n, 0.0);
-  const std::size_t budget = feature_budget(m);
+  // A zero-strength attack perturbs nothing: one forward, the verdicts.
+  const std::size_t budget = config_.theta == 0.0f ? 0 : feature_budget(m);
   // Ambient sinks are resolved HERE, on the calling thread: thread-local
   // Scope overrides do not propagate into the OpenMP shards below, so the
   // tracer pointer is captured and handed to each shard explicitly.
@@ -198,16 +217,7 @@ AttackResult Jsma::craft(const nn::Network& model,
   obs::Span craft_span = obs::span(tracer, "mev.attack.jsma.craft");
   craft_span.arg("samples", static_cast<double>(n));
   craft_span.arg("budget", static_cast<double>(budget));
-  if (n == 0 || budget == 0 || config_.theta == 0.0f) {
-    // Zero-strength attack: evaded iff already misclassified.
-    if (n > 0) {
-      nn::InferenceSession session(model, n);
-      const auto preds = session.predict(x);
-      for (std::size_t i = 0; i < n; ++i)
-        result.evaded[i] = preds[i] == config_.target_class;
-    }
-    return result;
-  }
+  if (n == 0) return result;
 
   // Contiguous sample shards, one session per shard, one shared read-only
   // network. Results are shard-count-invariant (all math is row-wise).

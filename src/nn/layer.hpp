@@ -40,7 +40,8 @@ struct LayerWorkspace {
   math::Matrix weights_t;
   /// Parameter-gradient accumulators, one per parameter tensor in the
   /// order of DenseLayer::param_values(). Sized by
-  /// DenseLayer::init_workspace.
+  /// DenseLayer::init_workspace when a session binds its parameters for
+  /// training; empty in a session that never trains.
   std::vector<math::Matrix> param_grads;
 };
 

@@ -1,5 +1,6 @@
 #include "nn/session.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "math/linalg.hpp"
@@ -7,14 +8,27 @@
 
 namespace mev::nn {
 
+namespace {
+
+/// Moves rows keep[k] of `m` to row k and drops the rest. `keep` is
+/// strictly ascending, so keep[k] >= k and each copy reads a row no
+/// earlier copy has written.
+void keep_rows(math::Matrix& m, std::span<const std::size_t> keep) {
+  const std::size_t cols = m.cols();
+  float* data = m.data();
+  for (std::size_t k = 0; k < keep.size(); ++k)
+    if (keep[k] != k)
+      std::copy_n(data + keep[k] * cols, cols, data + k * cols);
+  m.resize(keep.size(), cols);
+}
+
+}  // namespace
+
 InferenceSession::InferenceSession(const Network& net, std::size_t max_batch)
     : net_(&net) {
   if (net.num_layers() == 0)
     throw std::invalid_argument("InferenceSession: empty network");
   ws_.resize(net.num_layers());
-  for (std::size_t i = 0; i < ws_.size(); ++i)
-    net.layer(i).init_workspace(ws_[i]);
-  class_grads_.resize(net.output_dim());
   if (max_batch > 0) {
     input_.reserve(max_batch, net.input_dim());
     probs_.reserve(max_batch, net.output_dim());
@@ -26,7 +40,6 @@ InferenceSession::InferenceSession(const Network& net, std::size_t max_batch)
       ws_[i].output.reserve(max_batch, layer.output_dim());
       ws_[i].grad_input.reserve(max_batch, layer.input_dim());
     }
-    for (auto& g : class_grads_) g.reserve(max_batch, net.input_dim());
   }
 }
 
@@ -48,13 +61,17 @@ const math::Matrix& InferenceSession::logits() const {
   return ws_.back().output;
 }
 
-const math::Matrix& InferenceSession::predict_proba(const math::Matrix& x,
-                                                    float temperature) {
-  const math::Matrix& z = forward(x);
-  probs_ = z;
+const math::Matrix& InferenceSession::softmax_of_logits(float temperature) {
+  probs_ = logits();
   for (std::size_t i = 0; i < probs_.rows(); ++i)
     math::softmax_inplace(probs_.row(i), temperature);
   return probs_;
+}
+
+const math::Matrix& InferenceSession::predict_proba(const math::Matrix& x,
+                                                    float temperature) {
+  forward(x);
+  return softmax_of_logits(temperature);
 }
 
 std::span<const int> InferenceSession::predict(const math::Matrix& x) {
@@ -63,6 +80,19 @@ std::span<const int> InferenceSession::predict(const math::Matrix& x) {
   for (std::size_t i = 0; i < z.rows(); ++i)
     labels_[i] = static_cast<int>(math::argmax(z.row(i)));
   return labels_;
+}
+
+void InferenceSession::retain_rows(std::span<const std::size_t> keep) {
+  for (std::size_t k = 0; k < keep.size(); ++k)
+    if (keep[k] >= input_.rows() || (k > 0 && keep[k] <= keep[k - 1]))
+      throw std::invalid_argument(
+          "InferenceSession::retain_rows: rows must be ascending and in "
+          "range");
+  keep_rows(input_, keep);
+  for (auto& ws : ws_) {
+    keep_rows(ws.pre_activation, keep);
+    keep_rows(ws.output, keep);
+  }
 }
 
 void InferenceSession::run_backward(Grads at_layer0) {
@@ -77,6 +107,11 @@ void InferenceSession::run_backward(Grads at_layer0) {
   }
 }
 
+void InferenceSession::require_tape() const {
+  if (ws_.back().output.cols() != net_->output_dim())
+    throw std::logic_error("InferenceSession: no forward to differentiate");
+}
+
 void InferenceSession::seed_backward(const math::Matrix& grad_logits) {
   if (!grad_logits.same_shape(ws_.back().output))
     throw std::invalid_argument("InferenceSession::backward: shape mismatch");
@@ -85,6 +120,10 @@ void InferenceSession::seed_backward(const math::Matrix& grad_logits) {
 
 void InferenceSession::backward_params(const math::Matrix& grad_logits) {
   seed_backward(grad_logits);
+  if (!params_bound_)
+    throw std::logic_error(
+        "InferenceSession::backward_params: no accumulators before "
+        "bind_params");
   run_backward(Grads::kParams);
 }
 
@@ -107,21 +146,28 @@ void InferenceSession::softmax_jacobian_row(std::size_t target_class) {
   }
 }
 
-const math::Matrix& InferenceSession::input_gradient(const math::Matrix& x,
-                                                     int target_class) {
+const math::Matrix& InferenceSession::input_gradient(int target_class) {
   const std::size_t classes = net_->output_dim();
   if (target_class < 0 || static_cast<std::size_t>(target_class) >= classes)
     throw std::invalid_argument("input_gradient: class out of range");
-  predict_proba(x);
+  require_tape();
+  softmax_of_logits(1.0f);
   softmax_jacobian_row(static_cast<std::size_t>(target_class));
   run_backward(Grads::kInput);
   return ws_.front().grad_input;
 }
 
-std::span<const math::Matrix> InferenceSession::input_gradients_all(
-    const math::Matrix& x) {
+const math::Matrix& InferenceSession::input_gradient(const math::Matrix& x,
+                                                     int target_class) {
+  forward(x);
+  return input_gradient(target_class);
+}
+
+std::span<const math::Matrix> InferenceSession::input_gradients_all() {
+  require_tape();
   const std::size_t classes = net_->output_dim();
-  predict_proba(x);
+  class_grads_.resize(classes);
+  softmax_of_logits(1.0f);
   for (std::size_t c = 0; c < classes; ++c) {
     softmax_jacobian_row(c);
     run_backward(Grads::kInput);
@@ -130,16 +176,23 @@ std::span<const math::Matrix> InferenceSession::input_gradients_all(
   return class_grads_;
 }
 
+std::span<const math::Matrix> InferenceSession::input_gradients_all(
+    const math::Matrix& x) {
+  forward(x);
+  return input_gradients_all();
+}
+
 std::vector<ParamRef> InferenceSession::bind_params(Network& net) {
   if (&net != net_)
     throw std::invalid_argument(
         "InferenceSession::bind_params: different network");
+  if (!params_bound_)
+    for (std::size_t i = 0; i < ws_.size(); ++i)
+      net.layer(i).init_workspace(ws_[i]);
   params_bound_ = true;
   std::vector<ParamRef> all;
   for (std::size_t i = 0; i < ws_.size(); ++i) {
     auto values = net.mutable_layer(i).param_values();
-    if (values.size() != ws_[i].param_grads.size())
-      throw std::logic_error("bind_params: workspace out of sync");
     for (std::size_t j = 0; j < values.size(); ++j)
       all.push_back({values[j], &ws_[i].param_grads[j]});
   }

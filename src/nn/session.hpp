@@ -1,11 +1,13 @@
 // InferenceSession: a per-thread workspace/tape for evaluating one Network.
 //
 // The session owns every buffer a forward/backward sweep needs — layer
-// activations, pre-activations, the backward gradient chain, the packed
-// weight transposes backward multiplies by, and parameter-gradient
-// accumulators — sized once per (network, max_batch) and reused across
-// calls. After warm-up the steady state performs ZERO heap allocations:
-// all buffers are resized capacity-preservingly per batch.
+// activations, pre-activations, the backward gradient chain and the packed
+// weight transposes backward multiplies by — sized once per (network,
+// max_batch) and reused across calls. After warm-up the steady state
+// performs ZERO heap allocations: all buffers are resized
+// capacity-preservingly per batch. A session allocates only what it is
+// used for: the parameter-gradient accumulators exist from bind_params()
+// on, the per-class gradients from the first input_gradients_all().
 //
 // Threading model: share the Network (read-only), own a session per
 // thread. Concurrent forward/predict/input_gradient calls through
@@ -14,6 +16,19 @@
 //
 // Returned references/spans point into session-owned buffers and stay
 // valid until the next call on the same session.
+//
+// The tape. forward() records its batch, every layer's pre-activations and
+// outputs (the last layer's are the logits). Every backward and gradient
+// call differentiates that tape; none runs a forward of its own, except
+// the input_gradient(x, ...) overloads, which are forward(x) followed by
+// the tape call. retain_rows(keep) compacts the tape in place to the rows
+// `keep` names (strictly ascending batch positions): row k of every tape
+// buffer becomes what row keep[k] was, and the next gradient call returns
+// one row per kept row. Because no two rows of a GEMM share an accumulator
+// (math/gemm.cpp), a retained row's logits and gradients are bit for bit
+// what a fresh forward over the kept rows alone would give. An attack loop
+// uses this to drop the rows it has finished with between one forward and
+// its backward.
 //
 // Two backward sweeps. backward_params() is the trainer's: it accumulates
 // every parameter gradient and passes dLoss/dInput down through every
@@ -70,38 +85,53 @@ class InferenceSession {
   /// Argmax class per row; the span is valid until the next call.
   std::span<const int> predict(const math::Matrix& x);
 
+  /// Compacts the last forward's tape to the batch rows in `keep`, which
+  /// must be strictly ascending and in range (std::invalid_argument
+  /// otherwise). Allocation-free.
+  void retain_rows(std::span<const std::size_t> keep);
+
   /// The two backward sweeps from dLoss/dLogits. Each must follow a
   /// forward() on the same batch; either may run many times per forward.
   ///
   /// Training sweep: accumulates every parameter gradient into the
-  /// session's accumulators (bind_params). It stops after layer 0's
-  /// parameter gradients, so dLoss/dInput is never formed.
+  /// session's accumulators. It stops after layer 0's parameter gradients,
+  /// so dLoss/dInput is never formed. Throws std::logic_error unless
+  /// bind_params() has created the accumulators.
   void backward_params(const math::Matrix& grad_logits);
   /// Attack sweep: returns dLoss/dInput and touches no accumulator.
   const math::Matrix& backward_input(const math::Matrix& grad_logits);
 
   /// Gradient of the softmax probability of `target_class` with respect
-  /// to the input, per sample (batch x input_dim). Runs its own forward
-  /// pass; never touches parameter gradients.
+  /// to the input, per row of the tape (rows x input_dim). Never touches
+  /// parameter gradients. Throws std::logic_error before any forward.
+  const math::Matrix& input_gradient(int target_class);
+  /// forward(x), then input_gradient(target_class).
   const math::Matrix& input_gradient(const math::Matrix& x, int target_class);
 
-  /// Gradients of ALL class probabilities: result[c] is batch x
-  /// input_dim. Cheaper than calling input_gradient per class (single
-  /// forward pass).
+  /// Gradients of ALL class probabilities on the tape: result[c] is rows x
+  /// input_dim. Cheaper than calling input_gradient per class (the
+  /// softmax is formed once).
+  std::span<const math::Matrix> input_gradients_all();
+  /// forward(x), then input_gradients_all().
   std::span<const math::Matrix> input_gradients_all(const math::Matrix& x);
 
   /// Pairs `net`'s parameter tensors with this session's gradient
-  /// accumulators for an optimizer. `net` must be the bound network.
-  /// From then on every forward drops the backward weight packs, so the
-  /// next backward sees the optimizer's writes.
+  /// accumulators for an optimizer, creating them zeroed at the first
+  /// call. `net` must be the bound network. From then on every forward
+  /// drops the backward weight packs, so the next backward sees the
+  /// optimizer's writes.
   std::vector<ParamRef> bind_params(Network& net);
 
-  /// Zeroes all parameter-gradient accumulators.
+  /// Zeroes all parameter-gradient accumulators (none before bind_params).
   void zero_param_grads();
 
  private:
+  /// Softmax of the tape's logits at `temperature` into probs_.
+  const math::Matrix& softmax_of_logits(float temperature);
   /// Softmax-Jacobian row for `target_class` into grad_logits_.
   void softmax_jacobian_row(std::size_t target_class);
+  /// Throws std::logic_error unless a forward has filled the tape.
+  void require_tape() const;
   /// Validates and copies the backward seed into grad_logits_.
   void seed_backward(const math::Matrix& grad_logits);
   /// Runs the layers top-down; layer 0 gets `at_layer0` (kParams for the

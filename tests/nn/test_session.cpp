@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -318,6 +319,115 @@ TEST(InferenceSession, SmallerBatchAfterLargerStaysAllocationFree) {
   session.forward(small);
   session.forward(big);
   EXPECT_EQ(g_allocations.load() - before, 0u);
+}
+
+bool same_bytes(const math::Matrix& a, const math::Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(InferenceSession, RetainedRowsMatchAFreshForwardBitExact) {
+  // forward(x), retain_rows(keep), then a gradient call: bit for bit what a
+  // fresh session gives for forward(x[keep]), for the binary and the
+  // per-class gradients both.
+  for (const std::size_t classes : {2u, 3u}) {
+    MlpConfig cfg;
+    cfg.dims = {24, 32, 16, classes};
+    cfg.seed = 8;
+    const Network net = make_mlp(cfg);
+    const math::Matrix x = random_input(9, 24, 9);
+    const std::array<std::size_t, 4> keep = {0, 2, 3, 7};
+    const math::Matrix kept = x.gather_rows(keep);
+
+    InferenceSession fresh(net);
+    const math::Matrix want_logits = fresh.forward(kept);
+    const math::Matrix want_grad = fresh.input_gradient(kept, 1);
+    const auto want_all_span = fresh.input_gradients_all(kept);
+    const std::vector<math::Matrix> want_all(want_all_span.begin(),
+                                             want_all_span.end());
+
+    InferenceSession session(net, 9);
+    session.forward(x);
+    session.retain_rows(keep);
+    EXPECT_TRUE(same_bytes(session.logits(), want_logits)) << classes;
+    EXPECT_TRUE(same_bytes(session.input_gradient(1), want_grad)) << classes;
+    const auto all = session.input_gradients_all();
+    ASSERT_EQ(all.size(), classes);
+    for (std::size_t c = 0; c < classes; ++c)
+      EXPECT_TRUE(same_bytes(all[c], want_all[c])) << classes << " " << c;
+
+    // Retaining again compacts the compacted tape.
+    const std::array<std::size_t, 2> again = {1, 3};
+    session.retain_rows(again);
+    fresh.forward(kept.gather_rows(again));
+    EXPECT_TRUE(same_bytes(session.input_gradient(1),
+                           fresh.input_gradient(1)))
+        << classes;
+  }
+}
+
+TEST(InferenceSession, RetainRowsAllocatesNothing) {
+  MlpConfig cfg;
+  cfg.dims = {16, 32, 8, 2};
+  cfg.seed = 1;
+  const Network net = make_mlp(cfg);
+  InferenceSession session(net, 8);
+  const math::Matrix x = random_input(8, 16, 2);
+  const std::array<std::size_t, 3> keep = {1, 4, 5};
+  session.forward(x);
+  session.input_gradient(0);  // builds the W^T packs
+  const std::size_t before = g_allocations.load();
+  for (int i = 0; i < 20; ++i) {
+    session.forward(x);
+    session.retain_rows(keep);
+    session.input_gradient(0);
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+}
+
+TEST(InferenceSession, RetainRowsRejectsUnorderedOrOutOfRangeRows) {
+  Network net = reference_net();
+  InferenceSession session(net);
+  session.forward(random_input(4, 4, 1));
+  const std::array<std::size_t, 2> unordered = {2, 1};
+  const std::array<std::size_t, 2> repeated = {1, 1};
+  const std::array<std::size_t, 2> out_of_range = {0, 4};
+  EXPECT_THROW(session.retain_rows(unordered), std::invalid_argument);
+  EXPECT_THROW(session.retain_rows(repeated), std::invalid_argument);
+  EXPECT_THROW(session.retain_rows(out_of_range), std::invalid_argument);
+}
+
+TEST(InferenceSession, GradientsNeedATapeAndTrainingNeedsBinding) {
+  Network net = reference_net();
+  InferenceSession session(net);
+  EXPECT_THROW(session.input_gradient(0), std::logic_error);
+  EXPECT_THROW(session.input_gradients_all(), std::logic_error);
+  session.forward(random_input(3, 4, 2));
+  EXPECT_THROW(session.backward_params(math::Matrix(3, 2, 1.0f)),
+               std::logic_error);
+  session.bind_params(net);
+  session.zero_param_grads();
+  EXPECT_NO_THROW(session.backward_params(math::Matrix(3, 2, 1.0f)));
+}
+
+TEST(InferenceSession, ParamAccumulatorsExistFromBindParams) {
+  // Layer 0 is 64 -> 8: its weight accumulator is the one 64 x 8 float
+  // buffer. An attack session (max_batch 4, so no activation buffer has
+  // that size) never allocates it; bind_params allocates it once.
+  MlpConfig cfg;
+  cfg.dims = {64, 8, 2};
+  cfg.seed = 4;
+  Network net = make_mlp(cfg);
+  g_watched_hits.store(0);
+  g_watched_size.store(64 * 8 * sizeof(float));
+  InferenceSession session(net, 4);
+  session.forward(random_input(4, 64, 5));
+  EXPECT_EQ(g_watched_hits.load(), 0u) << "an inference session allocated "
+                                          "a parameter accumulator";
+  session.bind_params(net);
+  session.bind_params(net);  // a second call reuses the accumulators
+  g_watched_size.store(0);
+  EXPECT_EQ(g_watched_hits.load(), 1u);
 }
 
 TEST(InferenceSession, SharedNetworkConcurrentSessionsMatchSerial) {
