@@ -16,6 +16,15 @@
 // gamma  - maximum fraction of features that may be perturbed, so the
 //          feature budget is round(gamma * M) (gamma = 0.005 with M = 491
 //          is the paper's "adding 2 features").
+//
+// Cost: one forward per perturbation. Each iteration forwards the rows
+// still attacking and takes each row's verdict from those logits, so the
+// verdict a row ends with comes from the forward of its final values. The
+// rows that evaded (early_stop), spent the budget or have no admissible
+// feature stop there; only the rest get a backward (one for a binary
+// classifier, one per class otherwise). The saliency and the pick of the
+// maximum run without a branch on the data, and ties still go to the
+// lowest feature index.
 #pragma once
 
 #include <span>

@@ -1,7 +1,6 @@
 #include "obs/log.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <ostream>
@@ -13,14 +12,10 @@ namespace mev::obs {
 
 namespace {
 
-void append_field_value(std::string& out, const LogField& f, bool as_json) {
+void append_field_value(std::string& out, const LogField& f) {
   switch (f.kind) {
     case LogField::Kind::kString:
-      if (as_json) {
-        json::append_string(out, f.str);
-      } else {
-        out += f.str != nullptr ? f.str : "";
-      }
+      json::append_string(out, f.str);
       break;
     case LogField::Kind::kF64:
       json::append_number(out, f.f64);
@@ -44,7 +39,6 @@ std::uint64_t next_logger_id() {
 Logger::Logger(LoggerConfig config)
     : id_(next_logger_id()),
       min_level_(static_cast<int>(config.min_level)),
-      json_(config.json),
       sink_(config.sink != nullptr ? config.sink : &std::cerr),
       clock_(config.clock != nullptr ? config.clock
                                      : &runtime::SystemClock::instance()) {
@@ -100,40 +94,21 @@ void Logger::write_record(LogLevel level, const char* component,
                           std::size_t num_fields, std::uint64_t ts_us) {
   std::string out;
   out.reserve(96 + message.size() + num_fields * 24);
-  if (json_) {
-    out += "{\"ts_us\":";
-    out += std::to_string(ts_us);
-    out += ",\"level\":\"";
-    out += runtime::to_string(level);
-    out += "\",\"component\":";
-    json::append_string(out, component);
-    out += ",\"msg\":";
-    json::append_string(out, message);
-    for (std::size_t i = 0; i < num_fields; ++i) {
-      out += ',';
-      json::append_string(out, fields[i].key);
-      out += ':';
-      append_field_value(out, fields[i], /*as_json=*/true);
-    }
-    out += "}\n";
-  } else {
-    char ts[32];
-    std::snprintf(ts, sizeof(ts), "%.6f", static_cast<double>(ts_us) * 1e-6);
-    out += ts;
-    out += ' ';
-    out += runtime::to_string(level);
-    out += ' ';
-    out += component != nullptr ? component : "";
-    out += ' ';
-    out += message;
-    for (std::size_t i = 0; i < num_fields; ++i) {
-      out += ' ';
-      out += fields[i].key != nullptr ? fields[i].key : "";
-      out += '=';
-      append_field_value(out, fields[i], /*as_json=*/false);
-    }
-    out += '\n';
+  out += "{\"ts_us\":";
+  out += std::to_string(ts_us);
+  out += ",\"level\":\"";
+  out += runtime::to_string(level);
+  out += "\",\"component\":";
+  json::append_string(out, component);
+  out += ",\"msg\":";
+  json::append_string(out, message);
+  for (std::size_t i = 0; i < num_fields; ++i) {
+    out += ',';
+    json::append_string(out, fields[i].key);
+    out += ':';
+    append_field_value(out, fields[i]);
   }
+  out += "}\n";
 
   lines_.fetch_add(1, std::memory_order_relaxed);
   lines_counter_.inc();

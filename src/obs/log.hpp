@@ -14,8 +14,7 @@
 //  * Thread-safe: the record is formatted into a local buffer, then a
 //    single mutex-guarded write hands it to the sink — lines never
 //    interleave.
-//  * Two formats: JSON lines (machine-tailed, the default) and a human
-//    `2.417s WARN serve.service model swapped version=5` form.
+//  * One format: JSON lines, one record per line.
 //  * Timestamps come from an injectable runtime::Clock (FakeClock →
 //    deterministic test output).
 //  * Per-site token-bucket rate limiting: the MEV_LOG_* macros declare a
@@ -48,8 +47,6 @@ using runtime::LogLevel;
 struct LoggerConfig {
   /// Records below this level are discarded at the call site.
   LogLevel min_level = LogLevel::kInfo;
-  /// true = JSON lines; false = human-readable.
-  bool json = true;
   /// Destination; nullptr = std::cerr (stdout stays clean for program
   /// output — demo parity depends on it). Must outlive the logger.
   std::ostream* sink = nullptr;
@@ -128,7 +125,6 @@ class Logger {
   // an address would not do, as a later logger can share a stack slot.
   const std::uint64_t id_;
   std::atomic<int> min_level_;
-  bool json_;
   std::ostream* sink_;
   runtime::Clock* clock_;
   std::atomic<std::uint64_t> dropped_{0};

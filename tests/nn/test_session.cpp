@@ -525,16 +525,15 @@ struct CraftPin {
 };
 
 CraftPin pin_of(const attack::AttackResult& r) {
-  CraftPin pin;
+  std::string evaded, changed;
   for (std::size_t i = 0; i < r.size(); ++i) {
-    pin.evaded += r.evaded[i] ? '1' : '0';
-    if (i > 0) pin.features_changed += ',';
-    pin.features_changed += std::to_string(r.features_changed[i]);
+    evaded += r.evaded[i] ? '1' : '0';
+    if (i > 0) changed += ',';
+    changed += std::to_string(r.features_changed[i]);
   }
-  pin.adversarial_hash =
-      hash_hex(r.adversarial.data(), r.adversarial.size());
-  pin.l2_hash = hash_hex(r.l2_perturbation.data(), r.l2_perturbation.size());
-  return pin;
+  return {evaded, changed,
+          hash_hex(r.adversarial.data(), r.adversarial.size()),
+          hash_hex(r.l2_perturbation.data(), r.l2_perturbation.size())};
 }
 
 /// Crafts under OpenMP teams of 1 and 3 (one and three shards) and
@@ -572,11 +571,10 @@ struct TrainedDetector {
 const TrainedDetector& trained_detector() {
   static const TrainedDetector detector = [] {
     constexpr std::size_t kRows = 400, kCols = 40;
-    TrainedDetector d;
     MlpConfig cfg;
     cfg.dims = {kCols, 16, 2};
     cfg.seed = 13;
-    d.net = make_mlp(cfg);
+    Network net = make_mlp(cfg);
     math::Rng rng(14);
     LabeledData data;
     data.x = math::Matrix(kRows, kCols);
@@ -596,11 +594,11 @@ const TrainedDetector& trained_detector() {
     tc.epochs = 20;
     tc.batch_size = 64;
     tc.learning_rate = 0.01f;
-    train(d.net, data, tc);
-    d.malware = math::Matrix(0, kCols);
-    for (std::size_t i = 1; d.malware.rows() < 48; i += 2)
-      d.malware.append_row(data.x.row(i));
-    return d;
+    train(net, data, tc);
+    math::Matrix malware(0, kCols);
+    for (std::size_t i = 1; malware.rows() < 48; i += 2)
+      malware.append_row(data.x.row(i));
+    return TrainedDetector{std::move(net), std::move(malware)};
   }();
   return detector;
 }

@@ -190,7 +190,6 @@ TEST(AdminServer, NonFiniteNumbersAreWrittenAsNull) {
   }
   std::ostringstream sink;
   mev::obs::LoggerConfig log_config;
-  log_config.json = true;
   log_config.sink = &sink;
   log_config.clock = &f.clock;
   log_config.metrics = &f.registry;

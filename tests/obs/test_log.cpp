@@ -1,5 +1,4 @@
-// Structured logger behavior: pinned JSON and human formats under a
-// FakeClock, level gating, field escaping, per-site token-bucket rate
+// Structured logger behavior: the pinned JSON format under a FakeClock, level gating, field escaping, per-site token-bucket rate
 // limiting with observable drop counters, the runtime log-hook bridge,
 // and thread-safety of concurrent writers (exercised under TSan in CI).
 #include <sstream>
@@ -28,10 +27,9 @@ struct LogFixture {
   FakeClock clock{5};  // 5 ms -> 5000 us timestamps
   MetricsRegistry registry;
 
-  Logger make(LogLevel min_level = LogLevel::kInfo, bool json = true) {
+  Logger make(LogLevel min_level = LogLevel::kInfo) {
     LoggerConfig config;
     config.min_level = min_level;
-    config.json = json;
     config.sink = &out;
     config.clock = &clock;
     config.metrics = &registry;
@@ -53,15 +51,6 @@ TEST(Logger, JsonRecordIsPinned) {
             "\"version\":5,\"agreement\":0.5,\"delta\":-2,"
             "\"mode\":\"drain\"}\n");
   EXPECT_EQ(logger.lines(), 1u);
-}
-
-TEST(Logger, HumanFormatIsPinned) {
-  LogFixture f;
-  Logger logger = f.make(LogLevel::kInfo, /*json=*/false);
-  logger.log(LogLevel::kWarn, "runtime.breaker", "circuit opened",
-             {LogField::u64_value("trips", 3)});
-  EXPECT_EQ(f.out.str(), "0.005000 warn runtime.breaker circuit opened"
-                         " trips=3\n");
 }
 
 TEST(Logger, RecordsBelowMinLevelAreDiscarded) {
