@@ -66,39 +66,21 @@ void binary_saliency_into(const math::Matrix& grad, math::Matrix& saliency) {
     out[k] = zero_unless(g[k] > 0.0f, g[k] * g[k]);
 }
 
-/// The feature to raise next: the first j with the largest positive
-/// saliency among the open features, or `saliency.size()` when there is
-/// none. That is the j a strict `>` scan in j order keeps. The scan runs
-/// as kLanes interleaved scans (lane l sees j = l mod kLanes), so that no
-/// compare waits on the one before it; each lane keeps its own first
-/// maximum, and of the lanes that reach the overall maximum the lowest j
-/// wins. No branch depends on the data.
+/// The feature to raise next: the first j (strict `>` in j order) with the
+/// largest positive saliency among the open features, or
+/// `saliency.size()` when there is none. No branch depends on the data.
 std::size_t pick_feature(std::span<const float> saliency,
                          const std::uint8_t* open) {
-  constexpr std::size_t kLanes = 4;
   const std::size_t m = saliency.size();
-  float best[kLanes] = {};
-  std::size_t best_j[kLanes];
-  std::fill_n(best_j, kLanes, m);
-  const auto scan = [&](std::size_t lane, std::size_t j) {
+  float best = 0.0f;
+  std::size_t best_j = m;
+  for (std::size_t j = 0; j < m; ++j) {
     const float s = zero_unless(open[j] != 0, saliency[j]);
-    const bool better = s > best[lane];
-    best[lane] = better ? s : best[lane];
-    best_j[lane] = better ? j : best_j[lane];
-  };
-  std::size_t j = 0;
-  for (; j + kLanes <= m; j += kLanes)
-    for (std::size_t lane = 0; lane < kLanes; ++lane) scan(lane, j + lane);
-  for (; j < m; ++j) scan(0, j);  // past every j lane 0 has seen
-  float top = 0.0f;
-  std::size_t top_j = m;
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    if (best[lane] > top || (best[lane] == top && best_j[lane] < top_j)) {
-      top = best[lane];
-      top_j = best_j[lane];
-    }
+    const bool better = s > best;
+    best = better ? s : best;
+    best_j = better ? j : best_j;
   }
-  return top_j;
+  return best_j;
 }
 
 /// Runs the attack on rows [begin, end), one forward per perturbation.
