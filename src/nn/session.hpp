@@ -20,8 +20,8 @@
 // The tape. forward() records its batch, every layer's pre-activations and
 // outputs (the last layer's are the logits). Every backward and gradient
 // call differentiates that tape; none runs a forward of its own, except
-// the input_gradient(x, ...) overloads, which are forward(x) followed by
-// the tape call. retain_rows(keep) compacts the tape in place to the rows
+// the overloads taking a batch x, which are forward(x) followed by the
+// tape call. retain_rows(keep) compacts the tape in place to the rows
 // `keep` names (strictly ascending batch positions): row k of every tape
 // buffer becomes what row keep[k] was, and the next gradient call returns
 // one row per kept row. Because no two rows of a GEMM share an accumulator
