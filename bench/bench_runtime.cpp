@@ -1,5 +1,5 @@
 // Microbenchmarks for the resilience layer's clean-path overhead: what the
-// retry/breaker decorator costs when the oracle is healthy (the common
+// retry decorator costs when the oracle is healthy (the common
 // case — fault handling should be pay-as-you-go) — plus the
 // serving-ingress concurrency primitives (MpscQueue, EventCount) measured
 // in isolation from the service.
@@ -56,7 +56,7 @@ BENCHMARK(BM_RawOracle)->Arg(64)->Arg(512);
 void BM_ResilientOracleCleanPath(benchmark::State& state) {
   ThresholdOracle inner;
   runtime::FakeClock clock;
-  runtime::ResilientOracle oracle(inner, {}, {}, &clock);
+  runtime::ResilientOracle oracle(inner, &clock);
   const math::Matrix counts =
       random_counts(static_cast<std::size_t>(state.range(0)), 64, 1);
   for (auto _ : state)
@@ -70,7 +70,7 @@ void BM_ResilientOracleUnderFaults(benchmark::State& state) {
   runtime::FakeClock clock;
   runtime::FaultInjectingOracle flaky(inner, runtime::FaultProfile::flaky(),
                                       &clock);
-  runtime::ResilientOracle oracle(flaky, {}, {}, &clock);
+  runtime::ResilientOracle oracle(flaky, &clock);
   const math::Matrix counts =
       random_counts(static_cast<std::size_t>(state.range(0)), 64, 1);
   for (auto _ : state)

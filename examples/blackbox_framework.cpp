@@ -30,6 +30,7 @@
 #include "data/api_vocab.hpp"
 #include "data/synthetic.hpp"
 #include "eval/report.hpp"
+#include "obs/admin_server.hpp"
 #include "obs/obs.hpp"
 #include "serve/scoring_service.hpp"
 #include "serve/service_oracle.hpp"
@@ -115,14 +116,25 @@ int main(int argc, char** argv) {
       std::max<std::size_t>(5, bb_cfg.training_per_round.epochs / 3);
   bb_cfg.tracer = &tracer;
   bb_cfg.metrics = &registry;
+  // The admin plane lives for the black-box run only: a long augmentation
+  // loop becomes scrapeable (/metrics shows round, queries, agreement;
+  // /tracez the recent spans).
+  std::unique_ptr<obs::AdminServer> admin;
   if (admin_enabled) {
-    bb_cfg.admin.enabled = true;
-    bb_cfg.admin.port = static_cast<std::uint16_t>(admin_port);
-    std::cout << "      admin plane will serve /metrics /readyz /tracez "
-                 "for the duration of the run\n";
+    obs::AdminServerConfig admin_cfg;
+    admin_cfg.port = static_cast<std::uint16_t>(admin_port);
+    admin_cfg.tracer = &tracer;
+    admin_cfg.metrics = &registry;
+    admin = std::make_unique<obs::AdminServer>(std::move(admin_cfg));
+    if (admin->start())
+      std::cout << "      admin plane listening on 127.0.0.1:" << admin->port()
+                << " for the duration of the run" << std::endl;
+    else
+      std::cout << "      admin plane unavailable (bind failed)" << std::endl;
   }
   const core::BlackBoxResult bb =
       core::run_blackbox_framework(oracle, seed.counts, bb_cfg);
+  admin.reset();
 
   eval::Table rounds("Substitute training rounds (Jacobian augmentation)");
   rounds.header({"round", "dataset rows", "oracle queries",

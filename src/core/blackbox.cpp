@@ -22,7 +22,6 @@ runtime::ResilienceStats since(const runtime::ResilienceStats& now,
   d.retries = now.retries - base.retries;
   d.timeouts = now.timeouts - base.timeouts;
   d.garbled_batches = now.garbled_batches - base.garbled_batches;
-  d.breaker_trips = now.breaker_trips - base.breaker_trips;
   d.bisections = now.bisections - base.bisections;
   d.failed_queries = now.failed_queries - base.failed_queries;
   d.backoff_ms = now.backoff_ms - base.backoff_ms;
@@ -89,25 +88,12 @@ BlackBoxResult run_blackbox_framework(CountOracle& oracle,
   obs::Scope obs_scope(tracer, registry);
   runtime::Clock& obs_clock = tracer->clock();
 
-  // Optional live admin plane for the run: long augmentation loops become
-  // scrapeable while they work. Stops (and joins) when the run returns.
-  std::unique_ptr<obs::AdminServer> admin;
-  if (config.admin.enabled) {
-    obs::AdminServerConfig admin_config = config.admin;
-    if (admin_config.tracer == nullptr) admin_config.tracer = tracer;
-    if (admin_config.metrics == nullptr) admin_config.metrics = registry;
-    if (admin_config.logger == nullptr) admin_config.logger = logger;
-    admin = std::make_unique<obs::AdminServer>(std::move(admin_config));
-    if (!admin->start()) admin.reset();
-  }
   obs::Counter queries_counter = registry->counter(
       "mev.core.blackbox.oracle_queries", "oracle submissions (rows)");
   obs::Counter retries_counter = registry->counter(
       "mev.core.blackbox.oracle_retries", "oracle retry attempts");
   obs::Counter timeouts_counter = registry->counter(
       "mev.core.blackbox.oracle_timeouts", "oracle call timeouts");
-  obs::Counter trips_counter = registry->counter(
-      "mev.core.blackbox.breaker_trips", "circuit-breaker open transitions");
   obs::Counter rounds_counter = registry->counter(
       "mev.core.blackbox.rounds", "completed augmentation rounds");
   obs::Gauge agreement_gauge = registry->gauge(
@@ -191,8 +177,6 @@ BlackBoxResult run_blackbox_framework(CountOracle& oracle,
     retries_counter.inc(stats.resilience.retries - prev_resilience.retries);
     timeouts_counter.inc(stats.resilience.timeouts -
                          prev_resilience.timeouts);
-    trips_counter.inc(stats.resilience.breaker_trips -
-                      prev_resilience.breaker_trips);
     agreement_gauge.set(stats.oracle_agreement);
     rows_gauge.set(static_cast<double>(stats.dataset_rows));
     prev_queries = stats.oracle_queries;

@@ -15,11 +15,12 @@
 // vector before querying the oracle (the attacker can only submit actual
 // samples), via the attacker transform's inverse.
 //
-// The oracle interface lives in src/runtime/ together with the resilience
-// decorators for flaky oracles (retry/backoff, circuit breaking, fault
-// injection — see runtime/resilient_oracle.hpp). Pass a
-// runtime::ResilientOracle here and the per-round stats pick up its
-// retry/breaker counters.
+// The oracle interface lives in src/runtime/ together with the retry
+// decorator for flaky oracles (backoff and bisection, see
+// runtime/resilient_oracle.hpp). Pass a runtime::ResilientOracle here and
+// the per-round stats pick up its retry counters. The run starts no
+// server: a caller that wants the run scrapeable wraps it in an
+// obs::AdminServer on the same tracer and registry.
 #pragma once
 
 #include <memory>
@@ -31,7 +32,6 @@
 #include "features/transform.hpp"
 #include "nn/network.hpp"
 #include "nn/trainer.hpp"
-#include "obs/admin_server.hpp"
 #include "runtime/oracle.hpp"
 #include "runtime/resilient_oracle.hpp"
 
@@ -70,7 +70,7 @@ struct BlackBoxConfig {
 
   /// Observability sinks (traces never affect the trajectory). Each round
   /// emits a mev.core.blackbox.round span with label/train/augment
-  /// sub-spans, and the oracle query/retry/breaker counters are folded
+  /// sub-spans, and the oracle query/retry/timeout counters are folded
   /// into the registry. nullptr = the ambient obs::current_tracer()/current_registry(); the
   /// resolved pair is also installed as the obs::Scope for the run, so
   /// nested trainer epochs and JSMA crafting land in the same trace.
@@ -79,18 +79,13 @@ struct BlackBoxConfig {
   /// Structured log destination for round progress; nullptr =
   /// obs::default_logger().
   obs::Logger* logger = nullptr;
-  /// Embedded admin plane for the duration of the run: a multi-hour
-  /// augmentation loop becomes scrapeable (/metrics shows round, queries,
-  /// agreement; /tracez the recent spans). Disabled by default; the
-  /// server starts before round 0 and stops when the run returns.
-  obs::AdminServerConfig admin;
 };
 
 struct BlackBoxRoundStats {
   std::size_t dataset_rows = 0;
   std::size_t oracle_queries = 0;   // cumulative over this run
   double oracle_agreement = 0.0;    // substitute vs oracle on this round's set
-  /// Retry/breaker counters, cumulative over this run, when the supplied
+  /// Retry counters, cumulative over this run, when the supplied
   /// oracle is a runtime::ResilientOracle; all-zero otherwise.
   runtime::ResilienceStats resilience;
   /// Wall-clock duration of this round's phases, in microseconds, read

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <ostream>
 
@@ -35,6 +36,26 @@ std::uint64_t next_logger_id() {
 }
 
 }  // namespace
+
+const char* to_string(LogLevel level) noexcept {
+  switch (level) {
+    case LogLevel::kTrace: return "trace";
+    case LogLevel::kDebug: return "debug";
+    case LogLevel::kInfo: return "info";
+    case LogLevel::kWarn: return "warn";
+    case LogLevel::kError: return "error";
+    case LogLevel::kOff: return "off";
+  }
+  return "?";
+}
+
+LogLevel parse_log_level(const char* text, LogLevel fallback) noexcept {
+  if (text == nullptr) return fallback;
+  for (LogLevel level : {LogLevel::kTrace, LogLevel::kDebug, LogLevel::kInfo,
+                         LogLevel::kWarn, LogLevel::kError, LogLevel::kOff})
+    if (std::strcmp(text, to_string(level)) == 0) return level;
+  return fallback;
+}
 
 Logger::Logger(LoggerConfig config)
     : id_(next_logger_id()),
@@ -97,7 +118,7 @@ void Logger::write_record(LogLevel level, const char* component,
   out += "{\"ts_us\":";
   out += std::to_string(ts_us);
   out += ",\"level\":\"";
-  out += runtime::to_string(level);
+  out += to_string(level);
   out += "\",\"component\":";
   json::append_string(out, component);
   out += ",\"msg\":";
@@ -117,31 +138,11 @@ void Logger::write_record(LogLevel level, const char* component,
   sink_->flush();
 }
 
-namespace {
-
-/// Bridge installed into runtime/log_hook.hpp so the layers below obs/
-/// (circuit breaker, resilient oracle) land in the same structured stream.
-void runtime_log_bridge(runtime::LogLevel level, const char* component,
-                        const char* message, const runtime::LogField* fields,
-                        std::size_t num_fields) {
-  Logger& logger = default_logger();
-  if (logger.enabled(level))
-    logger.log(level, component, message != nullptr ? message : "", fields,
-               num_fields);
-}
-
-[[maybe_unused]] const bool g_runtime_hook_installed = [] {
-  runtime::set_log_hook(&runtime_log_bridge);
-  return true;
-}();
-
-}  // namespace
-
 Logger& default_logger() {
   static Logger logger([] {
     LoggerConfig config;
-    config.min_level = runtime::parse_log_level(std::getenv("MEV_LOG_LEVEL"),
-                                                LogLevel::kWarn);
+    config.min_level = parse_log_level(std::getenv("MEV_LOG_LEVEL"),
+                                       LogLevel::kWarn);
     return config;
   }());
   return logger;

@@ -21,11 +21,13 @@
 //    static LogSite per call site; a flooding site drops locally and the
 //    drops are counted in the logger's `mev.obs.log_dropped_total`
 //    registry counter, so suppression is itself observable on /metrics.
-//  * Layers below obs/ (runtime/) emit through runtime::log_hook.hpp; this
-//    file installs a bridge into default_logger() at static-init time.
+//  * Nothing below obs/ logs. The runtime layer reports through counters
+//    (runtime::ResilienceStats), which core/blackbox folds into the
+//    registry.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
@@ -35,14 +37,66 @@
 
 #include "obs/metrics.hpp"
 #include "runtime/clock.hpp"
-#include "runtime/log_hook.hpp"
 
 namespace mev::obs {
 
-// One vocabulary across layers: the level/field types live in runtime/
-// (the lowest layer that logs) and are re-exported here.
-using runtime::LogField;
-using runtime::LogLevel;
+enum class LogLevel : int {
+  kTrace = 0,
+  kDebug = 1,
+  kInfo = 2,
+  kWarn = 3,
+  kError = 4,
+  /// Sentinel for "log nothing"; never attached to a record.
+  kOff = 5,
+};
+
+const char* to_string(LogLevel level) noexcept;
+/// Parses "trace".."error"/"off" (case-sensitive); falls back to
+/// `fallback` on anything else, including nullptr.
+LogLevel parse_log_level(const char* text, LogLevel fallback) noexcept;
+
+/// One structured key/value annotation. Keys and string values must
+/// outlive the log call (use literals or stable storage); the logger
+/// formats them synchronously, so call-scope lifetime is enough.
+struct LogField {
+  enum class Kind { kString, kF64, kI64, kU64 };
+
+  const char* key = "";
+  Kind kind = Kind::kU64;
+  const char* str = "";
+  double f64 = 0.0;
+  std::int64_t i64 = 0;
+  std::uint64_t u64 = 0;
+
+  static LogField string(const char* key, const char* value) noexcept {
+    LogField f;
+    f.key = key;
+    f.kind = Kind::kString;
+    f.str = value;
+    return f;
+  }
+  static LogField f64_value(const char* key, double value) noexcept {
+    LogField f;
+    f.key = key;
+    f.kind = Kind::kF64;
+    f.f64 = value;
+    return f;
+  }
+  static LogField i64_value(const char* key, std::int64_t value) noexcept {
+    LogField f;
+    f.key = key;
+    f.kind = Kind::kI64;
+    f.i64 = value;
+    return f;
+  }
+  static LogField u64_value(const char* key, std::uint64_t value) noexcept {
+    LogField f;
+    f.key = key;
+    f.kind = Kind::kU64;
+    f.u64 = value;
+    return f;
+  }
+};
 
 struct LoggerConfig {
   /// Records below this level are discarded at the call site.

@@ -1,7 +1,7 @@
 // Injectable monotonic clock. Every time-dependent piece of the runtime
-// layer (backoff sleeps, circuit-breaker cooldowns, deadline budgets,
-// injected timeout latency) goes through a Clock so tests drive time with
-// a FakeClock — the retry/breaker suites never really sleep.
+// layer (backoff sleeps, injected timeout latency) goes through a Clock so
+// tests drive time with a FakeClock — the retry suite never really
+// sleeps.
 #pragma once
 
 #include <atomic>

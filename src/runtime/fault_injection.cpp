@@ -4,6 +4,13 @@
 
 namespace mev::runtime {
 
+namespace {
+
+/// Clock time an injected timeout costs before it throws.
+constexpr std::uint64_t kTimeoutCostMs = 50;
+
+}  // namespace
+
 FaultProfile FaultProfile::none() { return FaultProfile{}; }
 
 FaultProfile FaultProfile::flaky() {
@@ -89,10 +96,10 @@ std::vector<int> FaultInjectingOracle::label_counts(
   }
   if (u_timeout < profile_.timeout_rate) {
     ++injected_.timeouts;
-    clock_->sleep_ms(profile_.timeout_cost_ms);
+    clock_->sleep_ms(kTimeoutCostMs);
     throw OracleTimeoutError("fault injection [" + profile_.name +
                              "]: timeout after " +
-                             std::to_string(profile_.timeout_cost_ms) + " ms");
+                             std::to_string(kTimeoutCostMs) + " ms");
   }
   if (u_transient < profile_.transient_rate) {
     ++injected_.transient;

@@ -25,8 +25,8 @@ struct FaultProfile {
   /// Probability a call throws TransientOracleError before reaching the
   /// inner oracle.
   double transient_rate = 0.0;
-  /// Probability a call times out: the clock advances by timeout_cost_ms,
-  /// then OracleTimeoutError is thrown.
+  /// Probability a call times out: the clock advances by 50 ms, then
+  /// OracleTimeoutError is thrown.
   double timeout_rate = 0.0;
   /// Probability a successful response is garbled (last label dropped,
   /// so the batch size no longer matches).
@@ -37,13 +37,12 @@ struct FaultProfile {
   /// a TransientOracleError — exercises the resilient layer's bisection.
   std::size_t max_batch_rows = 0;
 
-  std::uint64_t timeout_cost_ms = 50;
   std::uint64_t seed = 0xFA17ULL;
 
   static FaultProfile none();
   /// 30% of calls fail transiently.
   static FaultProfile flaky();
-  /// 25% of calls time out (each costing timeout_cost_ms of clock).
+  /// 25% of calls time out (each costing 50 ms of clock).
   static FaultProfile slow();
   /// 25% of responses come back with a wrong length.
   static FaultProfile garbled();

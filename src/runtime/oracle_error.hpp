@@ -1,5 +1,5 @@
 // Oracle failure taxonomy. The resilience layer only needs one bit —
-// retryable or not — but keeping the concrete kinds lets stats and logs
+// retryable or not — but keeping the concrete kinds lets the stats
 // distinguish a slow oracle from a flaky one.
 #pragma once
 
@@ -62,16 +62,6 @@ class PermanentOracleError : public OracleError {
  public:
   explicit PermanentOracleError(const std::string& what)
       : OracleError(FaultKind::kPermanent, what) {}
-};
-
-/// Thrown by ResilientOracle when a per-call or per-run deadline budget
-/// would be exceeded by further waiting. Deliberately NOT an OracleError:
-/// it reports the caller's budget running out, not the oracle failing,
-/// and must never be swallowed by a retry loop.
-class DeadlineExceededError : public std::runtime_error {
- public:
-  explicit DeadlineExceededError(const std::string& what)
-      : std::runtime_error(what) {}
 };
 
 }  // namespace mev::runtime

@@ -1,54 +1,58 @@
 #include "runtime/resilient_oracle.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
-
-#include "runtime/log_hook.hpp"
 
 namespace mev::runtime {
 
-ResilientOracle::ResilientOracle(CountOracle& inner, RetryPolicy retry,
-                                 CircuitBreakerConfig breaker, Clock* clock)
-    : inner_(&inner),
-      retry_(retry),
-      clock_(clock != nullptr ? clock : &SystemClock::instance()),
-      breaker_(breaker, *(clock != nullptr ? clock
-                                           : &SystemClock::instance())),
-      jitter_rng_(0x5eedULL) {
-  if (retry_.max_attempts == 0) retry_.max_attempts = 1;
+namespace {
+
+constexpr std::size_t kMaxAttempts = 5;
+constexpr double kInitialBackoffMs = 10.0;
+constexpr double kMaxBackoffMs = 1000.0;
+constexpr double kJitter = 0.1;
+
+/// Wait before the attempt that follows the `failures`-th consecutive
+/// failure: min(1000, 10·2^(failures−1)) ms, scaled by a uniform factor in
+/// [0.9, 1.1).
+std::uint64_t backoff_delay_ms(std::size_t failures, math::Rng& jitter_rng) {
+  const double delay = std::min(
+      kMaxBackoffMs,
+      kInitialBackoffMs * std::pow(2.0, static_cast<double>(failures - 1)));
+  return static_cast<std::uint64_t>(
+      std::llround(delay * jitter_rng.uniform(1.0 - kJitter, 1.0 + kJitter)));
 }
+
+}  // namespace
+
+ResilientOracle::ResilientOracle(CountOracle& inner, Clock* clock)
+    : inner_(&inner),
+      clock_(clock != nullptr ? clock : &SystemClock::instance()),
+      jitter_rng_(0x5eedULL) {}
 
 std::vector<int> ResilientOracle::label_counts(const math::Matrix& counts) {
   if (counts.rows() == 0) return {};
-  if (!run_started_) {
-    run_started_ = true;
-    run_started_ms_ = clock_->now_ms();
-  }
   ++stats_.calls;
-  const std::uint64_t call_deadline =
-      retry_.call_deadline_ms > 0 ? clock_->now_ms() + retry_.call_deadline_ms
-                                  : 0;
-  std::vector<int> labels = label_batch(counts, call_deadline);
+  std::vector<int> labels = label_batch(counts);
   record_queries(counts.rows());
   return labels;
 }
 
-ResilienceStats ResilientOracle::stats() const {
-  ResilienceStats s = stats_;
-  s.breaker_trips = breaker_.trips();
-  return s;
-}
-
-std::vector<int> ResilientOracle::label_batch(
-    const math::Matrix& counts, std::uint64_t call_deadline_ms) {
-  for (std::size_t attempt = 0; attempt < retry_.max_attempts; ++attempt) {
-    wait_for_breaker(call_deadline_ms);
+std::vector<int> ResilientOracle::label_batch(const math::Matrix& counts) {
+  for (std::size_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
+    if (consecutive_failures_ > 0) {
+      const std::uint64_t delay_ms =
+          backoff_delay_ms(consecutive_failures_, jitter_rng_);
+      clock_->sleep_ms(delay_ms);
+      stats_.backoff_ms += delay_ms;
+    }
     ++stats_.attempts;
     if (attempt > 0) ++stats_.retries;
     try {
       std::vector<int> labels = inner_->label_counts(counts);
       if (labels.size() == counts.rows()) {
-        breaker_.record_success();
+        consecutive_failures_ = 0;
         return labels;
       }
       ++stats_.garbled_batches;  // wrong-length response: retryable
@@ -60,16 +64,7 @@ std::vector<int> ResilientOracle::label_batch(
       if (e.kind() == FaultKind::kTimeout) ++stats_.timeouts;
       if (e.kind() == FaultKind::kGarbled) ++stats_.garbled_batches;
     }
-    breaker_.record_failure();
-    if (attempt + 1 < retry_.max_attempts) {
-      const std::uint64_t delay_ms =
-          backoff_delay_ms(retry_, attempt, jitter_rng_);
-      log(LogLevel::kWarn, "runtime.oracle", "oracle call failed, retrying",
-          {LogField::u64_value("attempt", attempt + 1),
-           LogField::u64_value("rows", counts.rows()),
-           LogField::u64_value("backoff_ms", delay_ms)});
-      wait(delay_ms, call_deadline_ms);
-    }
+    ++consecutive_failures_;
   }
 
   // Attempts exhausted. A multi-row batch may be suffering partial failure
@@ -77,43 +72,17 @@ std::vector<int> ResilientOracle::label_batch(
   // a fresh attempt budget.
   if (counts.rows() > 1) {
     ++stats_.bisections;
-    log(LogLevel::kWarn, "runtime.oracle", "batch exhausted retries, bisecting",
-        {LogField::u64_value("rows", counts.rows())});
     const std::size_t mid = counts.rows() / 2;
-    std::vector<int> labels =
-        label_batch(counts.slice_rows(0, mid), call_deadline_ms);
+    std::vector<int> labels = label_batch(counts.slice_rows(0, mid));
     const std::vector<int> right =
-        label_batch(counts.slice_rows(mid, counts.rows()), call_deadline_ms);
+        label_batch(counts.slice_rows(mid, counts.rows()));
     labels.insert(labels.end(), right.begin(), right.end());
     return labels;
   }
 
   stats_.failed_queries += 1;
-  throw PermanentOracleError(
-      "ResilientOracle: row failed after " +
-      std::to_string(retry_.max_attempts) + " attempts");
-}
-
-void ResilientOracle::wait(std::uint64_t ms, std::uint64_t call_deadline_ms) {
-  const std::uint64_t target = clock_->now_ms() + ms;
-  if (call_deadline_ms > 0 && target > call_deadline_ms)
-    throw DeadlineExceededError(
-        "ResilientOracle: per-call deadline of " +
-        std::to_string(retry_.call_deadline_ms) + " ms exceeded");
-  if (retry_.run_deadline_ms > 0 &&
-      target > run_started_ms_ + retry_.run_deadline_ms)
-    throw DeadlineExceededError("ResilientOracle: per-run deadline of " +
-                                std::to_string(retry_.run_deadline_ms) +
-                                " ms exceeded");
-  if (ms == 0) return;
-  clock_->sleep_ms(ms);
-  stats_.backoff_ms += ms;
-}
-
-void ResilientOracle::wait_for_breaker(std::uint64_t call_deadline_ms) {
-  while (!breaker_.allow())
-    wait(std::max<std::uint64_t>(breaker_.cooldown_remaining_ms(), 1),
-         call_deadline_ms);
+  throw PermanentOracleError("ResilientOracle: row failed after " +
+                             std::to_string(kMaxAttempts) + " attempts");
 }
 
 }  // namespace mev::runtime

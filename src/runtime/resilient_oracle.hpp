@@ -1,22 +1,23 @@
-// ResilientOracle — the production decorator for a flaky label oracle.
-// Composes, per batch:
+// ResilientOracle — the retry decorator for a flaky label oracle. Per
+// batch it runs one loop:
 //
-//   1. a CircuitBreaker gate (waits out open cooldowns, bounded by the
-//      deadline budgets);
-//   2. a retry loop with exponential backoff + deterministic jitter
-//      (RetryPolicy), treating OracleError::transient() failures and
+//   1. up to 5 attempts, treating OracleError::transient() failures and
 //      wrong-length responses as retryable;
+//   2. before any attempt that follows a failure, a backoff wait of
+//      min(1000, 10·2^(n−1)) ms, jittered ±10% from a fixed-seed stream,
+//      where n counts consecutive failures. The count carries across
+//      batches and calls and resets on any success, so a sustained outage
+//      settles at one attempt per second;
 //   3. batch bisection: a multi-row batch that exhausts its attempts is
 //      split in half and each half retried independently, so one poisoned
 //      row (or an oracle with a batch-size cap) cannot sink the whole
 //      submission. A single row that exhausts its attempts throws
 //      PermanentOracleError.
 //
-// Permanent errors propagate immediately; DeadlineExceededError is thrown
-// when a backoff or cooldown wait would cross the per-call or per-run
-// budget. queries() counts LOGICAL rows successfully labeled — identical
-// to what a fault-free oracle would report — while stats() exposes the
-// cost of getting there (attempts, retries, backoff time, trips).
+// Permanent errors propagate immediately. queries() counts LOGICAL rows
+// successfully labeled — identical to what a fault-free oracle would
+// report — while stats() exposes the cost of getting there (attempts,
+// retries, backoff time).
 #pragma once
 
 #include <cstddef>
@@ -24,11 +25,9 @@
 #include <vector>
 
 #include "math/rng.hpp"
-#include "runtime/circuit_breaker.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/oracle.hpp"
 #include "runtime/oracle_error.hpp"
-#include "runtime/retry.hpp"
 
 namespace mev::runtime {
 
@@ -38,7 +37,6 @@ struct ResilienceStats {
   std::size_t retries = 0;          // attempts beyond the first per batch
   std::size_t timeouts = 0;
   std::size_t garbled_batches = 0;  // wrong-length or garbled responses
-  std::size_t breaker_trips = 0;
   std::size_t bisections = 0;       // batch splits after exhausted attempts
   std::size_t failed_queries = 0;   // rows abandoned as permanently failed
   std::uint64_t backoff_ms = 0;     // total time spent waiting
@@ -47,33 +45,22 @@ struct ResilienceStats {
 class ResilientOracle final : public CountOracle {
  public:
   /// `clock` defaults to the shared SystemClock; tests inject a FakeClock
-  /// so backoff and cooldown waits are simulated, not slept.
-  explicit ResilientOracle(CountOracle& inner, RetryPolicy retry = {},
-                           CircuitBreakerConfig breaker = {},
-                           Clock* clock = nullptr);
+  /// so backoff waits are simulated, not slept.
+  explicit ResilientOracle(CountOracle& inner, Clock* clock = nullptr);
 
   std::vector<int> label_counts(const math::Matrix& counts) override;
 
-  /// Cumulative counters; breaker_trips is filled from the breaker.
-  ResilienceStats stats() const;
-  const CircuitBreaker& breaker() const noexcept { return breaker_; }
-  const RetryPolicy& policy() const noexcept { return retry_; }
+  /// Cumulative over the oracle's lifetime.
+  const ResilienceStats& stats() const noexcept { return stats_; }
 
  private:
-  std::vector<int> label_batch(const math::Matrix& counts,
-                               std::uint64_t call_deadline_ms);
-  /// Sleeps `ms`, first checking it fits the deadline budgets.
-  void wait(std::uint64_t ms, std::uint64_t call_deadline_ms);
-  void wait_for_breaker(std::uint64_t call_deadline_ms);
+  std::vector<int> label_batch(const math::Matrix& counts);
 
   CountOracle* inner_;
-  RetryPolicy retry_;
   Clock* clock_;
-  CircuitBreaker breaker_;
   math::Rng jitter_rng_;
   ResilienceStats stats_;
-  std::uint64_t run_started_ms_ = 0;
-  bool run_started_ = false;
+  std::size_t consecutive_failures_ = 0;
 };
 
 }  // namespace mev::runtime

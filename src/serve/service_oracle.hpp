@@ -7,9 +7,11 @@
 // test in tests/serve/).
 //
 // Service rejections surface as runtime::OracleError subclasses, which
-// plugs the service's backpressure into the PR 2 resilience decorators:
-// wrap a ServiceOracle in a runtime::ResilientOracle and queue-full
-// rejections are retried with backoff like any transient oracle fault.
+// plugs the service's backpressure into the retry decorator: wrap a
+// ServiceOracle in a runtime::ResilientOracle and queue-full or deadline
+// rejections are retried with backoff like any transient oracle fault
+// (ServiceOracle.DeadlineRejectionsAreRetriedByResilientOracle checks
+// this).
 #pragma once
 
 #include <cstdint>

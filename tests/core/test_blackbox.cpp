@@ -165,9 +165,7 @@ TEST(BlackBox, FaultProfilesLeaveResultBitIdentical) {
     ThresholdOracle inner;
     runtime::FakeClock clock;
     runtime::FaultInjectingOracle flaky(inner, profile, &clock);
-    runtime::CircuitBreakerConfig breaker;
-    breaker.open_cooldown_ms = 50;
-    runtime::ResilientOracle resilient(flaky, {}, breaker, &clock);
+    runtime::ResilientOracle resilient(flaky, &clock);
     const auto result = run_blackbox_framework(resilient, seeds, cfg);
     expect_same_result(result, reference);
     // The per-round stats surface what resilience cost: under a profile
@@ -220,7 +218,7 @@ TEST(BlackBox, ReusedResilientOracleReportsPerRunResilience) {
   runtime::FakeClock clock;
   runtime::FaultInjectingOracle flaky(inner, runtime::FaultProfile::flaky(),
                                       &clock);
-  runtime::ResilientOracle resilient(flaky, {}, {}, &clock);
+  runtime::ResilientOracle resilient(flaky, &clock);
 
   const auto first = run_blackbox_framework(resilient, seeds, cfg);
   const auto second = run_blackbox_framework(resilient, seeds, cfg);

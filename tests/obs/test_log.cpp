@@ -1,6 +1,7 @@
-// Structured logger behavior: the pinned JSON format under a FakeClock, level gating, field escaping, per-site token-bucket rate
-// limiting with observable drop counters, the runtime log-hook bridge,
-// and thread-safety of concurrent writers (exercised under TSan in CI).
+// Structured logger behavior: the pinned JSON format under a FakeClock,
+// level gating, field escaping, per-site token-bucket rate limiting with
+// observable drop counters, and thread-safety of concurrent writers
+// (exercised under TSan in CI).
 #include <sstream>
 #include <string>
 #include <thread>
@@ -11,7 +12,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/clock.hpp"
-#include "runtime/log_hook.hpp"
 
 namespace {
 
@@ -149,20 +149,6 @@ TEST(Logger, MacroSiteStartsFullForEachNewLogger) {
   }
 }
 
-TEST(Logger, RuntimeHookBridgesIntoTheDefaultLogger) {
-  // obs/log.cpp installs the bridge at static init; anything emitted via
-  // runtime::log above the default logger's min level lands there.
-  Logger& logger = mev::obs::default_logger();
-  ASSERT_NE(mev::runtime::log_hook(), nullptr);
-  const LogLevel saved = logger.min_level();
-  logger.set_min_level(LogLevel::kOff);
-  const std::uint64_t lines_before = logger.lines();
-  mev::runtime::log(mev::runtime::LogLevel::kError, "runtime.test",
-                    "should be gated");
-  EXPECT_EQ(logger.lines(), lines_before);
-  logger.set_min_level(saved);
-}
-
 TEST(Logger, ConcurrentWritersProduceWholeLines) {
   LogFixture f;
   Logger logger = f.make();
@@ -193,7 +179,7 @@ TEST(Logger, ConcurrentWritersProduceWholeLines) {
 }
 
 TEST(LogLevelParsing, RoundTripsAndFallsBack) {
-  using mev::runtime::parse_log_level;
+  using mev::obs::parse_log_level;
   EXPECT_EQ(parse_log_level("trace", LogLevel::kWarn), LogLevel::kTrace);
   EXPECT_EQ(parse_log_level("debug", LogLevel::kWarn), LogLevel::kDebug);
   EXPECT_EQ(parse_log_level("info", LogLevel::kWarn), LogLevel::kInfo);
@@ -202,7 +188,7 @@ TEST(LogLevelParsing, RoundTripsAndFallsBack) {
   EXPECT_EQ(parse_log_level("off", LogLevel::kWarn), LogLevel::kOff);
   EXPECT_EQ(parse_log_level("bogus", LogLevel::kWarn), LogLevel::kWarn);
   EXPECT_EQ(parse_log_level(nullptr, LogLevel::kInfo), LogLevel::kInfo);
-  EXPECT_STREQ(mev::runtime::to_string(LogLevel::kWarn), "warn");
+  EXPECT_STREQ(mev::obs::to_string(LogLevel::kWarn), "warn");
 }
 
 }  // namespace

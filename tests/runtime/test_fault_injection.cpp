@@ -84,11 +84,10 @@ TEST(FaultInjection, TimeoutsAdvanceTheClock) {
   FakeClock clock;
   FaultProfile profile;
   profile.timeout_rate = 1.0;
-  profile.timeout_cost_ms = 40;
   FaultInjectingOracle oracle(inner, profile, &clock);
   EXPECT_THROW(oracle.label_counts(some_counts(2)), OracleTimeoutError);
   EXPECT_THROW(oracle.label_counts(some_counts(2)), OracleTimeoutError);
-  EXPECT_EQ(clock.now_ms(), 80u);
+  EXPECT_EQ(clock.now_ms(), 100u);  // two timeouts of 50 ms
   EXPECT_EQ(oracle.injected().timeouts, 2u);
 }
 

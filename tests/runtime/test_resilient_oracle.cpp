@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <thread>
 
 #include "runtime/fault_injection.hpp"
@@ -20,10 +22,12 @@ class ThresholdOracle final : public CountOracle {
   }
 };
 
-/// Throws a given error for the first N calls, then succeeds.
+/// Throws a given error for the first N calls, then succeeds until
+/// fail_next() takes it down again.
 class FailNTimesOracle final : public CountOracle {
  public:
   explicit FailNTimesOracle(std::size_t n) : remaining_(n) {}
+  void fail_next(std::size_t n) { remaining_ = n; }
   std::vector<int> label_counts(const math::Matrix& counts) override {
     ++calls;
     if (remaining_ > 0) {
@@ -46,19 +50,42 @@ math::Matrix some_counts(std::size_t n, std::size_t d = 4) {
   return m;
 }
 
-RetryPolicy fast_retry() {
-  RetryPolicy p;
-  p.max_attempts = 5;
-  p.initial_backoff_ms = 10;
-  p.max_backoff_ms = 100;
-  p.jitter = 0.0;
-  return p;
+/// The wait after the n-th consecutive failure is min(1000, 10·2^(n−1)) ms
+/// scaled by a jitter factor in [0.9, 1.1).
+void expect_backoff(std::uint64_t slept_ms, std::size_t failures) {
+  const double nominal = std::min(
+      1000.0, 10.0 * std::pow(2.0, static_cast<double>(failures - 1)));
+  EXPECT_GE(slept_ms, static_cast<std::uint64_t>(std::llround(0.9 * nominal)))
+      << "after failure " << failures;
+  EXPECT_LE(slept_ms, static_cast<std::uint64_t>(std::llround(1.1 * nominal)))
+      << "after failure " << failures;
+}
+
+/// Drives a ResilientOracle through a sustained outage, then recovery,
+/// then one more failure, and returns the recorded waits. The outage
+/// spans three single-row calls of 5 failed attempts each: 4 waits in the
+/// first call, then 5 in each later one (before every attempt, the first
+/// included, as consecutive failures carry over). The recovering call
+/// waits once more, a healthy call waits nothing, and the last call
+/// fails once and waits once.
+std::vector<std::uint64_t> outage_then_recovery() {
+  FailNTimesOracle inner(15);
+  FakeClock clock;
+  ResilientOracle oracle(inner, &clock);
+  for (int call = 0; call < 3; ++call)
+    EXPECT_THROW(oracle.label_counts(some_counts(1)), PermanentOracleError);
+  EXPECT_EQ(oracle.label_counts(some_counts(1)), std::vector<int>(1, 1));
+  EXPECT_EQ(oracle.label_counts(some_counts(1)), std::vector<int>(1, 1));
+  inner.fail_next(1);
+  EXPECT_EQ(oracle.label_counts(some_counts(1)), std::vector<int>(1, 1));
+  EXPECT_EQ(oracle.stats().backoff_ms, clock.total_slept_ms());
+  return clock.sleeps();
 }
 
 TEST(ResilientOracle, CleanPathIsAPassThrough) {
   ThresholdOracle inner;
   FakeClock clock;
-  ResilientOracle oracle(inner, fast_retry(), {}, &clock);
+  ResilientOracle oracle(inner, &clock);
   ThresholdOracle reference;
   EXPECT_EQ(oracle.label_counts(some_counts(8)),
             reference.label_counts(some_counts(8)));
@@ -72,7 +99,7 @@ TEST(ResilientOracle, CleanPathIsAPassThrough) {
 TEST(ResilientOracle, EmptyBatchShortCircuits) {
   ThresholdOracle inner;
   FakeClock clock;
-  ResilientOracle oracle(inner, fast_retry(), {}, &clock);
+  ResilientOracle oracle(inner, &clock);
   EXPECT_TRUE(oracle.label_counts(math::Matrix(0, 4)).empty());
   EXPECT_EQ(oracle.stats().calls, 0u);
 }
@@ -80,15 +107,17 @@ TEST(ResilientOracle, EmptyBatchShortCircuits) {
 TEST(ResilientOracle, RetriesTransientFailuresWithBackoff) {
   FailNTimesOracle inner(2);
   FakeClock clock;
-  ResilientOracle oracle(inner, fast_retry(), {}, &clock);
+  ResilientOracle oracle(inner, &clock);
   const auto labels = oracle.label_counts(some_counts(4));
   EXPECT_EQ(labels, std::vector<int>(4, 1));
   const auto s = oracle.stats();
   EXPECT_EQ(s.attempts, 3u);
   EXPECT_EQ(s.retries, 2u);
-  // Exponential, no jitter: 10 then 20 ms, simulated — never slept for real.
-  EXPECT_EQ(clock.sleeps(), (std::vector<std::uint64_t>{10, 20}));
-  EXPECT_EQ(s.backoff_ms, 30u);
+  // About 10 then 20 ms, simulated — never slept for real.
+  ASSERT_EQ(clock.sleeps().size(), 2u);
+  expect_backoff(clock.sleeps()[0], 1);
+  expect_backoff(clock.sleeps()[1], 2);
+  EXPECT_EQ(s.backoff_ms, clock.sleeps()[0] + clock.sleeps()[1]);
 }
 
 TEST(ResilientOracle, PermanentErrorsPropagateWithoutRetry) {
@@ -102,7 +131,7 @@ TEST(ResilientOracle, PermanentErrorsPropagateWithoutRetry) {
   };
   PermanentOracle inner;
   FakeClock clock;
-  ResilientOracle oracle(inner, fast_retry(), {}, &clock);
+  ResilientOracle oracle(inner, &clock);
   EXPECT_THROW(oracle.label_counts(some_counts(3)), PermanentOracleError);
   EXPECT_EQ(inner.calls, 1u);
   EXPECT_EQ(oracle.stats().failed_queries, 3u);
@@ -120,28 +149,40 @@ TEST(ResilientOracle, WrongLengthResponsesAreRetried) {
   };
   GarbleOnceOracle inner;
   FakeClock clock;
-  ResilientOracle oracle(inner, fast_retry(), {}, &clock);
+  ResilientOracle oracle(inner, &clock);
   EXPECT_EQ(oracle.label_counts(some_counts(4)), std::vector<int>(4, 1));
   EXPECT_EQ(oracle.stats().garbled_batches, 1u);
   EXPECT_EQ(oracle.stats().retries, 1u);
 }
 
-TEST(ResilientOracle, BreakerTripsOnRepeatedFailureAndRecovers) {
-  FailNTimesOracle inner(4);
-  FakeClock clock;
-  CircuitBreakerConfig breaker;
-  breaker.failure_threshold = 3;
-  breaker.open_cooldown_ms = 500;
-  ResilientOracle oracle(inner, fast_retry(), breaker, &clock);
-  // Attempt 3 trips the breaker; the retry loop then waits out the 500 ms
-  // cooldown (simulated), the half-open trial fails, reopens, waits again,
-  // and finally succeeds on attempt 5.
-  const auto labels = oracle.label_counts(some_counts(2));
-  EXPECT_EQ(labels, std::vector<int>(2, 1));
-  const auto s = oracle.stats();
-  EXPECT_EQ(s.breaker_trips, 2u);
-  EXPECT_EQ(oracle.breaker().state(), BreakerState::kClosed);
-  EXPECT_GE(s.backoff_ms, 1000u);  // two cooldown waits
+// Under a sustained outage the waits double from 10 ms up to the 1000 ms
+// cap and stay there across calls; the first success resets the count,
+// so the next failure waits about 10 ms again.
+TEST(ResilientOracle, SustainedOutageWaitsSettleAtTheCapAndResetOnSuccess) {
+  const std::vector<std::uint64_t> sleeps = outage_then_recovery();
+  ASSERT_EQ(sleeps.size(), 4u + 5u + 5u + 1u + 1u);
+  for (std::size_t i = 0; i < 15; ++i) expect_backoff(sleeps[i], i + 1);
+  for (std::size_t i = 7; i < 15; ++i) {
+    EXPECT_GE(sleeps[i], 900u) << i;  // capped, call after call
+    EXPECT_LE(sleeps[i], 1100u) << i;
+  }
+  expect_backoff(sleeps[15], 1);
+}
+
+// The jitter comes from a fixed-seed stream: the same failures give the
+// same waits in every run, and the waits are jittered, not nominal.
+TEST(ResilientOracle, BackoffJitterIsReproducible) {
+  const std::vector<std::uint64_t> first = outage_then_recovery();
+  const std::vector<std::uint64_t> second = outage_then_recovery();
+  ASSERT_EQ(first.size(), 16u);
+  EXPECT_EQ(first, second);
+  std::size_t off_nominal = 0;
+  for (std::size_t i = 0; i < 15; ++i) {
+    const double nominal = std::min(
+        1000.0, 10.0 * std::pow(2.0, static_cast<double>(i)));
+    if (first[i] != static_cast<std::uint64_t>(nominal)) ++off_nominal;
+  }
+  EXPECT_GT(off_nominal, 7u);
 }
 
 TEST(ResilientOracle, BisectsBatchesTheOracleRefuses) {
@@ -150,11 +191,7 @@ TEST(ResilientOracle, BisectsBatchesTheOracleRefuses) {
   // The oracle rejects batches above 3 rows; a 16-row submission must be
   // bisected down to <= 3-row pieces.
   FaultInjectingOracle flaky(inner, FaultProfile::tiny_batches(), &clock);
-  RetryPolicy retry = fast_retry();
-  retry.max_attempts = 1;  // oversized batches never succeed; skip retries
-  CircuitBreakerConfig breaker;
-  breaker.failure_threshold = 1000;  // keep the breaker out of this test
-  ResilientOracle oracle(flaky, retry, breaker, &clock);
+  ResilientOracle oracle(flaky, &clock);
   const math::Matrix counts = some_counts(16);
   ThresholdOracle reference;
   EXPECT_EQ(oracle.label_counts(counts), reference.label_counts(counts));
@@ -166,48 +203,9 @@ TEST(ResilientOracle, BisectsBatchesTheOracleRefuses) {
 TEST(ResilientOracle, SingleRowExhaustionIsPermanent) {
   FailNTimesOracle inner(1000);
   FakeClock clock;
-  ResilientOracle oracle(inner, fast_retry(), {}, &clock);
+  ResilientOracle oracle(inner, &clock);
   EXPECT_THROW(oracle.label_counts(some_counts(1)), PermanentOracleError);
   EXPECT_EQ(oracle.stats().failed_queries, 1u);
-}
-
-TEST(ResilientOracle, CallDeadlineBoundsBackoffWaiting) {
-  FailNTimesOracle inner(1000);
-  FakeClock clock;
-  RetryPolicy retry = fast_retry();
-  retry.initial_backoff_ms = 100;
-  retry.backoff_multiplier = 1.0;
-  retry.call_deadline_ms = 250;  // room for two 100 ms backoffs, not three
-  ResilientOracle oracle(inner, retry, {}, &clock);
-  EXPECT_THROW(oracle.label_counts(some_counts(1)), DeadlineExceededError);
-  EXPECT_LE(clock.now_ms(), 250u);
-}
-
-TEST(ResilientOracle, RunDeadlineSpansCalls) {
-  // Fails on every odd-numbered call, so every batch needs one retry.
-  class FlakyEveryOtherOracle final : public CountOracle {
-   public:
-    std::vector<int> label_counts(const math::Matrix& counts) override {
-      if (++calls % 2 == 1) throw TransientOracleError("hiccup");
-      record_queries(counts.rows());
-      return std::vector<int>(counts.rows(), 1);
-    }
-    std::size_t calls = 0;
-  };
-  FakeClock clock;
-  RetryPolicy retry = fast_retry();
-  retry.initial_backoff_ms = 300;
-  retry.max_backoff_ms = 300;
-  retry.backoff_multiplier = 1.0;
-  retry.run_deadline_ms = 500;
-  FlakyEveryOtherOracle inner;
-  ResilientOracle oracle(inner, retry, {}, &clock);
-  // First call retries once: 300 of the 500 ms run budget is spent.
-  EXPECT_EQ(oracle.label_counts(some_counts(2)), std::vector<int>(2, 1));
-  EXPECT_EQ(clock.now_ms(), 300u);
-  clock.advance(150);
-  // The second call's retry backoff would land at 750 ms — over budget.
-  EXPECT_THROW(oracle.label_counts(some_counts(1)), DeadlineExceededError);
 }
 
 TEST(ResilientOracle, TimeoutsAreCounted) {
@@ -217,11 +215,9 @@ TEST(ResilientOracle, TimeoutsAreCounted) {
   profile.timeout_rate = 1.0;
   profile.seed = 3;
   FaultInjectingOracle slow(inner, profile, &clock);
-  RetryPolicy retry = fast_retry();
-  retry.max_attempts = 3;
-  ResilientOracle oracle(slow, retry, {}, &clock);
+  ResilientOracle oracle(slow, &clock);
   EXPECT_THROW(oracle.label_counts(some_counts(1)), PermanentOracleError);
-  EXPECT_EQ(oracle.stats().timeouts, 3u);
+  EXPECT_EQ(oracle.stats().timeouts, 5u);
 }
 
 // The acceptance-criteria matrix: under EVERY built-in fault profile the
@@ -234,9 +230,7 @@ TEST(ResilientOracle, EquivalenceMatrixAcrossBuiltinProfiles) {
     ThresholdOracle inner;
     FakeClock clock;
     FaultInjectingOracle flaky(inner, profile, &clock);
-    CircuitBreakerConfig breaker;
-    breaker.open_cooldown_ms = 50;
-    ResilientOracle oracle(flaky, fast_retry(), breaker, &clock);
+    ResilientOracle oracle(flaky, &clock);
     std::vector<int> got;
     ASSERT_NO_THROW(got = oracle.label_counts(counts)) << profile.name;
     EXPECT_EQ(got, expected) << profile.name;
@@ -266,13 +260,26 @@ TEST(ResilientOracle, IndependentStacksRunConcurrently) {
       FaultProfile profile = FaultProfile::flaky();
       profile.seed = 100 + static_cast<std::uint64_t>(t);
       FaultInjectingOracle flaky(inner, profile, &clock);
-      ResilientOracle oracle(flaky, fast_retry(), {}, &clock);
+      ResilientOracle oracle(flaky, &clock);
       for (int repeat = 0; repeat < 20; ++repeat)
         results[static_cast<std::size_t>(t)] = oracle.label_counts(counts);
     });
   }
   for (auto& thread : threads) thread.join();
   for (const auto& r : results) EXPECT_EQ(r, expected);
+}
+
+TEST(FakeClock, SleepAdvancesTimeAndRecords) {
+  FakeClock clock(100);
+  EXPECT_EQ(clock.now_ms(), 100u);
+  clock.sleep_ms(50);
+  clock.sleep_ms(25);
+  EXPECT_EQ(clock.now_ms(), 175u);
+  ASSERT_EQ(clock.sleeps().size(), 2u);
+  EXPECT_EQ(clock.total_slept_ms(), 75u);
+  clock.advance(10);
+  EXPECT_EQ(clock.now_ms(), 185u);
+  EXPECT_EQ(clock.sleeps().size(), 2u);  // advance() is not a sleep
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 #include "math/rng.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/oracle_error.hpp"
+#include "runtime/resilient_oracle.hpp"
+#include "serve/chaos.hpp"
 
 namespace mev::serve {
 namespace {
@@ -125,6 +127,30 @@ TEST(ServiceOracle, ShutdownSurfacesAsPermanentOracleError) {
   ServiceOracle oracle(service);
   EXPECT_THROW(oracle.label_counts(random_counts(2, 42)),
                runtime::PermanentOracleError);
+}
+
+// The composition the header promises: a ServiceOracle inside a
+// ResilientOracle gets its rejections retried. The model stalls 200 ms on
+// each of the first two batches, past the 50 ms submission deadline, so
+// the first two attempts come back as deadline rejections and the third
+// scores.
+TEST(ServiceOracle, DeadlineRejectionsAreRetriedByResilientOracle) {
+  Fixture f;
+  runtime::FakeClock clock;
+  ServiceConfig cfg;
+  cfg.workers = 0;
+  cfg.clock = &clock;
+  ScoringService service(f.pipeline, f.network, cfg);
+  service.set_model_fault(ModelFaultProfile::stalling());
+  ServiceOracle via_service(service, /*deadline_ms=*/50);
+  runtime::ResilientOracle oracle(via_service, &clock);
+  core::DetectorOracle direct(f.detector);
+
+  const math::Matrix counts = random_counts(9, 43);
+  EXPECT_EQ(oracle.label_counts(counts), direct.label_counts(counts));
+  EXPECT_EQ(oracle.stats().retries, 2u);
+  EXPECT_EQ(oracle.queries(), counts.rows());
+  EXPECT_EQ(service.stats().rejected_deadline, 2u);
 }
 
 }  // namespace
