@@ -155,10 +155,65 @@ TEST(ResilientOracle, WrongLengthResponsesAreRetried) {
   EXPECT_EQ(oracle.stats().retries, 1u);
 }
 
-// Under a sustained outage the waits double from 10 ms up to the 1000 ms
-// cap and stay there across calls; the first success resets the count,
-// so the next failure waits about 10 ms again.
-TEST(ResilientOracle, SustainedOutageWaitsSettleAtTheCapAndResetOnSuccess) {
+/// The exact waits for the given nominal delays: each scaled by the next
+/// factor of the oracle's fixed-seed (0x5eed) jitter stream, one draw per
+/// wait.
+std::vector<std::uint64_t> jittered(const std::vector<double>& nominal_ms) {
+  math::Rng jitter(0x5eedULL);
+  std::vector<std::uint64_t> waits;
+  for (const double ms : nominal_ms)
+    waits.push_back(static_cast<std::uint64_t>(
+        std::llround(ms * jitter.uniform(1.0 - 0.1, 1.0 + 0.1))));
+  return waits;
+}
+
+// The retry policy is fixed: 5 attempts, 10 ms initial backoff, ×2, a
+// 1000 ms cap, ±10% jitter. These tests read it off the recorded waits.
+
+// With the jitter factors replayed, the waits are exactly 10, 20, 40 and
+// 80 ms before attempts 2..5.
+TEST(RetryPolicy, ZeroJitterGivesExactExponentialSequence) {
+  FailNTimesOracle inner(4);
+  FakeClock clock;
+  ResilientOracle oracle(inner, &clock);
+  EXPECT_EQ(oracle.label_counts(some_counts(2)), std::vector<int>(2, 1));
+  EXPECT_EQ(clock.sleeps(), jittered({10, 20, 40, 80}));
+}
+
+// From the 8th consecutive failure on (10·2^7 = 1280 ms) every wait is
+// the 1000 ms cap, jittered, in every later call too.
+TEST(RetryPolicy, DelayIsCappedAtMaxBackoff) {
+  FailNTimesOracle inner(1000);
+  FakeClock clock;
+  ResilientOracle oracle(inner, &clock);
+  for (int call = 0; call < 3; ++call)
+    EXPECT_THROW(oracle.label_counts(some_counts(1)), PermanentOracleError);
+  EXPECT_EQ(clock.sleeps(), jittered({10, 20, 40, 80, 160, 320, 640, 1000,
+                                      1000, 1000, 1000, 1000, 1000, 1000}));
+}
+
+// 200 waits, each within ±10% of its nominal value, and spread over that
+// band rather than pinned to the nominal.
+TEST(RetryPolicy, JitterStaysWithinBounds) {
+  FailNTimesOracle inner(100000);
+  FakeClock clock;
+  ResilientOracle oracle(inner, &clock);
+  while (clock.sleeps().size() < 200)
+    EXPECT_THROW(oracle.label_counts(some_counts(1)), PermanentOracleError);
+  const std::vector<std::uint64_t>& sleeps = clock.sleeps();
+  for (std::size_t i = 0; i < sleeps.size(); ++i)
+    expect_backoff(sleeps[i], i + 1);
+  const auto [lo, hi] = std::minmax_element(sleeps.begin() + 7, sleeps.end());
+  EXPECT_LT(*lo, 1000u);
+  EXPECT_GT(*hi, 1000u);
+}
+
+// There is no circuit breaker: the consecutive-failure count that sets the
+// backoff exponent carries across calls. Under a sustained outage the
+// waits double from 10 ms up to the 1000 ms cap an open breaker used to
+// impose and stay there across calls; the first success resets the
+// count, so the next failure waits about 10 ms again.
+TEST(ResilientOracle, BreakerTripsOnRepeatedFailureAndRecovers) {
   const std::vector<std::uint64_t> sleeps = outage_then_recovery();
   ASSERT_EQ(sleeps.size(), 4u + 5u + 5u + 1u + 1u);
   for (std::size_t i = 0; i < 15; ++i) expect_backoff(sleeps[i], i + 1);
