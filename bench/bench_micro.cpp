@@ -10,6 +10,7 @@
 // repetitions, the same statistic the committed baseline records.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -412,6 +413,20 @@ int main(int argc, char** argv) {
   // runtimes take single-thread shortcuts: BM_ObsHistogramRecord read
   // about 14 ns alone but 28 ns after any row that started the OpenMP team.
   std::thread([] {}).join();
+  // Keep the OpenMP team busy for a second before any row is timed. On a
+  // 4-vCPU VM the first regions of a process often took about 20 ms each,
+  // not microseconds, for up to a second, and the row that opened the
+  // first region (BM_SessionForward/64) measured that instead of its
+  // kernel.
+#ifdef _OPENMP
+  const auto warm_until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (std::chrono::steady_clock::now() < warm_until) {
+#pragma omp parallel
+    {
+    }
+  }
+#endif
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   JsonDumpReporter reporter;

@@ -112,12 +112,10 @@ void craft_rows(const JsmaConfig& config, std::size_t budget,
   std::vector<std::size_t> rows(end - begin);  // absolute, still attacking
   std::iota(rows.begin(), rows.end(), begin);
   std::vector<std::size_t> keep;  // batch positions that go on, reused
-  math::Matrix batch;             // gathered rows, reused
   math::Matrix saliency;          // reused across iterations
 
   for (std::size_t iter = 0; !rows.empty(); ++iter) {
-    math::gather_rows_into(adversarial, rows, batch);
-    const math::Matrix& logits = session.forward(batch);
+    const math::Matrix& logits = session.forward(adversarial, rows);
     keep.clear();
     for (std::size_t bi = 0; bi < rows.size(); ++bi) {
       const bool clean = static_cast<int>(math::argmax(logits.row(bi))) ==

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "math/parallel.hpp"
 #include "obs/obs.hpp"
 
 namespace mev::core {
@@ -12,6 +13,13 @@ namespace {
 
 /// Jacobian augmentation step size (Papernot et al. 2017's lambda).
 constexpr float kLambda = 0.1f;
+
+/// Elements below which realize_counts stays on the calling thread. One
+/// element costs about 10 ns (linear scaling; 25 ns with log1p) on a
+/// 4-vCPU AVX-512 VM and opening a region about 1 µs, so this many take
+/// about 40 µs alone, well above the fork: a class of 9 or more
+/// 491-feature rows splits.
+constexpr std::size_t kMinSplitRealize = 4096;
 
 /// What `now` counted since `base`, field by field (both cumulative).
 runtime::ResilienceStats since(const runtime::ResilienceStats& now,
@@ -47,11 +55,16 @@ math::Matrix realize_counts(const features::CountTransform& transform,
     throw std::invalid_argument(
         "realize_counts: feature dim " + std::to_string(features.cols()) +
         " does not match transform dim " + std::to_string(transform.dim()));
+  // Validated above, so nothing in the region can throw.
   math::Matrix counts(features.rows(), features.cols());
-  for (std::size_t r = 0; r < features.rows(); ++r)
-    for (std::size_t c = 0; c < features.cols(); ++c)
-      counts(r, c) = static_cast<float>(
-          transform.counts_for_feature_value(c, features(r, c)));
+  math::for_each_share(
+      features.rows(), 1, features.size() >= kMinSplitRealize,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t r = begin; r < end; ++r)
+          for (std::size_t c = 0; c < features.cols(); ++c)
+            counts(r, c) = static_cast<float>(
+                transform.counts_for_feature_value(c, features(r, c)));
+      });
   return counts;
 }
 

@@ -6,12 +6,39 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "math/parallel.hpp"
+
 namespace mev::features {
+
+namespace {
+
+/// Elements below which apply() stays on the calling thread. With linear
+/// scaling one element costs about 1.3 ns on a 4-vCPU AVX-512 VM (its
+/// row's allocation included) and opening a region about 1 µs, so a
+/// serve batch of up to 64 rows (31k elements, 40 µs) stays on its
+/// thread, while a 640-row label batch or the black-box attacker's
+/// growing sample set splits.
+constexpr std::size_t kMinSplitElements = 65536;
+
+}  // namespace
 
 math::Matrix FeatureTransform::apply(const math::Matrix& counts) const {
   math::Matrix out(counts.rows(), dim());
-  for (std::size_t r = 0; r < counts.rows(); ++r)
-    out.set_row(r, apply_row(counts.row(r)));
+  if (counts.rows() == 0) return out;
+  // apply_row's checks read the row's length and the transform, never its
+  // values, so row 0 throws here if any row would; the region that does
+  // the rest cannot throw.
+  out.set_row(0, apply_row(counts.row(0)));
+  math::for_each_share(counts.rows() - 1, 1,
+                       counts.size() >= kMinSplitElements,
+                       [&](std::size_t begin, std::size_t end) {
+                         for (std::size_t r = begin + 1; r < end + 1; ++r) {
+                           const std::vector<float> row =
+                               apply_row(counts.row(r));
+                           std::copy(row.begin(), row.end(),
+                                     out.row(r).begin());
+                         }
+                       });
   return out;
 }
 

@@ -1,6 +1,5 @@
 #include "math/gemm.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -113,8 +112,11 @@ struct Avx512 {
 };
 #endif
 
-// Rows per OpenMP work item: a multiple of every ISA's kRows.
-constexpr std::size_t kBlockRows = 4;
+static_assert(kBlockRows % Baseline::kRows == 0);
+#ifdef MEV_GEMM_X86
+static_assert(kBlockRows % Avx2::kRows == 0);
+static_assert(kBlockRows % Avx512::kRows == 0);
+#endif
 
 // The one kernel. It is written once and reaches each ISA only by being
 // inlined (gnu::flatten) into that ISA's entry point below, which carries
@@ -285,19 +287,6 @@ Variant selected() noexcept {
   return chosen;
 }
 
-void run(Variant v, const Operands& op) {
-  const RowsFn rows = rows_fn(v);
-  // One row block has nothing to split: skip the parallel region.
-  const std::size_t blocks = (op.m + kBlockRows - 1) / kBlockRows;
-  if (blocks <= 1 || op.m * op.n * op.k <= (1u << 16)) {
-    rows(op, 0, op.m);
-    return;
-  }
-#pragma omp parallel for schedule(static)
-  for (std::size_t blk = 0; blk < blocks; ++blk) {
-    const std::size_t begin = blk * kBlockRows;
-    rows(op, begin, std::min(op.m, begin + kBlockRows));
-  }
-}
+void run(Variant v, const Operands& op) { rows_fn(v)(op, 0, op.m); }
 
 }  // namespace mev::math::gemm

@@ -139,33 +139,67 @@ Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
-  require(a.cols() == b.rows(), "matmul: inner dimension mismatch");
-  require(&c != &a && &c != &b, "matmul_into: output aliases an input");
-  c.resize(a.rows(), b.cols());
-  gemm::run(gemm::selected(),
-            {.a = a.data(), .a_row_stride = a.cols(), .a_k_stride = 1,
-             .b = b.data(), .c = c.data(),
-             .m = a.rows(), .n = b.cols(), .k = a.cols(),
-             .accumulate = false});
+namespace {
+
+/// C = A * B (or C += A * B) over C's rows [begin, end), on this thread.
+void run_gemm(const Matrix& c_shape, gemm::Operands op, std::size_t begin,
+              std::size_t end) {
+  require(begin <= end && end <= c_shape.rows(), "matmul: row range");
+  op.a += begin * op.a_row_stride;
+  op.c += begin * op.n;
+  op.m = end - begin;
+  gemm::run(gemm::selected(), op);
 }
 
-void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c,
-                      bool accumulate) {
+/// A * B as operands: A read by rows.
+gemm::Operands ab(const Matrix& a, const Matrix& b, Matrix& c) {
+  require(a.cols() == b.rows(), "matmul: inner dimension mismatch");
+  require(&c != &a && &c != &b, "matmul: output aliases an input");
+  return {.a = a.data(), .a_row_stride = a.cols(), .a_k_stride = 1,
+          .b = b.data(), .c = c.data(),
+          .m = a.rows(), .n = b.cols(), .k = a.cols(), .accumulate = false};
+}
+
+/// Aᵀ * B as operands: Aᵀ is read in place, row i of Aᵀ being column i
+/// of A.
+gemm::Operands at_b(const Matrix& a, const Matrix& b, Matrix& c) {
   require(a.rows() == b.rows(), "matmul_at_b: row mismatch");
-  require(&c != &a && &c != &b, "matmul_at_b_into: output aliases an input");
-  const std::size_t m = a.cols(), k = a.rows(), n = b.cols();
-  if (accumulate) {
-    require(c.rows() == m && c.cols() == n,
-            "matmul_at_b_into: accumulate shape mismatch");
-  } else {
-    c.resize(m, n);
-  }
-  // Aᵀ is read in place: row i of Aᵀ is column i of A.
-  gemm::run(gemm::selected(),
-            {.a = a.data(), .a_row_stride = 1, .a_k_stride = a.cols(),
-             .b = b.data(), .c = c.data(),
-             .m = m, .n = n, .k = k, .accumulate = accumulate});
+  require(&c != &a && &c != &b, "matmul_at_b: output aliases an input");
+  return {.a = a.data(), .a_row_stride = 1, .a_k_stride = a.cols(),
+          .b = b.data(), .c = c.data(),
+          .m = a.cols(), .n = b.cols(), .k = a.rows(), .accumulate = false};
+}
+
+}  // namespace
+
+void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
+  gemm::Operands op = ab(a, b, c);
+  c.resize(a.rows(), b.cols());
+  op.c = c.data();
+  run_gemm(c, op, 0, c.rows());
+}
+
+void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c) {
+  gemm::Operands op = at_b(a, b, c);
+  c.resize(a.cols(), b.cols());
+  op.c = c.data();
+  run_gemm(c, op, 0, c.rows());
+}
+
+void matmul_rows(const Matrix& a, const Matrix& b, Matrix& c,
+                 std::size_t begin, std::size_t end) {
+  require(c.rows() == a.rows() && c.cols() == b.cols(),
+          "matmul_rows: output shape mismatch");
+  run_gemm(c, ab(a, b, c), begin, end);
+}
+
+void add_matmul_at_b_rows(const Matrix& a, const Matrix& b, Matrix& c,
+                          std::size_t begin, std::size_t end) {
+  require(c.rows() == a.cols() && c.cols() == b.cols(),
+          "add_matmul_at_b_rows: output shape mismatch");
+  gemm::Operands op = at_b(a, b, c);
+  op.accumulate = true;
+  run_gemm(c, op, begin, end);
 }
 
 void transpose_into(const Matrix& a, Matrix& t) {
@@ -185,29 +219,23 @@ void transpose_into(const Matrix& a, Matrix& t) {
   }
 }
 
-void gather_rows_into(const Matrix& src, std::span<const std::size_t> indices,
-                      Matrix& out) {
-  out.resize(indices.size(), src.cols());
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    if (indices[i] >= src.rows()) throw std::out_of_range("gather_rows_into");
-    const auto row = src.row(indices[i]);
-    std::copy(row.begin(), row.end(), out.data() + i * out.cols());
-  }
-}
-
-void add_column_sums(const Matrix& m, Matrix& acc) {
+void add_column_sums(const Matrix& m, Matrix& acc, std::size_t begin,
+                     std::size_t end) {
   require(acc.rows() == 1 && acc.cols() == m.cols(),
           "add_column_sums: shape mismatch");
+  require(begin <= end && end <= m.cols(), "add_column_sums: column range");
   float* s = acc.data();
   for (std::size_t r = 0; r < m.rows(); ++r) {
     const float* row = m.data() + r * m.cols();
-    for (std::size_t c = 0; c < m.cols(); ++c) s[c] += row[c];
+    for (std::size_t c = begin; c < end; ++c) s[c] += row[c];
   }
 }
 
-void add_row_broadcast(Matrix& m, std::span<const float> bias) {
+void add_row_broadcast(Matrix& m, std::span<const float> bias,
+                       std::size_t begin, std::size_t end) {
   require(bias.size() == m.cols(), "add_row_broadcast: length mismatch");
-  for (std::size_t r = 0; r < m.rows(); ++r) {
+  require(begin <= end && end <= m.rows(), "add_row_broadcast: row range");
+  for (std::size_t r = begin; r < end; ++r) {
     float* row = m.data() + r * m.cols();
     for (std::size_t c = 0; c < m.cols(); ++c) row[c] += bias[c];
   }

@@ -53,6 +53,15 @@ class Matrix {
     return {data_.data() + r * cols_, cols_};
   }
 
+  /// Rows [begin, end) as one contiguous span (row-major storage).
+  std::span<float> row_range(std::size_t begin, std::size_t end) noexcept {
+    return {data_.data() + begin * cols_, (end - begin) * cols_};
+  }
+  std::span<const float> row_range(std::size_t begin,
+                                   std::size_t end) const noexcept {
+    return {data_.data() + begin * cols_, (end - begin) * cols_};
+  }
+
   float* data() noexcept { return data_.data(); }
   const float* data() const noexcept { return data_.data(); }
 
@@ -119,10 +128,11 @@ class Matrix {
 
 /// C = A * B. A register-tiled kernel (a block of C held in vector
 /// registers across all of k), compiled for AVX-512, AVX2 and baseline
-/// x86-64, the widest the CPU supports picked at first use; OpenMP over
-/// row blocks for large products. Every variant returns the bits of the
-/// scalar loop c += a*b over k in order from +0, skipping a == 0 terms
-/// (see math/gemm.hpp).
+/// x86-64, the widest the CPU supports picked at first use. Every variant
+/// returns the bits of the scalar loop c += a*b over k in order from +0,
+/// skipping a == 0 terms (see math/gemm.hpp). Every product here runs on
+/// the calling thread; callers that split one across threads give each
+/// thread a row range (the *_rows forms).
 Matrix matmul(const Matrix& a, const Matrix& b);
 
 /// C = A^T * B without materializing A^T (the kernel reads A^T in place).
@@ -135,25 +145,35 @@ Matrix matmul_at_b(const Matrix& a, const Matrix& b);
 /// C = A * B.
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c);
 
-/// C = A^T * B (or C += A^T * B when `accumulate`; shapes must already
-/// match in that case). The accumulate form is the gradient-accumulation
-/// kernel for dense-layer weight gradients.
-void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c,
-                      bool accumulate = false);
+/// C = A^T * B.
+void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c);
+
+// Row-range variants: `c` is not resized and must already have the
+// product's shape; rows outside [begin, end) are not touched, so threads
+// can each run a disjoint range of one product at once. Shapes, aliasing
+// and the range are checked (std::invalid_argument).
+
+/// Rows [begin, end) of C = A * B.
+void matmul_rows(const Matrix& a, const Matrix& b, Matrix& c,
+                 std::size_t begin, std::size_t end);
+
+/// Rows [begin, end) of C += A^T * B, the dense-layer weight-gradient
+/// accumulation: row i of C is column i of A against B.
+void add_matmul_at_b_rows(const Matrix& a, const Matrix& b, Matrix& c,
+                          std::size_t begin, std::size_t end);
 
 /// T = Aᵀ, written tile by tile (a.cols() x a.rows()).
 void transpose_into(const Matrix& a, Matrix& t);
 
-/// Gathers the given rows of `src` into `out` (resized, overwritten).
-/// `out` must not alias `src`.
-void gather_rows_into(const Matrix& src, std::span<const std::size_t> indices,
-                      Matrix& out);
+/// acc(0, j) += sum over rows of m(:, j), rows in order, for the columns
+/// j in [begin, end). `acc` must be 1 x m.cols().
+void add_column_sums(const Matrix& m, Matrix& acc, std::size_t begin,
+                     std::size_t end);
 
-/// acc(0, j) += sum over rows of m(:, j). `acc` must be 1 x m.cols().
-void add_column_sums(const Matrix& m, Matrix& acc);
-
-/// Adds the row vector `bias` (length == m.cols()) to every row of m.
-void add_row_broadcast(Matrix& m, std::span<const float> bias);
+/// Adds the row vector `bias` (length == m.cols()) to rows [begin, end)
+/// of m.
+void add_row_broadcast(Matrix& m, std::span<const float> bias,
+                       std::size_t begin, std::size_t end);
 
 /// Column-wise sums, length == m.cols().
 std::vector<float> column_sums(const Matrix& m);

@@ -8,11 +8,10 @@ namespace mev::nn {
 namespace {
 
 // Templated elementwise kernels: the functor is a concrete lambda, so the
-// compiler inlines and vectorizes the loop body. (Matrix::apply with a
-// std::function stays available for cold call sites; the forward/backward
-// hot path must not pay a type-erased call per element.)
+// compiler inlines and vectorizes the loop body; the forward/backward hot
+// path must not pay a type-erased call per element.
 template <typename F>
-inline void elementwise(math::Matrix& m, F&& f) {
+inline void elementwise(std::span<float> m, F&& f) {
   float* p = m.data();
   const std::size_t n = m.size();
   for (std::size_t i = 0; i < n; ++i) p[i] = f(p[i]);
@@ -21,8 +20,8 @@ inline void elementwise(math::Matrix& m, F&& f) {
 /// grad[i] = f(grad[i], ref[i]) — derivative kernels keyed on the cached
 /// forward values (pre-activation z or activation output a).
 template <typename F>
-inline void elementwise_grad(math::Matrix& grad, const math::Matrix& ref,
-                             F&& f) {
+inline void elementwise_grad(std::span<float> grad,
+                             std::span<const float> ref, F&& f) {
   float* g = grad.data();
   const float* r = ref.data();
   const std::size_t n = grad.size();
@@ -31,7 +30,7 @@ inline void elementwise_grad(math::Matrix& grad, const math::Matrix& ref,
 
 }  // namespace
 
-void apply_activation(Activation act, math::Matrix& z) {
+void apply_activation(Activation act, std::span<float> z) {
   switch (act) {
     case Activation::kIdentity:
       return;
@@ -51,9 +50,9 @@ void apply_activation(Activation act, math::Matrix& z) {
   throw std::invalid_argument("apply_activation: unknown activation");
 }
 
-void apply_activation_grad(Activation act, const math::Matrix& z,
-                           const math::Matrix& a, math::Matrix& grad) {
-  if (!grad.same_shape(z) || !grad.same_shape(a))
+void apply_activation_grad(Activation act, std::span<const float> z,
+                           std::span<const float> a, std::span<float> grad) {
+  if (grad.size() != z.size() || grad.size() != a.size())
     throw std::invalid_argument("apply_activation_grad: shape mismatch");
   switch (act) {
     case Activation::kIdentity:

@@ -1,7 +1,11 @@
 #include "nn/layer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+
+#include "math/gemm.hpp"
+#include "math/parallel.hpp"
 
 namespace mev::nn {
 
@@ -27,33 +31,44 @@ DenseLayer::DenseLayer(math::Matrix weights, math::Matrix bias, Activation act)
     throw std::invalid_argument("DenseLayer: bias/weight shape mismatch");
 }
 
-void DenseLayer::forward(const math::Matrix& x, LayerWorkspace& ws) const {
-  if (x.cols() != weights_.rows())
-    throw std::invalid_argument("DenseLayer::forward: dimension mismatch");
-  math::matmul_into(x, weights_, ws.pre_activation);
-  math::add_row_broadcast(ws.pre_activation, bias_.row(0));
-  ws.output = ws.pre_activation;
-  apply_activation(activation_, ws.output);
+void DenseLayer::forward(const math::Matrix& x, LayerWorkspace& ws,
+                         std::size_t begin, std::size_t end) const {
+  math::matmul_rows(x, weights_, ws.pre_activation, begin, end);
+  math::add_row_broadcast(ws.pre_activation, bias_.row(0), begin, end);
+  const auto z = ws.pre_activation.row_range(begin, end);
+  const auto y = ws.output.row_range(begin, end);
+  std::copy(z.begin(), z.end(), y.begin());
+  apply_activation(activation_, y);
 }
 
-void DenseLayer::backward(math::Matrix& grad_output, const math::Matrix& input,
-                          LayerWorkspace& ws, Grads grads) const {
-  if (!grad_output.same_shape(ws.output))
-    throw std::invalid_argument("DenseLayer::backward: shape mismatch");
-  // grad_output becomes dLoss/dPreActivation in place.
-  apply_activation_grad(activation_, ws.pre_activation, ws.output, grad_output);
+void DenseLayer::backward_rows(math::Matrix& grad_output, LayerWorkspace& ws,
+                               bool input_grad, std::size_t begin,
+                               std::size_t end) const {
+  apply_activation_grad(activation_, ws.pre_activation.row_range(begin, end),
+                        ws.output.row_range(begin, end),
+                        grad_output.row_range(begin, end));
+  // dLoss/dInput = dPre * Wᵀ against the packed Wᵀ: the same k-ordered sum
+  // from +0 as the dot-product form, so the same bits.
+  if (input_grad)
+    math::matmul_rows(grad_output, ws.weights_t, ws.grad_input, begin, end);
+}
 
-  if (grads != Grads::kInput) {
-    math::matmul_at_b_into(input, grad_output, ws.param_grads[0],
-                           /*accumulate=*/true);
-    math::add_column_sums(grad_output, ws.param_grads[1]);
-  }
-  if (grads == Grads::kParams) return;
-
-  // dLoss/dInput = grad_output * Wᵀ against the packed Wᵀ: the same
-  // k-ordered sum from +0 as the dot-product form, so the same bits.
+void DenseLayer::pack_weights(LayerWorkspace& ws) const {
   if (ws.weights_t.empty()) math::transpose_into(weights_, ws.weights_t);
-  math::matmul_into(grad_output, ws.weights_t, ws.grad_input);
+}
+
+void DenseLayer::add_param_grads(const math::Matrix& input,
+                                 const math::Matrix& grad_pre,
+                                 LayerWorkspace& ws, std::size_t part,
+                                 std::size_t parts) const {
+  const math::Share features =
+      math::share_of(input_dim(), math::gemm::kBlockRows, part, parts);
+  math::add_matmul_at_b_rows(input, grad_pre, ws.param_grads[0],
+                             features.begin, features.end);
+  const math::Share columns =
+      math::share_of(output_dim(), math::kFloatsPerLine, part, parts);
+  math::add_column_sums(grad_pre, ws.param_grads[1], columns.begin,
+                        columns.end);
 }
 
 void DenseLayer::init_workspace(LayerWorkspace& ws) const {

@@ -24,35 +24,27 @@ struct ParamRef {
 };
 
 /// Per-layer scratch buffers, owned by an InferenceSession (one per layer
-/// per session). All matrices are resized capacity-preservingly per batch,
-/// so the steady state allocates nothing.
+/// per session). The session sizes every matrix for the batch before a
+/// pass, capacity-preservingly, so the steady state allocates nothing; the
+/// layer's calls then write only the rows (or, for parameter gradients,
+/// the elements) they are given.
 struct LayerWorkspace {
   math::Matrix pre_activation;  // z = x*W + b (batch x out)
   math::Matrix output;          // layer output (batch x out)
   math::Matrix grad_input;      // backward result dLoss/dInput (batch x in)
-  /// Packed Wᵀ (out x in), so dLoss/dInput runs the vectorized
-  /// matmul_into instead of a dot product per element. Built from the
-  /// layer's weights by the first backward that wants an input gradient
-  /// and finds it empty; forward-only sessions never build it, and the
-  /// training sweep never builds layer 0's. A session whose parameters
-  /// are bound for writing empties it after every forward (capacity
-  /// kept), so no pack outlives an optimizer step.
+  /// Packed Wᵀ (out x in), so dLoss/dInput runs the vectorized GEMM
+  /// instead of a dot product per element. Built from the layer's weights
+  /// by pack_weights() when a backward wants an input gradient and finds
+  /// it empty; forward-only sessions never build it, and the training
+  /// sweep never builds layer 0's. A session whose parameters are bound
+  /// for writing empties it after every forward (capacity kept), so no
+  /// pack outlives an optimizer step.
   math::Matrix weights_t;
   /// Parameter-gradient accumulators, one per parameter tensor in the
   /// order of DenseLayer::param_values(). Sized by
   /// DenseLayer::init_workspace when a session binds its parameters for
   /// training; empty in a session that never trains.
   std::vector<math::Matrix> param_grads;
-};
-
-/// Which gradients one DenseLayer::backward call produces. The training
-/// sweep wants parameter gradients everywhere and an input gradient
-/// everywhere but layer 0 (nothing consumes dLoss/dFeatures there); the
-/// attack sweep wants only input gradients.
-enum class Grads {
-  kInput,           // dLoss/dInput into ws.grad_input; parameters untouched
-  kParams,          // parameter gradients only; ws.grad_input left as is
-  kParamsAndInput,  // both
 };
 
 /// Fully connected layer: y = act(x * W + b), W is in x out, b is 1 x out.
@@ -68,19 +60,37 @@ class DenseLayer {
   /// `bias` must be 1 x weights.cols().
   DenseLayer(math::Matrix weights, math::Matrix bias, Activation act);
 
-  /// Forward pass on a batch (rows are samples) into ws.output. Reads
-  /// layer parameters only; mutable state lives in `ws`.
-  void forward(const math::Matrix& x, LayerWorkspace& ws) const;
+  /// Forward of batch rows [begin, end) of `x`: z = x*W + b into those
+  /// rows of ws.pre_activation and act(z) into those rows of ws.output,
+  /// which must already be x.rows() x output_dim(). No other row is read
+  /// or written, so threads can run disjoint ranges of one batch at once.
+  /// Reads layer parameters only.
+  void forward(const math::Matrix& x, LayerWorkspace& ws, std::size_t begin,
+               std::size_t end) const;
 
-  /// Backward pass: receives dLoss/dOutput (clobbered as scratch space).
-  /// Must follow a forward call with the matching batch in the same
-  /// workspace; may be called many times per forward (e.g. one per output
-  /// class). `grads` names what to produce: parameter gradients are
-  /// accumulated into ws.param_grads (and `input` must be the matrix handed
-  /// to the matching forward call); dLoss/dInput is written into
-  /// ws.grad_input. Work for a gradient not asked for is skipped.
-  void backward(math::Matrix& grad_output, const math::Matrix& input,
-                LayerWorkspace& ws, Grads grads) const;
+  /// Backward of batch rows [begin, end), after a forward of the same
+  /// batch into `ws`: turns those rows of dLoss/dOutput in `grad_output`
+  /// into dLoss/dPreActivation in place and, with `input_grad`, writes
+  /// those rows of dLoss/dInput = dPre*Wᵀ into ws.grad_input (already
+  /// batch x input_dim(), against the pack from pack_weights()). No other
+  /// row is read or written.
+  void backward_rows(math::Matrix& grad_output, LayerWorkspace& ws,
+                     bool input_grad, std::size_t begin,
+                     std::size_t end) const;
+
+  /// Builds ws.weights_t = Wᵀ unless it is already there.
+  void pack_weights(LayerWorkspace& ws) const;
+
+  /// Share `part` of `parts` of the parameter gradients, once
+  /// backward_rows has turned every batch row of `grad_pre` into
+  /// dLoss/dPreActivation: rows of dW += inputᵀ*dPre for a share of the
+  /// input features, and db += the column sums of dPre for a share of the
+  /// output columns. The shares of parts 0..parts-1 add every gradient
+  /// element once, each summing its batch rows in order; `input` is the
+  /// matrix the forward read.
+  void add_param_grads(const math::Matrix& input,
+                       const math::Matrix& grad_pre, LayerWorkspace& ws,
+                       std::size_t part, std::size_t parts) const;
 
   /// Sizes (and zeroes) ws.param_grads to match this layer's parameters.
   void init_workspace(LayerWorkspace& ws) const;

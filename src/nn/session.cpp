@@ -3,12 +3,19 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "math/gemm.hpp"
 #include "math/linalg.hpp"
+#include "math/parallel.hpp"
 #include "nn/network.hpp"
 
 namespace mev::nn {
 
 namespace {
+
+/// A pass opens a parallel region only when it has more than one 4-row
+/// block and more than this many multiply-adds (rows x the sum of every
+/// layer's in x out), so a 1-row scan never opens one.
+constexpr std::size_t kMinPassWork = std::size_t{1} << 16;
 
 /// Moves rows keep[k] of `m` to row k and drops the rest. `keep` is
 /// strictly ascending, so keep[k] >= k and each copy reads a row no
@@ -29,6 +36,8 @@ InferenceSession::InferenceSession(const Network& net, std::size_t max_batch)
   if (net.num_layers() == 0)
     throw std::invalid_argument("InferenceSession: empty network");
   ws_.resize(net.num_layers());
+  for (std::size_t i = 0; i < ws_.size(); ++i)
+    macs_per_row_ += net.layer(i).input_dim() * net.layer(i).output_dim();
   if (max_batch > 0) {
     input_.reserve(max_batch, net.input_dim());
     probs_.reserve(max_batch, net.output_dim());
@@ -48,10 +57,45 @@ const math::Matrix& InferenceSession::layer_input(
   return layer_index == 0 ? input_ : ws_[layer_index - 1].output;
 }
 
+bool InferenceSession::split(std::size_t rows) const {
+  return rows > math::gemm::kBlockRows && rows * macs_per_row_ > kMinPassWork;
+}
+
 const math::Matrix& InferenceSession::forward(const math::Matrix& x) {
-  input_ = x;  // capacity-reusing copy; backward may need it for param grads
-  for (std::size_t i = 0; i < ws_.size(); ++i)
-    net_->layer(i).forward(layer_input(i), ws_[i]);
+  return run_forward(x, nullptr, x.rows());
+}
+
+const math::Matrix& InferenceSession::forward(
+    const math::Matrix& x, std::span<const std::size_t> rows) {
+  for (const std::size_t r : rows)
+    if (r >= x.rows())
+      throw std::out_of_range("InferenceSession::forward: row out of range");
+  return run_forward(x, rows.data(), rows.size());
+}
+
+const math::Matrix& InferenceSession::run_forward(const math::Matrix& x,
+                                                  const std::size_t* rows,
+                                                  std::size_t n) {
+  const std::size_t cols = net_->input_dim();
+  if (x.cols() != cols)
+    throw std::invalid_argument("InferenceSession::forward: dimension mismatch");
+  input_.resize(n, cols);  // kept: backward reads it for param grads
+  for (std::size_t i = 0; i < ws_.size(); ++i) {
+    const std::size_t out = net_->layer(i).output_dim();
+    ws_[i].pre_activation.resize(n, out);
+    ws_[i].output.resize(n, out);
+  }
+  // Each thread takes its own rows from the input copy through every
+  // layer: a row's activations depend on that row alone.
+  math::for_each_share(
+      n, math::gemm::kBlockRows, split(n),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t r = begin; r < end; ++r)
+          std::copy_n(x.data() + (rows != nullptr ? rows[r] : r) * cols, cols,
+                      input_.data() + r * cols);
+        for (std::size_t i = 0; i < ws_.size(); ++i)
+          net_->layer(i).forward(layer_input(i), ws_[i], begin, end);
+      });
   if (params_bound_)
     for (auto& ws : ws_) ws.weights_t.resize(0, 0);  // stale after a step
   return ws_.back().output;
@@ -95,16 +139,36 @@ void InferenceSession::retain_rows(std::span<const std::size_t> keep) {
   }
 }
 
-void InferenceSession::run_backward(Grads at_layer0) {
-  // Every layer above 0 hands dLoss/dInput down, in both sweeps.
-  const Grads above = at_layer0 == Grads::kParams ? Grads::kParamsAndInput
-                                                  : at_layer0;
-  math::Matrix* grad = &grad_logits_;
-  for (std::size_t i = ws_.size(); i-- > 0;) {
-    net_->layer(i).backward(*grad, layer_input(i), ws_[i],
-                            i == 0 ? at_layer0 : above);
-    grad = &ws_[i].grad_input;
+void InferenceSession::run_backward(bool params) {
+  // Layers from `first` up hand dLoss/dInput down: every layer in the
+  // attack sweep, every layer but 0 in the training sweep.
+  const std::size_t first = params ? 1 : 0;
+  const std::size_t n = grad_logits_.rows();
+  for (std::size_t i = first; i < ws_.size(); ++i) {
+    net_->layer(i).pack_weights(ws_[i]);
+    ws_[i].grad_input.resize(n, net_->layer(i).input_dim());
   }
+  math::on_team(split(n), [&](std::size_t part, std::size_t parts) {
+    // Down the dLoss/dInput chain, each thread on its own rows.
+    const math::Share rows =
+        math::share_of(n, math::gemm::kBlockRows, part, parts);
+    math::Matrix* grad = &grad_logits_;
+    for (std::size_t i = ws_.size(); i-- > 0;) {
+      net_->layer(i).backward_rows(*grad, ws_[i], i >= first, rows.begin,
+                                   rows.end);
+      grad = &ws_[i].grad_input;
+    }
+    if (!params) return;
+    // A weight gradient sums over every row: split it by elements instead,
+    // once every row's dLoss/dPreActivation is in place.
+    math::team_barrier(parts);
+    grad = &grad_logits_;
+    for (std::size_t i = ws_.size(); i-- > 0;) {
+      net_->layer(i).add_param_grads(layer_input(i), *grad, ws_[i], part,
+                                     parts);
+      grad = &ws_[i].grad_input;
+    }
+  });
 }
 
 void InferenceSession::require_tape() const {
@@ -124,13 +188,13 @@ void InferenceSession::backward_params(const math::Matrix& grad_logits) {
     throw std::logic_error(
         "InferenceSession::backward_params: no accumulators before "
         "bind_params");
-  run_backward(Grads::kParams);
+  run_backward(/*params=*/true);
 }
 
 const math::Matrix& InferenceSession::backward_input(
     const math::Matrix& grad_logits) {
   seed_backward(grad_logits);
-  run_backward(Grads::kInput);
+  run_backward(/*params=*/false);
   return ws_.front().grad_input;
 }
 
@@ -153,7 +217,7 @@ const math::Matrix& InferenceSession::input_gradient(int target_class) {
   require_tape();
   softmax_of_logits(1.0f);
   softmax_jacobian_row(static_cast<std::size_t>(target_class));
-  run_backward(Grads::kInput);
+  run_backward(/*params=*/false);
   return ws_.front().grad_input;
 }
 
@@ -170,7 +234,7 @@ std::span<const math::Matrix> InferenceSession::input_gradients_all() {
   softmax_of_logits(1.0f);
   for (std::size_t c = 0; c < classes; ++c) {
     softmax_jacobian_row(c);
-    run_backward(Grads::kInput);
+    run_backward(/*params=*/false);
     class_grads_[c] = ws_.front().grad_input;
   }
   return class_grads_;

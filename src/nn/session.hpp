@@ -14,6 +14,17 @@
 // distinct sessions are safe. Training writes the parameters, so it needs
 // the network to itself.
 //
+// A pass uses the caller's OpenMP team. forward() and each backward sweep
+// open one parallel region (math/parallel.hpp) when the batch has more
+// than one 4-row block and the pass more than 2^16 multiply-adds. In it,
+// each thread takes its own rows through every layer with no barrier
+// between layers; the training sweep then waits once and splits the
+// weight gradients by input feature and the bias sums by column. Called
+// inside another active region (a JSMA shard), or with a team of one, a
+// pass opens no region and runs on the calling thread alone. Outputs are
+// the same bits for every team size: rows never share an accumulator, and
+// every gradient element sums its batch rows in order from +0.
+//
 // Returned references/spans point into session-owned buffers and stay
 // valid until the next call on the same session.
 //
@@ -74,6 +85,10 @@ class InferenceSession {
   /// Forward pass over a batch; returns the logits buffer
   /// (batch x classes). Allocation-free once warm.
   const math::Matrix& forward(const math::Matrix& x);
+  /// Forward pass over the batch whose row i is row rows[i] of `x`,
+  /// gathered straight into the tape (std::out_of_range for a bad index).
+  const math::Matrix& forward(const math::Matrix& x,
+                              std::span<const std::size_t> rows);
 
   /// The logits from the most recent forward.
   const math::Matrix& logits() const;
@@ -134,12 +149,20 @@ class InferenceSession {
   void require_tape() const;
   /// Validates and copies the backward seed into grad_logits_.
   void seed_backward(const math::Matrix& grad_logits);
-  /// Runs the layers top-down; layer 0 gets `at_layer0` (kParams for the
-  /// training sweep, kInput for the attack sweep).
-  void run_backward(Grads at_layer0);
+  /// Whether a pass over `rows` batch rows opens a parallel region.
+  bool split(std::size_t rows) const;
+  /// The forward pass over `n` batch rows: row i is row rows[i] of x, or
+  /// row i of x when `rows` is null.
+  const math::Matrix& run_forward(const math::Matrix& x,
+                                  const std::size_t* rows, std::size_t n);
+  /// Runs the layers top-down from the seed in grad_logits_: the training
+  /// sweep with `params` (parameter gradients; dLoss/dInput for every
+  /// layer but 0), else the attack sweep (dLoss/dInput for every layer).
+  void run_backward(bool params);
   const math::Matrix& layer_input(std::size_t layer_index) const;
 
   const Network* net_;
+  std::size_t macs_per_row_ = 0;     // sum of every layer's in x out
   std::vector<LayerWorkspace> ws_;   // one per layer
   math::Matrix input_;               // copy of the forward batch
   math::Matrix probs_;               // softmax buffer

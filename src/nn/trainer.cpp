@@ -47,7 +47,6 @@ std::vector<double> run_training(Network& net, const math::Matrix& x,
 
   std::vector<double> epoch_losses;
   epoch_losses.reserve(config.epochs);
-  math::Matrix batch_x;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
     // The span covers shuffling and every batch — its duration is the
     // epoch wall time in the exported trace.
@@ -59,9 +58,8 @@ std::vector<double> run_training(Network& net, const math::Matrix& x,
       const std::size_t end = std::min(start + config.batch_size, n);
       const std::span<const std::size_t> batch_idx(order.data() + start,
                                                    end - start);
-      math::gather_rows_into(x, batch_idx, batch_x);
       session.zero_param_grads();
-      const math::Matrix& logits = session.forward(batch_x);
+      const math::Matrix& logits = session.forward(x, batch_idx);
       LossResult loss = loss_fn(logits, batch_idx);
       epoch_loss += loss.loss;
       ++batches;

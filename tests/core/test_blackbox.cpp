@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "obs/metrics.hpp"
 #include "runtime/fault_injection.hpp"
@@ -99,6 +105,37 @@ TEST(BlackBox, RealizeCountsInvertsTransform) {
   const math::Matrix features = t.apply(counts);
   const math::Matrix realized = realize_counts(t, features);
   EXPECT_EQ(realized, counts);
+}
+
+TEST(BlackBox, RealizeCountsIsTeamInvariant) {
+  // 300 x 491 features, enough to split the rows across the team; both
+  // scalings give the bits of a team of one at teams 2 and 3.
+  const math::Matrix counts = seed_counts(300, 491, 19);
+  for (const auto scaling :
+       {features::CountScaling::kLinear, features::CountScaling::kLog1p}) {
+    features::CountTransform t(scaling);
+    t.fit(counts);
+    math::Matrix features = t.apply(counts);
+    math::Rng rng(20);
+    for (std::size_t i = 0; i < features.size(); ++i)  // off-grid values
+      features.data()[i] = std::min(
+          1.0f, features.data()[i] + static_cast<float>(rng.uniform(0, 0.1)));
+    std::vector<math::Matrix> got;
+#ifdef _OPENMP
+    const int saved = omp_get_max_threads();
+    for (const int team : {1, 2, 3}) {
+      omp_set_num_threads(team);
+      got.push_back(realize_counts(t, features));
+    }
+    omp_set_num_threads(saved);
+#else
+    got.push_back(realize_counts(t, features));
+#endif
+    for (const math::Matrix& m : got)
+      EXPECT_EQ(std::memcmp(m.data(), got.front().data(),
+                            m.size() * sizeof(float)),
+                0);
+  }
 }
 
 std::string network_bytes(const nn::Network& net) {

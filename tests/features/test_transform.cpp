@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "math/rng.hpp"
 
@@ -156,6 +162,43 @@ TEST(FeatureTransform, BatchApplyMatchesRowApply) {
     const auto row = t.apply_row(counts.row(r));
     for (std::size_t c = 0; c < counts.cols(); ++c)
       EXPECT_EQ(batch(r, c), row[c]);
+  }
+}
+
+TEST(FeatureTransform, BatchApplyIsTeamInvariant) {
+  // 300 x 491 counts: enough elements to split the rows across the team.
+  // Every scaling and both transforms give the bits of a team of one,
+  // with the validation on row 0 still throwing before any region.
+  math::Rng rng(23);
+  math::Matrix counts(300, 491);
+  for (std::size_t i = 0; i < counts.size(); ++i)
+    counts.data()[i] = static_cast<float>(rng.poisson(2.0));
+  CountTransform linear, log1p(CountScaling::kLog1p);
+  linear.fit(counts);
+  log1p.fit(counts);
+  const BinaryTransform binary(491);
+  for (const FeatureTransform* t :
+       std::initializer_list<const FeatureTransform*>{&linear, &log1p,
+                                                      &binary}) {
+    std::vector<math::Matrix> got;
+#ifdef _OPENMP
+    const int saved = omp_get_max_threads();
+    for (const int team : {1, 2, 3}) {
+      omp_set_num_threads(team);
+      got.push_back(t->apply(counts));
+      EXPECT_THROW(t->apply(math::Matrix(300, 490)), std::invalid_argument);
+    }
+    omp_set_num_threads(saved);
+#else
+    got.push_back(t->apply(counts));
+#endif
+    for (const math::Matrix& m : got) {
+      ASSERT_TRUE(m.same_shape(got.front()));
+      EXPECT_EQ(std::memcmp(m.data(), got.front().data(),
+                            m.size() * sizeof(float)),
+                0)
+          << t->name();
+    }
   }
 }
 

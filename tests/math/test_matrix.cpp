@@ -264,17 +264,21 @@ TEST(Matrix, MatmulRejectsAnOutputAliasingAnInput) {
   EXPECT_THROW(matmul_into(other, sq, sq), std::invalid_argument);
   EXPECT_THROW(matmul_at_b_into(sq, other, sq), std::invalid_argument);
   EXPECT_THROW(matmul_at_b_into(other, sq, sq), std::invalid_argument);
-  EXPECT_THROW(matmul_at_b_into(sq, other, sq, /*accumulate=*/true),
+  EXPECT_THROW(add_matmul_at_b_rows(sq, other, sq, 0, 2),
                std::invalid_argument);
+  EXPECT_THROW(matmul_rows(sq, other, sq, 0, 2), std::invalid_argument);
   EXPECT_EQ(sq, (Matrix{{1, 2}, {3, 4}}));
 }
 
 TEST(Matrix, AddRowBroadcast) {
   Matrix m(2, 3, 1.0f);
   const std::vector<float> bias{1, 2, 3};
-  add_row_broadcast(m, bias);
+  add_row_broadcast(m, bias, 0, 2);
   EXPECT_EQ(m(0, 0), 2.0f);
   EXPECT_EQ(m(1, 2), 4.0f);
+  add_row_broadcast(m, bias, 1, 2);  // a row range touches only its rows
+  EXPECT_EQ(m(0, 0), 2.0f);
+  EXPECT_EQ(m(1, 2), 7.0f);
 }
 
 TEST(Matrix, ColumnSumsAndMeans) {
